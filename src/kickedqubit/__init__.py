@@ -8,7 +8,7 @@ The package splits along the physics:
 * :mod:`~kickedqubit.propagators` — closed forms for ideal kicks, rectangular
   pulses, kick pairs and triples, ordering observables, reversal checks;
 * :mod:`~kickedqubit.limits` — perturbative/degenerate/adiabatic/RWA limits;
-* :mod:`~kickedqubit.integrator` — fixed-step RK4 with compiled kernels;
+* :mod:`~kickedqubit.integrator` — one linear-drive model type and batched RK4;
 * :mod:`~kickedqubit.hydrogen` — the 2s-2p model with fine structure and decay;
 * :mod:`~kickedqubit.experiments` — the dataset catalog behind the CLI.
 """
@@ -48,6 +48,7 @@ from .integrator import (
     BACKEND,
     HamiltonianModel,
     IntegrationDivergedError,
+    LinearDriveModel,
     Trajectory,
     TwoStatePulseModel,
     integrate,
@@ -114,8 +115,9 @@ __all__ = [
     # limits
     "LIMIT_KINDS", "limit_catalog",
     # integrator
-    "BACKEND", "HamiltonianModel", "IntegrationDivergedError", "Trajectory",
-    "TwoStatePulseModel", "integrate", "norm_drift", "rk4_step",
+    "BACKEND", "HamiltonianModel", "IntegrationDivergedError",
+    "LinearDriveModel", "Trajectory", "TwoStatePulseModel", "integrate",
+    "norm_drift", "rk4_step",
     # hydrogen
     "DEFAULT_MHZ", "HydrogenModel", "HydrogenParams", "UNIT_SCALES",
     "coupling_rotation", "default_params", "effective_two_state_model",

@@ -404,8 +404,17 @@ class ResultDataset:
 def _atomic_write(path: Path, text: str) -> None:
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(fd, "w", newline="\n") as handle:
+        try:
+            handle = os.fdopen(fd, "w", newline="\n")
+        except BaseException:
+            os.close(fd)
+            raise
+        with handle:
             handle.write(text)
+        # mkstemp creates 0600; give the file the mode open() would have
+        umask = os.umask(0)
+        os.umask(umask)
+        os.chmod(tmp, 0o666 & ~umask)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -435,8 +444,9 @@ def read_dataset(csv_path) -> ResultDataset:
                 header = line.split(",")
             else:
                 rows.append([float(v) for v in line.split(",")])
-    return ResultDataset(name=name, columns=tuple(header),
-                         data=np.array(rows, dtype=float), config=config, meta=meta)
+    data = np.array(rows, dtype=float).reshape(len(rows), len(header))
+    return ResultDataset(name=name, columns=tuple(header), data=data,
+                         config=config, meta=meta)
 
 
 def config_sequence(config: ExperimentConfig, ordering: str = "forward",
@@ -489,7 +499,6 @@ def _warn_diagnostics(seq: KickSequence) -> None:
 
 
 def _qubit_trajectory(config: ExperimentConfig, seq: KickSequence) -> Trajectory:
-    _warn_diagnostics(seq)
     t_end = config.t_end if config.t_end is not None else default_end_time(seq)
     dt = config.dt
     if dt is None:
@@ -502,9 +511,11 @@ def _qubit_trajectory(config: ExperimentConfig, seq: KickSequence) -> Trajectory
 
 
 def _trajectory_dataset(config: ExperimentConfig, ordering: str) -> ResultDataset:
-    if config.system == "hydrogen":
-        params = _hydrogen_params(config)
-        seq = config_sequence(config, ordering, delta_e=params.delta_e)
+    params = _hydrogen_params(config) if config.system == "hydrogen" else None
+    seq = config_sequence(config, ordering,
+                          delta_e=None if params is None else params.delta_e)
+    _warn_diagnostics(seq)
+    if params is not None:
         traj = run_pulse_sequence(
             params, seq, dt=config.dt, sample_every=config.sample_every,
             basis=config.basis, t_end=config.t_end)
@@ -518,7 +529,6 @@ def _trajectory_dataset(config: ExperimentConfig, ordering: str) -> ResultDatase
             "final_norm": float(traj.norms[-1]),
         }
     else:
-        seq = config_sequence(config, ordering)
         traj = _qubit_trajectory(config, seq)
         columns = ("t", "p1", "p2", "norm")
         table = np.column_stack([traj.times, traj.probabilities, traj.norms])

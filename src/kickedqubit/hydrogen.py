@@ -30,9 +30,9 @@ from typing import Callable
 
 import numpy as np
 
-from . import _kernels
-from .integrator import HamiltonianModel, Trajectory, integrate, _pack_pulses
-from .pulses import KickSequence, field_at
+from .integrator import HamiltonianModel, LinearDriveModel, Trajectory, integrate
+from .pulses import KickSequence
+from .su2 import SIGMA_X, SIGMA_Y
 
 UNIT_SCALES = {"plain": 1e-6, "two_pi": 2.0 * math.pi * 1e-6}
 
@@ -174,8 +174,8 @@ def stroboscopic_free_propagator(params: HydrogenParams, dt: float) -> np.ndarra
     return out
 
 
-class HydrogenModel:
-    """Kernel-backed three-state model driven by a pulse train on 2s <-> 2p.
+class HydrogenModel(LinearDriveModel):
+    """Three-state model driven by a pulse train on 2s <-> 2p.
 
     The pulse areas in the sequence are quoted as effective two-state areas:
     the raw field f(t) drives the coupled pair directly (W = f), while in the
@@ -184,38 +184,17 @@ class HydrogenModel:
     alpha therefore transfers sin^2(alpha) out of 2s in either basis.
     """
 
-    dimension = 3
-
     def __init__(self, params: HydrogenParams, seq: KickSequence,
                  basis: str = "j"):
         if basis not in ("j", "coupled"):
             raise ValueError(f"basis must be 'j' or 'coupled', got {basis!r}")
-        for i, p in enumerate(seq.pulses):
-            if p.shape == "ideal":
-                raise ValueError(
-                    f"pulse {i} is an ideal kick; integration needs finite-width pulses")
+        matrix, scale = ((_j_matrix, 1.0 / SQRT3) if basis == "j"
+                         else (_coupled_matrix, 1.0))
+        h0 = matrix(params, 0.0)
+        super().__init__(h0, matrix(params, scale) - h0,
+                         matrix(params, 1j * scale) - h0, seq)
         self.params = params
-        self.seq = seq
         self.basis = basis
-        self._basis_code = 0 if basis == "j" else 1
-        self._drive_scale = 1.0 / SQRT3 if basis == "j" else 1.0
-        self._packed = _pack_pulses(seq)
-        self.min_tau = min(p.tau for p in seq.pulses)
-
-    def evaluate(self, t: float) -> np.ndarray:
-        vx, vy = field_at(self.seq, t)
-        v = complex(vx, vy) * self._drive_scale
-        if self.basis == "j":
-            return _j_matrix(self.params, v)
-        return _coupled_matrix(self.params, v)
-
-    def _run_kernel(self, y0, t0, dt, n_steps, sample_every):
-        shapes, axes, alphas, centers, taus = self._packed
-        return _kernels.rk4_three_state(
-            self.params.delta_e, self.params.e_fs, self.params.gamma,
-            self._basis_code, self._drive_scale,
-            shapes, axes, alphas, centers, taus,
-            np.asarray(y0, dtype=complex), t0, dt, n_steps, sample_every)
 
 
 def p_target(traj: Trajectory) -> np.ndarray:
@@ -269,19 +248,12 @@ def run_pulse_sequence(params: HydrogenParams, seq: KickSequence,
 
 
 def effective_two_state_model(params: HydrogenParams,
-                              seq: KickSequence) -> HamiltonianModel:
+                              seq: KickSequence) -> LinearDriveModel:
     """Two-state surrogate: 2s against the driven 2p combination.
 
     Valid while the dark state stays empty (pulses short, spacings at whole
     revival periods).  The drive element is the raw field f(t) and the 2p
     level carries the decay: H = [[delta_e, f], [f, -i*gamma/2]].
     """
-
-    def evaluate(t: float) -> np.ndarray:
-        vx, vy = field_at(seq, t)
-        return np.array([
-            [params.delta_e, vx - 1j * vy],
-            [vx + 1j * vy, -0.5j * params.gamma],
-        ])
-
-    return HamiltonianModel(dimension=2, evaluate=evaluate)
+    h0 = np.diag([params.delta_e, -0.5j * params.gamma])
+    return LinearDriveModel(h0, SIGMA_X, SIGMA_Y, seq)

@@ -1,12 +1,12 @@
 """Fixed-step RK4 integration of small driven quantum systems.
 
-Two paths share one entry point, :func:`integrate`:
-
-* models carrying a ``_run_kernel`` method (the pulse-backed 2-state model
-  here, the hydrogen model in :mod:`kickedqubit.hydrogen`) run through the
-  compiled kernels in :mod:`kickedqubit._kernels`;
-* any other object with ``dimension`` and ``evaluate(t) -> matrix`` runs
-  through a plain Python RK4 loop, so arbitrary Hamiltonian callables work.
+Every model exposes ``dimension`` and ``hamiltonians(times, side)``, the stack
+of its Hamiltonian matrices at an array of times, and :func:`integrate` has a
+single path for all of them.  Pulse-driven models are
+:class:`LinearDriveModel` instances, ``H(t) = H0 + v_x(t) A_x + v_y(t) A_y``
+with constant matrices (the qubit, hydrogen in both bases and the effective
+two-state surrogate); :class:`HamiltonianModel` wraps an arbitrary evaluator
+``t -> matrix``.
 """
 from __future__ import annotations
 
@@ -16,12 +16,15 @@ from typing import Callable
 
 import numpy as np
 
-from . import _kernels
-from .pulses import AXIS_CODES, SHAPE_CODES, KickSequence, field_at
+from .pulses import KickSequence, field_at
+from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z
 
-#: which backend the kernels run on ("numba" or "numpy"); selected by the
-#: KICKEDQUBIT_BACKEND environment variable at import time.
-BACKEND = _kernels.BACKEND
+#: the one integration path, recorded in dataset provenance
+BACKEND = "numpy"
+
+# steps whose RK4 matrices are built in one batched pass; small, so the
+# stacks stay a few hundred kB
+_BLOCK = 512
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -38,6 +41,48 @@ class HamiltonianModel:
     def __post_init__(self) -> None:
         if self.dimension not in (2, 3):
             raise ValueError(f"dimension must be 2 or 3, got {self.dimension}")
+
+    def hamiltonians(self, times: np.ndarray, side: float = 0.0) -> np.ndarray:
+        """``evaluate`` stacked over ``times``; an evaluator has no edge side."""
+        return np.array([self.evaluate(t) for t in times], dtype=complex)
+
+
+class LinearDriveModel:
+    """Pulse-driven model ``H(t) = h0 + v_x(t) a_x + v_y(t) a_y``.
+
+    ``(v_x, v_y)`` is the summed field of a
+    :class:`~kickedqubit.pulses.KickSequence` of finite-width pulses, and
+    ``h0`` may be non-Hermitian (decay).  Ideal kicks carry no field to
+    integrate and are rejected; use the closed forms for those.
+    """
+
+    def __init__(self, h0, a_x, a_y, seq: KickSequence):
+        for i, p in enumerate(seq.pulses):
+            if p.shape == "ideal":
+                raise ValueError(
+                    f"pulse {i} is an ideal kick; integration needs finite-width pulses")
+        self.h0 = np.asarray(h0, dtype=complex)
+        self.a_x = np.asarray(a_x, dtype=complex)
+        self.a_y = np.asarray(a_y, dtype=complex)
+        self.dimension = self.h0.shape[0]
+        self.seq = seq
+        self.min_tau = min(p.tau for p in seq.pulses)
+
+    def hamiltonians(self, times: np.ndarray, side: float = 0.0) -> np.ndarray:
+        """Stack of H at ``times``; ``side`` picks the side of rectangular edges."""
+        vx, vy = field_at(self.seq, times, side)
+        return (self.h0 + vx[:, None, None] * self.a_x
+                + vy[:, None, None] * self.a_y)
+
+    def evaluate(self, t: float) -> np.ndarray:
+        return self.hamiltonians(np.array([t]))[0]
+
+
+class TwoStatePulseModel(LinearDriveModel):
+    """Two-state model ``H = -(delta_e/2) sz + Vx sx + Vy sy`` of a pulse train."""
+
+    def __init__(self, seq: KickSequence):
+        super().__init__(-0.5 * seq.delta_e * SIGMA_Z, SIGMA_X, SIGMA_Y, seq)
 
 
 @dataclass(frozen=True)
@@ -56,55 +101,11 @@ class Trajectory:
                    probabilities=probs, norms=probs.sum(axis=1))
 
 
-def _pack_pulses(seq: KickSequence):
-    n = len(seq.pulses)
-    shapes = np.empty(n, dtype=np.int64)
-    axes = np.empty(n, dtype=np.int64)
-    alphas = np.empty(n, dtype=float)
-    centers = np.empty(n, dtype=float)
-    taus = np.empty(n, dtype=float)
-    for i, p in enumerate(seq.pulses):
-        shapes[i] = SHAPE_CODES[p.shape]
-        axes[i] = AXIS_CODES[p.axis]
-        alphas[i] = p.alpha
-        centers[i] = p.t_k
-        taus[i] = p.tau
-    return shapes, axes, alphas, centers, taus
-
-
-class TwoStatePulseModel:
-    """Kernel-backed two-state model ``H = -(delta_e/2) sz + Vx sx + Vy sy``.
-
-    The drive is the summed field of a :class:`~kickedqubit.pulses.KickSequence`
-    of finite-width pulses.  Ideal kicks carry no field to integrate and are
-    rejected; use the closed forms for those.
-    """
-
-    dimension = 2
-
-    def __init__(self, seq: KickSequence):
-        for i, p in enumerate(seq.pulses):
-            if p.shape == "ideal":
-                raise ValueError(
-                    f"pulse {i} is an ideal kick; integration needs finite-width pulses")
-        self.seq = seq
-        self._packed = _pack_pulses(seq)
-        self.min_tau = min((p.tau for p in seq.pulses), default=None)
-
-    def evaluate(self, t: float) -> np.ndarray:
-        vx, vy = field_at(self.seq, t)
-        half = 0.5 * self.seq.delta_e
-        return np.array([[-half, vx - 1j * vy], [vx + 1j * vy, half]])
-
-    def _run_kernel(self, y0, t0, dt, n_steps, sample_every):
-        shapes, axes, alphas, centers, taus = self._packed
-        return _kernels.rk4_two_state(
-            self.seq.delta_e, shapes, axes, alphas, centers, taus,
-            np.asarray(y0, dtype=complex), t0, dt, n_steps, sample_every)
-
-
 def rk4_step(model, state: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step of ``i dy/dt = H(t) y``."""
+    """One classical Runge-Kutta step of ``i dy/dt = H(t) y``.
+
+    The plain-vector reference for the step matrices :func:`integrate` uses.
+    """
     y = np.asarray(state, dtype=complex)
     h_a = model.evaluate(t)
     h_mid = model.evaluate(t + 0.5 * dt)
@@ -114,6 +115,23 @@ def rk4_step(model, state: np.ndarray, t: float, dt: float) -> np.ndarray:
     k3 = -1j * (h_mid @ (y + 0.5 * dt * k2))
     k4 = -1j * (h_b @ (y + dt * k3))
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _step_matrices(model, starts: np.ndarray, dt: float) -> np.ndarray:
+    """RK4 matrices M with ``y(t + dt) = M y(t)``, one per start time.
+
+    The stage at the start of a step sees rectangular edges from just after
+    ``t``, the stage at its end from just before ``t + dt``.
+    """
+    side = 1e-6 * dt
+    a1 = -1j * model.hamiltonians(starts, side)
+    a2 = -1j * model.hamiltonians(starts + 0.5 * dt)
+    a3 = -1j * model.hamiltonians(starts + dt, -side)
+    eye = np.eye(model.dimension)
+    k2 = a2 @ (eye + 0.5 * dt * a1)
+    k3 = a2 @ (eye + 0.5 * dt * k2)
+    k4 = a3 @ (eye + dt * k3)
+    return eye + (dt / 6.0) * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def integrate(model, state0, t0: float, t1: float, dt: float,
@@ -148,21 +166,10 @@ def integrate(model, state0, t0: float, t1: float, dt: float,
             f"dt = {h:g} exceeds tau/20 = {min_tau / 20.0:g}; "
             f"pulse sampling may be too coarse", stacklevel=2)
 
-    y0 = np.asarray(state0, dtype=complex)
-    if y0.shape != (model.dimension,):
+    y = np.asarray(state0, dtype=complex)
+    if y.shape != (model.dimension,):
         raise ValueError(
-            f"initial state has shape {y0.shape}, expected ({model.dimension},)")
-
-    if hasattr(model, "_run_kernel"):
-        # a blow-up is detected by the kernel itself and reported below, so
-        # the intermediate overflow warnings carry no extra information
-        with np.errstate(over="ignore", invalid="ignore"):
-            times, states, ok = model._run_kernel(y0, t0, h, n_steps,
-                                                  sample_every)
-        if not ok:
-            raise IntegrationDivergedError(
-                f"state went non-finite near t = {times[-1]:g}")
-        return Trajectory.from_states(times, states)
+            f"initial state has shape {y.shape}, expected ({model.dimension},)")
 
     n_samples = n_steps // sample_every + 1
     if n_steps % sample_every != 0:
@@ -170,20 +177,24 @@ def integrate(model, state0, t0: float, t1: float, dt: float,
     times = np.empty(n_samples)
     states = np.empty((n_samples, model.dimension), dtype=complex)
     times[0] = t0
-    states[0] = y0
-    y = y0
+    states[0] = y
     idx = 1
-    for step in range(1, n_steps + 1):
-        y = rk4_step(model, y, t0 + (step - 1) * h, h)
-        if step % sample_every == 0 or step == n_steps:
-            t_here = t0 + step * h
-            if not np.all(np.isfinite(y.view(float))):
-                raise IntegrationDivergedError(
-                    f"state went non-finite near t = {t_here:g}")
-            times[idx] = t_here
-            states[idx] = y
-            idx += 1
-    return Trajectory.from_states(times[:idx], states[:idx])
+    # a blow-up is caught at the next sample, so the intermediate overflow
+    # warnings carry no extra information
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n_steps, _BLOCK):
+            starts = t0 + np.arange(start, min(start + _BLOCK, n_steps)) * h
+            for step, m in enumerate(_step_matrices(model, starts, h), start + 1):
+                y = m @ y
+                if step % sample_every == 0 or step == n_steps:
+                    t_here = t0 + step * h
+                    if not np.all(np.isfinite(y.view(float))):
+                        raise IntegrationDivergedError(
+                            f"state went non-finite near t = {t_here:g}")
+                    times[idx] = t_here
+                    states[idx] = y
+                    idx += 1
+    return Trajectory.from_states(times, states)
 
 
 def norm_drift(traj: Trajectory) -> float:

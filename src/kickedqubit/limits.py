@@ -12,7 +12,6 @@ import warnings
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import simpson
 
 LIMIT_KINDS = ("perturbative", "degenerate", "adiabatic", "constant_field", "rwa")
 
@@ -26,6 +25,8 @@ def _grid_values(field: Callable[[float], float], t: float, n_points: int):
 
 
 def _perturbative(field, t, delta_e, n_points):
+    from scipy.integrate import simpson  # local: keeps scipy off the import path
+
     ts, vs = _grid_values(field, t, n_points)
     up = simpson(np.exp(1j * delta_e * (0.5 * t - ts)) * vs, x=ts)
     dn = simpson(np.exp(-1j * delta_e * (0.5 * t - ts)) * vs, x=ts)
@@ -41,6 +42,8 @@ def _degenerate(area):
 
 
 def _adiabatic(field, t, delta_e, n_points):
+    from scipy.integrate import simpson
+
     ts, vs = _grid_values(field, t, n_points)
     omega = np.sqrt(delta_e ** 2 + 4.0 * vs ** 2)
     theta = simpson(0.5 * omega, x=ts)

@@ -8,20 +8,21 @@ profiles share the same area normalisation:
 * ``gaussian``     -- ``(alpha / (sqrt(pi) * tau)) * exp(-((t - t_k) / tau)**2)``,
   truncated to zero outside ``|t - t_k| > 8 * tau``,
 * ``rectangular``  -- ``alpha / tau`` on ``[t_k - tau/2, t_k + tau/2)``.
+
+:meth:`PulseSpec.value` and :func:`field_at` are the one field definition the
+integrator samples; both take scalar or array times.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 GAUSSIAN_SUPPORT = 8.0  # truncation of the gaussian profile, in units of tau
 
 SHAPES = ("ideal", "gaussian", "rectangular")
 AXES = ("x", "y")
-
-# integer codes shared with the integration kernels
-SHAPE_CODES = {"ideal": 0, "gaussian": 1, "rectangular": 2}
-AXIS_CODES = {"x": 0, "y": 1}
 
 
 @dataclass(frozen=True)
@@ -60,18 +61,30 @@ class PulseSpec:
         elif self.tau <= 0.0:
             raise ValueError(f"a {self.shape} pulse needs tau > 0, got {self.tau}")
 
-    def value(self, t: float) -> float:
-        """Field value of this pulse alone at time ``t`` (0 for an ideal kick)."""
+    def value(self, t, side: float = 0.0):
+        """Field of this pulse alone at time(s) ``t`` (0 for an ideal kick).
+
+        ``t`` is a scalar (a float comes back) or an array (an array of the
+        same shape comes back).  ``side`` is a signed nudge that only decides
+        on which side of a rectangular edge a time falls; the profile is
+        still evaluated at ``t``.  RK4 passes ``+side`` for the stage at the
+        start of a step and ``-side`` for the stage at its end, so each step
+        sees the field from its own interior and an edge on the grid never
+        leaks into the neighbouring step.
+        """
+        t = np.asarray(t, dtype=float)
         if self.shape == "gaussian":
             u = (t - self.t_k) / self.tau
-            if abs(u) > GAUSSIAN_SUPPORT:
-                return 0.0
-            return self.alpha / (math.sqrt(math.pi) * self.tau) * math.exp(-u * u)
-        if self.shape == "rectangular":
-            if self.t_k - 0.5 * self.tau <= t < self.t_k + 0.5 * self.tau:
-                return self.alpha / self.tau
-            return 0.0
-        return 0.0
+            v = np.where(np.abs(u) <= GAUSSIAN_SUPPORT,
+                         self.alpha / (math.sqrt(math.pi) * self.tau) * np.exp(-u * u),
+                         0.0)
+        elif self.shape == "rectangular":
+            ts = t + side
+            inside = (self.t_k - 0.5 * self.tau <= ts) & (ts < self.t_k + 0.5 * self.tau)
+            v = np.where(inside, self.alpha / self.tau, 0.0)
+        else:
+            v = np.zeros_like(t)
+        return v if v.ndim else float(v)
 
     def support(self) -> tuple[float, float]:
         """Interval outside which the pulse field vanishes identically."""
@@ -118,17 +131,21 @@ def beta_angle(pulse: PulseSpec, delta_e: float) -> float:
     return 0.5 * pulse.tau * delta_e
 
 
-def field_at(seq: KickSequence, t: float) -> tuple[float, float]:
-    """Total drive at time ``t``, reported per axis as ``(v_x, v_y)``."""
-    vx = 0.0
-    vy = 0.0
+def field_at(seq: KickSequence, t, side: float = 0.0):
+    """Total drive at time(s) ``t``, reported per axis as ``(v_x, v_y)``.
+
+    Scalar ``t`` gives two floats, array ``t`` two arrays; ``side`` is passed
+    on to :meth:`PulseSpec.value`.
+    """
+    t = np.asarray(t, dtype=float)
+    vx = np.zeros_like(t)
+    vy = np.zeros_like(t)
     for p in seq.pulses:
-        v = p.value(t)
         if p.axis == "x":
-            vx += v
+            vx = vx + p.value(t, side)
         else:
-            vy += v
-    return (vx, vy)
+            vy = vy + p.value(t, side)
+    return (vx, vy) if t.ndim else (float(vx), float(vy))
 
 
 def validate_sequence(seq: KickSequence) -> list[Diagnostic]:

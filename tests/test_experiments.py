@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import stat
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from kickedqubit import (
     run_ordering_surface,
     two_kick_closed,
 )
+from kickedqubit.hydrogen import DEFAULT_MHZ, default_params, revival_time
 from kickedqubit.experiments import MODEL_T1, MODEL_T2, MODEL_T_DELTA
 
 
@@ -258,6 +261,27 @@ def test_write_read_round_trip(tmp_path):
     assert sidecar["columns"] == ["t", "value"]
 
 
+def test_empty_table_round_trip(tmp_path):
+    ds = ResultDataset(name="empty", columns=("t", "value"),
+                       data=np.empty((0, 2)), config={"experiment": "custom"})
+    back = read_dataset(ds.write(tmp_path))
+    assert back.columns == ("t", "value")
+    assert back.data.shape == (0, 2)
+    assert json.loads((tmp_path / "empty.json").read_text())["rows"] == 0
+
+
+def test_written_files_follow_the_umask(tmp_path):
+    ds = ResultDataset(name="modes", columns=("t", "value"),
+                       data=np.array([[0.0, 1.0]]), config={})
+    old = os.umask(0o022)
+    try:
+        csv_path = ds.write(tmp_path)
+    finally:
+        os.umask(old)
+    for path in (csv_path, tmp_path / "modes.json"):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
+
 def test_reruns_are_byte_identical(tmp_path, capsys):
     cfg = default_config("figure1")
     _, first = run_experiment(cfg, out_dir=tmp_path / "a")
@@ -358,4 +382,24 @@ def test_run_experiment_warns_on_overlapping_pulses(capsys):
     cfg = ExperimentConfig.from_dict(raw)
     with pytest.warns(UserWarning, match="overlap"):
         run_experiment(cfg)
+    capsys.readouterr()
+
+
+def test_hydrogen_run_warns_on_overlapping_pulses(capsys):
+    # 150 ps pulses one revival period (~573 ps) apart: 4 * (tau_i + tau_j)
+    # = 1200 ps exceeds the gap.  No decay, so no decay-tail warning.
+    t_r = revival_time(default_params())
+    raw = {
+        "experiment": "custom", "system": "hydrogen",
+        "hydrogen": {"delta_e_mhz": DEFAULT_MHZ[0], "e_fs_mhz": DEFAULT_MHZ[1],
+                     "gamma_mhz": 0.0},
+        "pulses": [
+            {"shape": "gaussian", "axis": "x", "alpha": 0.3, "t_k": 20.0, "tau": 150.0},
+            {"shape": "gaussian", "axis": "x", "alpha": 0.2, "t_k": 20.0 + t_r,
+             "tau": 150.0},
+        ],
+        "sample_every": 50,
+    }
+    with pytest.warns(UserWarning, match="overlap"):
+        run_experiment(ExperimentConfig.from_dict(raw))
     capsys.readouterr()

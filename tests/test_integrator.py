@@ -1,4 +1,4 @@
-"""Tests for the RK4 integrator: generic path, compiled kernels, diagnostics."""
+"""Tests for the RK4 integrator: the batched step-matrix path, diagnostics."""
 from __future__ import annotations
 
 import math
@@ -8,8 +8,8 @@ import pytest
 from scipy.linalg import expm
 
 from kickedqubit import (
-    BACKEND,
     HamiltonianModel,
+    HydrogenModel,
     IntegrationDivergedError,
     KickSequence,
     PulseSpec,
@@ -17,13 +17,15 @@ from kickedqubit import (
     SIGMA_Z,
     Trajectory,
     TwoStatePulseModel,
+    default_params,
+    effective_two_state_model,
     free_phase,
     integrate,
     norm_drift,
     rectangular_exact,
     rk4_step,
 )
-from kickedqubit import _kernels
+from kickedqubit.integrator import _BLOCK
 
 
 def _constant_model(h):
@@ -157,17 +159,44 @@ def test_trajectory_from_states():
     assert traj.norms[1] == pytest.approx(1.0)
 
 
-def test_kernel_matches_generic_path_on_smooth_pulses():
-    # same physics through the compiled kernel and through the plain-python
-    # rk4_step loop; gaussian profiles so both paths sample identical fields
-    seq = _gaussian_sequence(alpha=0.4, t_k=1.0, tau=0.05, delta_e=1.3)
-    kernel_model = TwoStatePulseModel(seq)
-    generic_model = HamiltonianModel(dimension=2, evaluate=kernel_model.evaluate)
-    y0 = np.array([1.0, 0.0], dtype=complex)
-    a = integrate(kernel_model, y0, 0.0, 2.0, 1e-3)
-    b = integrate(generic_model, y0, 0.0, 2.0, 1e-3)
-    assert np.max(np.abs(a.states[-1] - b.states[-1])) < 1e-12
-    assert np.allclose(a.times, b.times)
+def _smooth_model(kind):
+    """A gaussian-driven model of each kind and the end of its run."""
+    if kind == "qubit":
+        seq = KickSequence(pulses=(
+            PulseSpec(shape="gaussian", axis="x", alpha=0.4, t_k=0.3, tau=0.05),
+            PulseSpec(shape="gaussian", axis="y", alpha=0.3, t_k=0.7, tau=0.05)),
+            delta_e=1.3)
+        return TwoStatePulseModel(seq), 1.0
+    p = default_params()
+    seq = KickSequence(pulses=(
+        PulseSpec(shape="gaussian", axis="x", alpha=0.3, t_k=4.0, tau=1.0),
+        PulseSpec(shape="gaussian", axis="y", alpha=0.2, t_k=12.0, tau=1.0)),
+        delta_e=p.delta_e)
+    if kind == "effective":
+        return effective_two_state_model(p, seq), 16.0
+    return HydrogenModel(p, seq, basis=kind), 16.0
+
+
+@pytest.mark.parametrize("kind", ["qubit", "j", "coupled", "effective"])
+def test_integrate_matches_rk4_step_loop(kind):
+    # the batched step matrices against a plain loop of the vector RK4
+    # reference; gaussian profiles, so the edge side plays no part.  The step
+    # count is no multiple of the block size and samples straddle blocks.
+    model, t1 = _smooth_model(kind)
+    n_steps, sample_every = 2 * _BLOCK + 77, 7
+    assert n_steps % _BLOCK and _BLOCK % sample_every
+    h = t1 / n_steps
+    y = np.zeros(model.dimension, dtype=complex)
+    y[0] = 1.0
+    traj = integrate(model, y, 0.0, t1, h, sample_every=sample_every)
+    expected = [y]
+    for step in range(1, n_steps + 1):
+        y = rk4_step(model, y, (step - 1) * h, h)
+        if step % sample_every == 0 or step == n_steps:
+            expected.append(y)
+    assert len(traj.states) == len(expected)
+    assert np.max(np.abs(traj.states - np.array(expected))) < 1e-12
+    assert abs(traj.probabilities[-1, 0] - 1.0) > 1e-3  # the drive acted
 
 
 def test_kernel_resolves_rectangular_pulse_against_closed_form():
@@ -196,34 +225,3 @@ def test_two_state_model_rejects_ideal_kicks():
 def test_hamiltonian_model_validates_dimension():
     with pytest.raises(ValueError, match="dimension"):
         HamiltonianModel(dimension=4, evaluate=lambda t: np.eye(4))
-
-
-@pytest.mark.skipif(BACKEND != "numba", reason="compiled backend not active")
-def test_jitted_kernel_is_bitwise_identical_to_python():
-    seq = _gaussian_sequence(alpha=0.4, t_k=1.0, tau=0.05, delta_e=1.3)
-    model = TwoStatePulseModel(seq)
-    shapes, axes, alphas, centers, taus = model._packed
-    y0 = np.array([1.0, 0.0], dtype=complex)
-    args = (1.3, shapes, axes, alphas, centers, taus, y0, 0.0, 1e-3, 2000, 100)
-    t_j, s_j, ok_j = _kernels.rk4_two_state(*args)
-    t_p, s_p, ok_p = _kernels.rk4_two_state.py_func(*args)
-    assert ok_j and ok_p
-    assert np.array_equal(t_j, t_p)
-    assert np.array_equal(s_j, s_p)
-
-
-@pytest.mark.skipif(BACKEND != "numba", reason="compiled backend not active")
-def test_jitted_three_state_kernel_is_bitwise_identical_to_python():
-    shapes = np.array([1], dtype=np.int64)
-    axes = np.array([0], dtype=np.int64)
-    alphas = np.array([0.3])
-    centers = np.array([5.0])
-    taus = np.array([1.0])
-    y0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-    args = (1.057e-3, 1.0956e-2, 6.26e-4, 0, 1.0 / math.sqrt(3.0),
-            shapes, axes, alphas, centers, taus, y0, 0.0, 0.05, 400, 50)
-    t_j, s_j, ok_j = _kernels.rk4_three_state(*args)
-    t_p, s_p, ok_p = _kernels.rk4_three_state.py_func(*args)
-    assert ok_j and ok_p
-    assert np.array_equal(t_j, t_p)
-    assert np.array_equal(s_j, s_p)
