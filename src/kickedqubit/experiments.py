@@ -527,6 +527,8 @@ def _trajectory_dataset(config: ExperimentConfig, ordering: str) -> ResultDatase
             "unit_convention": config.hydrogen.get("convention", "plain"),
             "final_p_target": float(p_target(traj)[-1]),
             "final_norm": float(traj.norms[-1]),
+            "dt": traj.dt,
+            "rk4_steps": traj.rk4_steps,
         }
     else:
         traj = _qubit_trajectory(config, seq)
@@ -543,6 +545,8 @@ def _trajectory_dataset(config: ExperimentConfig, ordering: str) -> ResultDatase
             "final_p2": float(traj.probabilities[-1, 1]),
             "final_norm": float(traj.norms[-1]),
             "ideal_final_p2": float(abs(u_ideal[1, 0]) ** 2),
+            "dt": traj.dt,
+            "rk4_steps": traj.rk4_steps,
         }
     return ResultDataset(
         name=f"{config.experiment}_{ordering}", columns=columns, data=table,

@@ -188,13 +188,20 @@ class HydrogenModel(LinearDriveModel):
                  basis: str = "j"):
         if basis not in ("j", "coupled"):
             raise ValueError(f"basis must be 'j' or 'coupled', got {basis!r}")
+        self.params = params
+        self.basis = basis
         matrix, scale = ((_j_matrix, 1.0 / SQRT3) if basis == "j"
                          else (_coupled_matrix, 1.0))
         h0 = matrix(params, 0.0)
         super().__init__(h0, matrix(params, scale) - h0,
                          matrix(params, 1j * scale) - h0, seq)
-        self.params = params
-        self.basis = basis
+
+    def _free_eigenbasis(self):
+        if self.basis == "j":
+            return super()._free_eigenbasis()
+        # R h0 R^T is the diagonal j-basis h0, so R^T holds the eigenvectors
+        r = coupling_rotation()
+        return np.diag(_j_matrix(self.params, 0.0)), r.T, r
 
 
 def p_target(traj: Trajectory) -> np.ndarray:

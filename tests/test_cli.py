@@ -139,9 +139,11 @@ def test_cli_overrides_are_validated(tmp_path, capsys):
 
 
 def test_divergence_exits_with_its_own_code(tmp_path, capsys):
+    # RK4 is unstable inside the wide, strong pulse: h |alpha / tau| = 8e4;
+    # a slow free precession keeps its width angle small
     payload = _tiny_config(
-        pulses=[{"shape": "rectangular", "axis": "x", "alpha": 0.25 * math.pi,
-                 "t_k": 1.0, "tau": 0.0628}],
+        pulses=[{"shape": "rectangular", "axis": "x", "alpha": 1.5e6,
+                 "t_k": 1000.0, "tau": 150.0}], delta_e=1e-3,
         orderings=["forward"], dt=8.0, t_end=8000.0, sample_every=100)
     config = _write(tmp_path, payload)
     with pytest.warns(UserWarning, match="too coarse"):

@@ -296,6 +296,14 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
 
 # ------------------------------------------------------------------- runners
 
+def _assert_integration_meta(ds):
+    # the run starts at t = 0, so its last sample is n_steps * dt; RK4 only
+    # steps the pulse supports, a small share of the span
+    n_steps = round(ds.data[-1, 0] / ds.meta["dt"])
+    assert ds.data[-1, 0] == n_steps * ds.meta["dt"]
+    assert 0 < ds.meta["rk4_steps"] < 0.5 * n_steps
+
+
 def test_figure1_is_order_independent(capsys):
     datasets, paths = run_experiment(default_config("figure1"))
     assert paths == []
@@ -313,6 +321,7 @@ def test_figure1_is_order_independent(capsys):
     assert by_name["figure1_forward"].meta["ideal_final_p2"] == pytest.approx(
         ideal, abs=1e-15)
     assert fwd == pytest.approx(ideal, abs=3e-4)
+    _assert_integration_meta(by_name["figure1_forward"])
 
 
 def test_figure3_splits_by_the_ordering_formula(capsys):
@@ -373,6 +382,7 @@ def test_hydrogen_experiment_dataset(capsys):
     # with decay on, the two orderings genuinely differ
     rev = by_name["figure5_reversed"]
     assert abs(fwd.meta["final_p_target"] - rev.meta["final_p_target"]) > 0.01
+    _assert_integration_meta(fwd)
 
 
 def test_run_experiment_warns_on_overlapping_pulses(capsys):

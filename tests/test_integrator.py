@@ -1,4 +1,5 @@
-"""Tests for the RK4 integrator: the batched step-matrix path, diagnostics."""
+"""Tests for the integrator: RK4 step matrices inside pulses, exact free
+flight between them, diagnostics."""
 from __future__ import annotations
 
 import math
@@ -12,8 +13,10 @@ from kickedqubit import (
     HydrogenModel,
     IntegrationDivergedError,
     KickSequence,
+    LinearDriveModel,
     PulseSpec,
     SIGMA_X,
+    SIGMA_Y,
     SIGMA_Z,
     Trajectory,
     TwoStatePulseModel,
@@ -114,8 +117,12 @@ def test_divergence_raises_on_generic_path():
 
 
 def test_divergence_raises_on_kernel_path():
-    # dt far beyond the stability limit of the free precession
-    seq = _gaussian_sequence(delta_e=1.0, tau=0.01)
+    # dt far beyond the stability limit of RK4 inside a wide, strong pulse:
+    # h |alpha / tau| = 8e4 >> 2.8 over its 20 steps (free flight is exact
+    # and cannot diverge)
+    seq = KickSequence(pulses=(
+        PulseSpec(shape="rectangular", axis="x", alpha=1.5e6, t_k=1000.0, tau=150.0),),
+        delta_e=1.0)
     model = TwoStatePulseModel(seq)
     y0 = np.array([1.0, 0.0], dtype=complex)
     with pytest.warns(UserWarning, match="too coarse"):
@@ -160,7 +167,11 @@ def test_trajectory_from_states():
 
 
 def _smooth_model(kind):
-    """A gaussian-driven model of each kind and the end of its run."""
+    """A gaussian-driven model of each kind and the end of its run.
+
+    The qubit's supports cover its whole run; the hydrogen pulses leave free
+    flight before, between and after them.
+    """
     if kind == "qubit":
         seq = KickSequence(pulses=(
             PulseSpec(shape="gaussian", axis="x", alpha=0.4, t_k=0.3, tau=0.05),
@@ -169,19 +180,42 @@ def _smooth_model(kind):
         return TwoStatePulseModel(seq), 1.0
     p = default_params()
     seq = KickSequence(pulses=(
-        PulseSpec(shape="gaussian", axis="x", alpha=0.3, t_k=4.0, tau=1.0),
-        PulseSpec(shape="gaussian", axis="y", alpha=0.2, t_k=12.0, tau=1.0)),
+        PulseSpec(shape="gaussian", axis="x", alpha=0.3, t_k=4.0, tau=0.3),
+        PulseSpec(shape="gaussian", axis="y", alpha=0.2, t_k=12.0, tau=0.3)),
         delta_e=p.delta_e)
     if kind == "effective":
         return effective_two_state_model(p, seq), 16.0
     return HydrogenModel(p, seq, basis=kind), 16.0
 
 
+def _segmented_reference(model, y, t1, n_steps, sample_every):
+    """Samples of a plain ``rk4_step`` loop between the grid points inside
+    the pulse supports and every support end, with ``expm`` of the free
+    Hamiltonian across the gaps between supports."""
+    h = t1 / n_steps
+    supports = [p.support() for p in model.seq.pulses]
+    ends = {min(max(e, 0.0), n_steps * h) for s in supports for e in s}
+    grid = {k * h: k for k in range(n_steps + 1)}
+    nodes = sorted(set(grid) | ends)
+    out = [y]
+    for t, t_next in zip(nodes, nodes[1:]):
+        mid = 0.5 * (t + t_next)
+        if any(lo <= mid <= hi for lo, hi in supports):
+            y = rk4_step(model, y, t, t_next - t)
+        else:
+            y = expm(-1j * model.h0 * (t_next - t)) @ y
+        k = grid.get(t_next)
+        if k is not None and (k % sample_every == 0 or k == n_steps):
+            out.append(y)
+    return np.array(out)
+
+
 @pytest.mark.parametrize("kind", ["qubit", "j", "coupled", "effective"])
 def test_integrate_matches_rk4_step_loop(kind):
-    # the batched step matrices against a plain loop of the vector RK4
-    # reference; gaussian profiles, so the edge side plays no part.  The step
-    # count is no multiple of the block size and samples straddle blocks.
+    # the batched step matrices and the exact free flight against a plain
+    # loop of the vector RK4 reference and expm; gaussian profiles, so the
+    # edge side plays no part.  The step count is no multiple of the block
+    # size and the qubit's samples straddle blocks.
     model, t1 = _smooth_model(kind)
     n_steps, sample_every = 2 * _BLOCK + 77, 7
     assert n_steps % _BLOCK and _BLOCK % sample_every
@@ -189,14 +223,14 @@ def test_integrate_matches_rk4_step_loop(kind):
     y = np.zeros(model.dimension, dtype=complex)
     y[0] = 1.0
     traj = integrate(model, y, 0.0, t1, h, sample_every=sample_every)
-    expected = [y]
-    for step in range(1, n_steps + 1):
-        y = rk4_step(model, y, (step - 1) * h, h)
-        if step % sample_every == 0 or step == n_steps:
-            expected.append(y)
+    expected = _segmented_reference(model, y, t1, n_steps, sample_every)
     assert len(traj.states) == len(expected)
-    assert np.max(np.abs(traj.states - np.array(expected))) < 1e-12
+    assert np.max(np.abs(traj.states - expected)) < 1e-12
     assert abs(traj.probabilities[-1, 0] - 1.0) > 1e-3  # the drive acted
+    ks = np.append(np.arange(0, n_steps, sample_every), n_steps)
+    assert np.array_equal(traj.times, 0.0 + ks * h)  # bit for bit
+    assert traj.dt == h
+    assert (traj.rk4_steps < n_steps) == (kind != "qubit")
 
 
 def test_kernel_resolves_rectangular_pulse_against_closed_form():
@@ -213,6 +247,56 @@ def test_kernel_resolves_rectangular_pulse_against_closed_form():
     beta = 0.5 * tau * de
     exact = (free_phase(de, -t_end) @ rectangular_exact(alpha, beta, t_k, de)) @ y0
     assert np.max(np.abs(traj.states[-1] - exact)) < 1e-10
+
+
+def test_package_models_fly_free_without_lapack(monkeypatch):
+    # the qubit, j-basis and surrogate h0 are diagonal, and the coupled
+    # basis has known eigenvectors: none of them needs an eigensolver
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK call")
+
+    for name in ("eig", "inv", "cond"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for kind in ("qubit", "j", "coupled", "effective"):
+        model, t1 = _smooth_model(kind)
+        y = np.zeros(model.dimension, dtype=complex)
+        y[0] = 1.0
+        integrate(model, y, 0.0, t1, t1 / 2000)
+
+
+def test_defective_free_hamiltonian_is_stepped_over_the_whole_span():
+    # h0 at an exceptional point has a single eigenvector, so there is no
+    # eigenbasis for exact free flight: RK4 steps every grid interval
+    h0 = np.array([[0.0, 0.25], [0.25, -0.5j]])
+    model = LinearDriveModel(h0, SIGMA_X, SIGMA_Y, _gaussian_sequence(tau=0.01))
+    n_steps, sample_every = 4000, 50
+    y = np.array([1.0, 0.0], dtype=complex)
+    traj = integrate(model, y, 0.0, 2.0, 2.0 / n_steps, sample_every=sample_every)
+    assert traj.rk4_steps == n_steps
+    expected = _segmented_reference(model, y, 2.0, n_steps, sample_every)
+    assert np.max(np.abs(traj.states - expected)) < 1e-10
+    assert abs(traj.probabilities[-1, 1]) > 1e-3  # the drive acted
+
+
+def test_off_grid_rectangular_edges_converge_at_fourth_order():
+    # both edges sit 0.37 of a step past a grid point at every dt: RK4
+    # stepping across them converges at first order, edge nodes restore four
+    alpha, tau, de, t_end = 0.5, 0.1, 1.3, 2.0
+    t_k = 1.0 + 0.37 * tau / 20
+    seq = KickSequence(pulses=(
+        PulseSpec(shape="rectangular", axis="x", alpha=alpha, t_k=t_k, tau=tau),),
+        delta_e=de)
+    model = TwoStatePulseModel(seq)
+    y0 = np.array([1.0, 0.0], dtype=complex)
+    beta = 0.5 * tau * de
+    exact = (free_phase(de, -t_end) @ rectangular_exact(alpha, beta, t_k, de)) @ y0
+    errors = []
+    for dt in (tau / 20, tau / 40, tau / 80):
+        traj = integrate(model, y0, 0.0, t_end, dt, sample_every=round(t_end / dt))
+        errors.append(np.max(np.abs(traj.states[-1] - exact)))
+    assert errors[0] < 1e-8
+    for coarse, fine in zip(errors, errors[1:]):
+        assert math.log2(coarse / fine) == pytest.approx(4.0, abs=0.3)
 
 
 def test_two_state_model_rejects_ideal_kicks():

@@ -38,7 +38,8 @@ def test_rectangular_area_matches_quadrature():
     # one endpoint of measure zero
     lo, hi = p.support()
     ts = np.linspace(lo, hi - 1e-12, 100_001)
-    area = np.trapezoid([p.value(t) for t in ts], ts)
+    v = np.array([p.value(t) for t in ts])
+    area = np.sum(0.5 * (v[1:] + v[:-1]) * np.diff(ts))  # np.trapezoid needs numpy 2
     assert abs(area - 0.7) < 1e-6
 
 
