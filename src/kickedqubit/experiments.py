@@ -34,7 +34,7 @@ from .hydrogen import (
     revival_time,
     run_pulse_sequence,
 )
-from .integrator import Trajectory, TwoStatePulseModel, integrate
+from .integrator import Trajectory, TwoStatePulseModel, integrate, norm_drift
 from .propagators import free_phase, multi_kick
 from .pulses import (
     AXES,
@@ -529,6 +529,7 @@ def _trajectory_dataset(config: ExperimentConfig, ordering: str) -> ResultDatase
             "final_norm": float(traj.norms[-1]),
             "dt": traj.dt,
             "rk4_steps": traj.rk4_steps,
+            "norm_drift": norm_drift(traj),
         }
     else:
         traj = _qubit_trajectory(config, seq)
@@ -547,6 +548,7 @@ def _trajectory_dataset(config: ExperimentConfig, ordering: str) -> ResultDatase
             "ideal_final_p2": float(abs(u_ideal[1, 0]) ** 2),
             "dt": traj.dt,
             "rk4_steps": traj.rk4_steps,
+            "norm_drift": norm_drift(traj),
         }
     return ResultDataset(
         name=f"{config.experiment}_{ordering}", columns=columns, data=table,

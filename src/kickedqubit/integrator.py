@@ -1,19 +1,28 @@
 """Fixed-grid integration of small driven quantum systems: RK4 inside pulses,
 exact free flight between them.
 
-Every model exposes ``dimension`` and ``hamiltonians(times, side)``, the stack
-of its Hamiltonian matrices at an array of times, and :func:`integrate` has a
-single path for all of them.  Pulse-driven models are
-:class:`LinearDriveModel` instances, ``H(t) = H0 + v_x(t) A_x + v_y(t) A_y``
-with constant matrices (the qubit, hydrogen in both bases and the effective
-two-state surrogate); :class:`HamiltonianModel` wraps an arbitrary evaluator
-``t -> matrix``.
+Every model exposes ``dimension`` (2 or 3) and ``hamiltonians(times, side)``,
+its Hamiltonian matrices at an array of times in the time-last layout
+``(d, d, n)``, and :func:`integrate` has a single path for all of them.
+Pulse-driven models are :class:`LinearDriveModel` instances,
+``H(t) = H0 + v_x(t) A_x + v_y(t) A_y`` with constant matrices (the qubit,
+hydrogen in both bases and the effective two-state surrogate);
+:class:`HamiltonianModel` wraps an arbitrary evaluator ``t -> matrix``.
+
+:func:`integrate` lays the span out once as a chain of links: exact free
+flight up to each merged pulse support, that support's RK4 steps, and the
+free flight after the last one.  The RK4 step matrices of a block of links
+are built in one vectorised pass, each matrix product a sum of outer
+products over contiguous time rows, and the state is then advanced through
+them one link after the other on Python complex scalars, unrolled for
+``d = 2`` and ``d = 3``.
 """
 from __future__ import annotations
 
 import math
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -24,8 +33,9 @@ from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z
 #: the one integration path, recorded in dataset provenance
 BACKEND = "numpy"
 
-# steps whose RK4 matrices are built in one batched pass; small, so the
-# stacks stay a few hundred kB
+# links of the chain whose RK4 matrices are built in one vectorised pass;
+# small, so the (d, d, n) stacks stay below 100 kB, yet large enough to
+# spread numpy's per-call cost thin
 _BLOCK = 512
 
 
@@ -45,8 +55,9 @@ class HamiltonianModel:
             raise ValueError(f"dimension must be 2 or 3, got {self.dimension}")
 
     def hamiltonians(self, times: np.ndarray, side: float = 0.0) -> np.ndarray:
-        """``evaluate`` stacked over ``times``; an evaluator has no edge side."""
-        return np.array([self.evaluate(t) for t in times], dtype=complex)
+        """``evaluate`` stacked time-last over ``times``; an evaluator has no
+        edge side."""
+        return np.stack([self.evaluate(t) for t in times], axis=-1, dtype=complex)
 
 
 class LinearDriveModel:
@@ -63,10 +74,17 @@ class LinearDriveModel:
             if p.shape == "ideal":
                 raise ValueError(
                     f"pulse {i} is an ideal kick; integration needs finite-width pulses")
-        self.h0 = np.asarray(h0, dtype=complex)
-        self.a_x = np.asarray(a_x, dtype=complex)
-        self.a_y = np.asarray(a_y, dtype=complex)
+        self.h0, self.a_x, self.a_y = (np.asarray(m, dtype=complex)
+                                       for m in (h0, a_x, a_y))
+        for name, m in (("h0", self.h0), ("a_x", self.a_x), ("a_y", self.a_y)):
+            if m.ndim != 2 or m.shape[0] != m.shape[1]:
+                raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+        if not self.h0.shape == self.a_x.shape == self.a_y.shape:
+            raise ValueError(f"h0, a_x and a_y must have one shape, got {self.h0.shape}, "
+                             f"{self.a_x.shape} and {self.a_y.shape}")
         self.dimension = self.h0.shape[0]
+        if self.dimension not in (2, 3):
+            raise ValueError(f"dimension must be 2 or 3, got {self.dimension}")
         self.seq = seq
         self.min_tau = min(p.tau for p in seq.pulses)
         self._free = self._free_eigenbasis()
@@ -85,13 +103,14 @@ class LinearDriveModel:
         return lam, v, np.linalg.inv(v)
 
     def hamiltonians(self, times: np.ndarray, side: float = 0.0) -> np.ndarray:
-        """Stack of H at ``times``; ``side`` picks the side of rectangular edges."""
+        """H at ``times``, time-last ``(d, d, n)``; ``side`` picks the side of
+        rectangular edges."""
         vx, vy = field_at(self.seq, times, side)
-        return (self.h0 + vx[:, None, None] * self.a_x
-                + vy[:, None, None] * self.a_y)
+        return (self.h0[:, :, None] + vx * self.a_x[:, :, None]
+                + vy * self.a_y[:, :, None])
 
     def evaluate(self, t: float) -> np.ndarray:
-        return self.hamiltonians(np.array([t]))[0]
+        return self.hamiltonians(np.array([t]))[:, :, 0]
 
 
 class TwoStatePulseModel(LinearDriveModel):
@@ -141,8 +160,18 @@ def rk4_step(model, state: np.ndarray, t: float, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products ``a[..., t] @ b[..., t]`` of time-last ``(d, d, n)`` stacks,
+    summed as outer products of contiguous length-``n`` rows."""
+    out = a[:, 0, None] * b[0]
+    for k in range(1, len(a)):
+        out += a[:, k, None] * b[k]
+    return out
+
+
 def _step_matrices(model, starts: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    """RK4 matrices M with ``y(t + dt) = M y(t)``, one per start time and step.
+    """RK4 matrices M with ``y(t + dt) = M y(t)``, time-last ``(d, d, n)``,
+    one per start time and step.
 
     The stage at the start of a step sees rectangular edges from just after
     ``t``, the stage at its end from just before ``t + dt``.
@@ -151,12 +180,36 @@ def _step_matrices(model, starts: np.ndarray, dts: np.ndarray) -> np.ndarray:
     a1 = -1j * model.hamiltonians(starts, side)
     a2 = -1j * model.hamiltonians(starts + 0.5 * dts)
     a3 = -1j * model.hamiltonians(starts + dts, -side)
-    eye = np.eye(model.dimension)
-    dt = dts[:, None, None]
-    k2 = a2 @ (eye + 0.5 * dt * a1)
-    k3 = a2 @ (eye + 0.5 * dt * k2)
-    k4 = a3 @ (eye + dt * k3)
-    return eye + (dt / 6.0) * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
+    eye = np.eye(model.dimension)[:, :, None]
+    k2 = _matmul(a2, eye + 0.5 * dts * a1)
+    k3 = _matmul(a2, eye + 0.5 * dts * k2)
+    k4 = _matmul(a3, eye + dts * k3)
+    return eye + (dts / 6.0) * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _advance2(links, y, rows: list):
+    """Apply the 2x2 step matrices of ``links`` to ``y`` in order; append the
+    state after each link flagged as sampled to ``rows``."""
+    y0, y1 = y
+    for a, b, c, d, sampled in links:
+        y0, y1 = a * y0 + b * y1, c * y0 + d * y1
+        if sampled:
+            rows.append((y0, y1))
+    return y0, y1
+
+
+def _advance3(links, y, rows: list):
+    """:func:`_advance2` for 3x3 step matrices."""
+    y0, y1, y2 = y
+    for a, b, c, d, e, f, g, h, i, sampled in links:
+        y0, y1, y2 = (a * y0 + b * y1 + c * y2, d * y0 + e * y1 + f * y2,
+                      g * y0 + h * y1 + i * y2)
+        if sampled:
+            rows.append((y0, y1, y2))
+    return y0, y1, y2
+
+
+_ADVANCE = {2: _advance2, 3: _advance3}
 
 
 def _rk4_nodes(model, t0: float, h: float, n_steps: int) -> list[np.ndarray]:
@@ -201,22 +254,69 @@ def _rk4_nodes(model, t0: float, h: float, n_steps: int) -> list[np.ndarray]:
     return out
 
 
-def _free_flight(model, y, a: float, b: float, times, states) -> np.ndarray:
+def _chain(model, t0: float, h: float, n_steps: int):
+    """The span as one chain of links: RK4 steps and exact free flights.
+
+    The RK4 links are the steps between the nodes of each merged pulse
+    support from :func:`_rk4_nodes`, returned as the arrays ``starts, ends,
+    dts``.  A step between two grid points is ``h``, so a support with no
+    end inside a step repeats the full-span grid arithmetic.  The free links,
+    up to each support and after the last one, are returned as a list of
+    ``(k, a, b)``: the flight from ``a`` to ``b`` after the first ``k`` RK4
+    links.
+    """
+    t_end = t0 + n_steps * h
+    steps, flights = [np.empty((3, 0))], []
+    at, k = t0, 0
+    for nodes in _rk4_nodes(model, t0, h, n_steps):
+        if nodes[0] > at:
+            flights.append((k, at, nodes[0]))
+        on_grid = t0 + np.rint((nodes - t0) / h) * h == nodes
+        steps.append((nodes[:-1], nodes[1:],
+                      np.where(on_grid[:-1] & on_grid[1:], h, np.diff(nodes))))
+        k += len(nodes) - 1
+        at = nodes[-1]
+    if at < t_end:
+        flights.append((k, at, t_end))
+    starts, ends, dts = np.concatenate(steps, axis=1)
+    return starts, ends, dts, flights
+
+
+def _free_flight(model, y, a: float, b: float, times, states) -> list:
     """Exact free evolution ``y(t) = V exp(-i lam (t - a)) V^-1 y(a)`` to ``b``.
 
-    Fills the samples strictly between ``a`` and ``b`` in one vectorised step
-    and returns the state at ``b``.
+    Fills the samples in ``(a, b]`` in one vectorised step and returns the
+    state at ``b``.
     """
     lam, v, v_inv = model._free
-    i0, i1 = np.searchsorted(times, a, side="right"), np.searchsorted(times, b)
+    i0 = np.searchsorted(times, a, side="right")
+    i1 = np.searchsorted(times, b, side="right")
     s = np.append(times[i0:i1], b) - a
+    y = np.asarray(y)
     out = np.exp(-1j * np.outer(s, lam)) * (y if v is None else v_inv @ y)
     if v is not None:
         out = out @ v.T
     if not np.all(np.isfinite(out.view(float))):
         raise IntegrationDivergedError(f"state went non-finite near t = {b:g}")
     states[i0:i1] = out[:-1]
-    return out[-1]
+    return out[-1].tolist()
+
+
+def _store(rows: list, slots: np.ndarray, done: int, times, states) -> int:
+    """Move the sampled states ``rows`` to ``states[slots[done:]]`` after one
+    finite check, which names the time of the first non-finite one, and
+    return the number of slots filled so far."""
+    if not rows:
+        return done
+    block = np.array(rows, dtype=complex)
+    slots = slots[done:done + len(rows)]
+    finite = np.isfinite(block.view(float)).all(axis=1)
+    if not finite.all():
+        raise IntegrationDivergedError(
+            f"state went non-finite near t = {times[slots[finite.argmin()]]:g}")
+    states[slots] = block
+    rows.clear()
+    return done + len(slots)
 
 
 def integrate(model, state0, t0: float, t1: float, dt: float,
@@ -230,15 +330,18 @@ def integrate(model, state0, t0: float, t1: float, dt: float,
     end, so a rectangular edge never falls inside a step; between supports
     the free propagator ``exp(-i h0 s)`` is applied exactly.  A model without
     one (a :class:`HamiltonianModel`, or an ``h0`` at an exceptional point)
-    is stepped over the whole span.  Pulse-backed models whose ``h`` exceeds
-    ``min_tau / 20`` trigger an accuracy warning (not an error).
+    is stepped over the whole span.  The state passes through the chain of
+    links in time order, one step matrix at a time (see the module
+    docstring).  Pulse-backed models whose ``h`` exceeds ``min_tau / 20``
+    trigger an accuracy warning (not an error).
 
     Raises
     ------
     ValueError
         Non-positive ``dt``/``sample_every`` or an empty span.
     IntegrationDivergedError
-        A sampled state stopped being finite.
+        A sampled state stopped being finite; the message names the first
+        such sample, or the end of the free flight that produced it.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -267,38 +370,36 @@ def integrate(model, state0, t0: float, t1: float, dt: float,
     times = t0 + ks * h
     states = np.empty((len(times), model.dimension), dtype=complex)
     states[0] = y
-    n_rk4 = 0
-    at = times[0]
-    # a blow-up is caught at the next sample, so the intermediate overflow
-    # warnings carry no extra information
+    starts, ends, dts, flights = _chain(model, t0, h, n_steps)
+    # the RK4 links that end on a sample time, and their sample slots
+    slots = np.searchsorted(times, ends).clip(max=len(times) - 1)
+    sampled = times[slots] == ends
+    slots = slots[sampled]
+    advance = _ADVANCE[model.dimension]
+    y = y.tolist()
+    rows: list = []  # sampled states not yet checked and stored
+    done = 0
+    # a blow-up is caught at the next sampled state, so the intermediate
+    # overflow warnings carry no extra information
     with np.errstate(over="ignore", invalid="ignore"):
-        for nodes in _rk4_nodes(model, t0, h, n_steps):
-            if nodes[0] > at:
-                y = _free_flight(model, y, at, nodes[0], times, states)
-            # the sample slot of each node, -1 for none
-            slots = np.searchsorted(times, nodes).clip(max=len(times) - 1)
-            slots = np.where(times[slots] == nodes, slots, -1).tolist()
-            if slots[0] >= 0:
-                states[slots[0]] = y
-            # a step between two grid points is h, so a support with no end
-            # inside a step repeats the full-span grid arithmetic
-            on_grid = t0 + np.rint((nodes - t0) / h) * h == nodes
-            dts = np.where(on_grid[:-1] & on_grid[1:], h, np.diff(nodes))
-            for start in range(0, len(dts), _BLOCK):
-                stop = min(start + _BLOCK, len(dts))
-                mats = _step_matrices(model, nodes[start:stop], dts[start:stop])
-                for m, slot in zip(mats, slots[start + 1:stop + 1]):
-                    y = m @ y
-                    if slot >= 0:
-                        if not np.all(np.isfinite(y.view(float))):
-                            raise IntegrationDivergedError(
-                                f"state went non-finite near t = {times[slot]:g}")
-                        states[slot] = y
-            n_rk4 += len(dts)
-            at = nodes[-1]
-        if at < times[-1]:
-            states[-1] = _free_flight(model, y, at, times[-1], times, states)
-    return Trajectory.from_states(times, states, dt=h, rk4_steps=n_rk4)
+        for b0 in range(0, len(starts), _BLOCK):
+            stop = b0 + _BLOCK
+            mats = _step_matrices(model, starts[b0:stop], dts[b0:stop])
+            links = zip(*mats.reshape(model.dimension ** 2, -1).tolist(),
+                        sampled[b0:stop].tolist())
+            at = b0
+            # the free flights of the block, each after the RK4 links before it
+            while flights and flights[0][0] < stop:
+                k, a, b = flights.pop(0)
+                y = advance(islice(links, k - at), y, rows)
+                done = _store(rows, slots, done, times, states)
+                y = _free_flight(model, y, a, b, times, states)
+                at = k
+            y = advance(links, y, rows)
+            done = _store(rows, slots, done, times, states)
+        for _, a, b in flights:
+            y = _free_flight(model, y, a, b, times, states)
+    return Trajectory.from_states(times, states, dt=h, rk4_steps=len(starts))
 
 
 def norm_drift(traj: Trajectory) -> float:

@@ -302,6 +302,9 @@ def _assert_integration_meta(ds):
     n_steps = round(ds.data[-1, 0] / ds.meta["dt"])
     assert ds.data[-1, 0] == n_steps * ds.meta["dt"]
     assert 0 < ds.meta["rk4_steps"] < 0.5 * n_steps
+    # the largest |norm - initial norm| over the sampled rows
+    norms = ds.data[:, -1]
+    assert ds.meta["norm_drift"] == np.max(np.abs(norms - norms[0]))
 
 
 def test_figure1_is_order_independent(capsys):

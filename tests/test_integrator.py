@@ -22,6 +22,7 @@ from kickedqubit import (
     TwoStatePulseModel,
     default_params,
     effective_two_state_model,
+    field_at,
     free_phase,
     integrate,
     norm_drift,
@@ -188,8 +189,23 @@ def _smooth_model(kind):
     return HydrogenModel(p, seq, basis=kind), 16.0
 
 
-def _segmented_reference(model, y, t1, n_steps, sample_every):
-    """Samples of a plain ``rk4_step`` loop between the grid points inside
+def _rk4_step_inside(model, y, t, dt):
+    """``rk4_step`` of a pulse-driven model whose end stages take
+    rectangular edges from inside the step, as the step matrices do."""
+    side = 1e-6 * dt
+    h_a, h_mid, h_b = (model.h0 + vx * model.a_x + vy * model.a_y
+                       for vx, vy in (field_at(model.seq, t, side),
+                                      field_at(model.seq, t + 0.5 * dt),
+                                      field_at(model.seq, t + dt, -side)))
+    k1 = -1j * (h_a @ y)
+    k2 = -1j * (h_mid @ (y + 0.5 * dt * k1))
+    k3 = -1j * (h_mid @ (y + 0.5 * dt * k2))
+    k4 = -1j * (h_b @ (y + dt * k3))
+    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _segmented_reference(model, y, t1, n_steps, sample_every, step=rk4_step):
+    """Samples of a plain ``step`` loop between the grid points inside
     the pulse supports and every support end, with ``expm`` of the free
     Hamiltonian across the gaps between supports."""
     h = t1 / n_steps
@@ -201,7 +217,7 @@ def _segmented_reference(model, y, t1, n_steps, sample_every):
     for t, t_next in zip(nodes, nodes[1:]):
         mid = 0.5 * (t + t_next)
         if any(lo <= mid <= hi for lo, hi in supports):
-            y = rk4_step(model, y, t, t_next - t)
+            y = step(model, y, t, t_next - t)
         else:
             y = expm(-1j * model.h0 * (t_next - t)) @ y
         k = grid.get(t_next)
@@ -231,6 +247,94 @@ def test_integrate_matches_rk4_step_loop(kind):
     assert np.array_equal(traj.times, 0.0 + ks * h)  # bit for bit
     assert traj.dt == h
     assert (traj.rk4_steps < n_steps) == (kind != "qubit")
+
+
+def _rectangular_train(kind):
+    """Eleven short rectangular pulses with gaps, every edge off the grid of
+    ``dt``: 1,111 RK4 steps, five supports and five free links to a block.
+    Returns the model, the end of its run and ``dt``."""
+    scale, dt = (1.0, 1e-3) if kind == "qubit" else (3.0, 3e-3)
+    pulses = tuple(
+        PulseSpec(shape="rectangular", axis="xy"[i % 2], alpha=0.15 + 0.02 * i,
+                  t_k=scale * (0.3 + 0.2 * i + 0.000371), tau=0.1 * scale)
+        for i in range(11))
+    if kind == "qubit":
+        return TwoStatePulseModel(KickSequence(pulses=pulses, delta_e=1.3)), 2.5, dt
+    p = default_params()
+    seq = KickSequence(pulses=pulses, delta_e=p.delta_e)
+    return HydrogenModel(p, seq, basis="coupled"), 7.5, dt
+
+
+@pytest.mark.parametrize("kind", ["qubit", "coupled"])
+def test_chain_of_rectangular_pulses_matches_rk4_step_loop(kind):
+    # the chain crosses blocks with several supports and free links in each;
+    # every support end is a node and the state passes from RK4 links to
+    # free links and back inside a block
+    model, t1, dt = _rectangular_train(kind)
+    n_steps, sample_every = round(t1 / dt), 7
+    y = np.zeros(model.dimension, dtype=complex)
+    y[0] = 1.0
+    traj = integrate(model, y, 0.0, t1, dt, sample_every=sample_every)
+    assert traj.rk4_steps > 2 * _BLOCK
+    assert traj.rk4_steps == 11 * (round(model.min_tau / dt) + 1)
+    expected = _segmented_reference(model, y, t1, n_steps, sample_every,
+                                    step=_rk4_step_inside)
+    assert len(traj.states) == len(expected)
+    assert np.max(np.abs(traj.states - expected)) < 1e-12
+    assert abs(traj.probabilities[-1, 0] - 1.0) > 1e-2  # the drive acted
+
+
+@pytest.mark.parametrize("t_k, rk4_steps", [(1.0, 2 * _BLOCK), (5.0, 0)])
+def test_last_free_flight_after_whole_blocks(t_k, rk4_steps):
+    # h = 2^-10: the support [0.5, 1.5] is exactly two blocks of steps, so
+    # the last free flight follows the last block; at t_k = 5 the support
+    # lies past the span and the run is one free flight
+    seq = KickSequence(pulses=(
+        PulseSpec(shape="rectangular", axis="x", alpha=0.4, t_k=t_k, tau=1.0),),
+        delta_e=1.3)
+    model = TwoStatePulseModel(seq)
+    y = np.array([1.0, 0.0], dtype=complex)
+    n_steps, sample_every = 2048, 7
+    traj = integrate(model, y, 0.0, 2.0, 2.0 / n_steps, sample_every=sample_every)
+    assert traj.rk4_steps == rk4_steps
+    expected = _segmented_reference(model, y, 2.0, n_steps, sample_every,
+                                    step=_rk4_step_inside)
+    assert np.max(np.abs(traj.states - expected)) < 1e-12
+
+
+def _diverging_train(kind, late):
+    """Weak rectangular pulses and one strong one, beyond the RK4 stability
+    limit.  ``late``: h |V| = 3.5 over 1,600 steps, so the state overflows
+    about 530 steps in, in the second block of the chain; otherwise
+    h |V| = 20 over 100 steps, and a free link follows in the same block."""
+    weak = [PulseSpec(shape="rectangular", axis="x", alpha=0.3, t_k=0.5037, tau=0.25),
+            PulseSpec(shape="rectangular", axis="y", alpha=0.2, t_k=1.5011, tau=0.3)]
+    if late:
+        weak.append(PulseSpec(shape="rectangular", axis="x", alpha=0.2, t_k=2.5011, tau=0.3))
+        strong = PulseSpec(shape="rectangular", axis="x", alpha=350.0 * 16.0,
+                           t_k=11.0037, tau=16.0)
+        pulses = (*weak, strong)
+    else:
+        strong = PulseSpec(shape="rectangular", axis="x", alpha=2000.0, t_k=2.0037, tau=1.0)
+        pulses = (weak[0], strong, PulseSpec(shape="rectangular", axis="y", alpha=0.2,
+                                            t_k=4.0011, tau=0.3))
+    delta_e = 1.3 if kind == "qubit" else default_params().delta_e
+    seq = KickSequence(pulses=pulses, delta_e=delta_e)
+    if kind == "qubit":
+        return TwoStatePulseModel(seq)
+    return HydrogenModel(default_params(), seq, basis="coupled")
+
+
+@pytest.mark.parametrize("kind", ["qubit", "coupled"])
+@pytest.mark.parametrize("late, t_bad", [(True, "8.33"), (False, "2.31")])
+def test_divergence_names_the_first_non_finite_sample(kind, late, t_bad):
+    # the first sample (every 7 steps) that is not finite is named, as with
+    # a finite check after every step, and not a later free flight's end
+    model = _diverging_train(kind, late)
+    y = np.zeros(model.dimension, dtype=complex)
+    y[0] = 1.0
+    with pytest.raises(IntegrationDivergedError, match=rf"near t = {t_bad}$"):
+        integrate(model, y, 0.0, 20.0 if late else 6.0, 0.01, sample_every=7)
 
 
 def test_kernel_resolves_rectangular_pulse_against_closed_form():
@@ -304,6 +408,24 @@ def test_two_state_model_rejects_ideal_kicks():
         PulseSpec(shape="ideal", axis="x", alpha=0.4, t_k=1.0),), delta_e=1.0)
     with pytest.raises(ValueError, match="ideal"):
         TwoStatePulseModel(seq)
+
+
+def test_linear_drive_model_rejects_non_square_matrices():
+    seq = _gaussian_sequence()
+    with pytest.raises(ValueError, match="h0 must be a square matrix"):
+        LinearDriveModel(np.zeros((2, 3)), SIGMA_X, SIGMA_Y, seq)
+    with pytest.raises(ValueError, match="a_y must be a square matrix"):
+        LinearDriveModel(SIGMA_Z, SIGMA_X, np.zeros(2), seq)
+
+
+def test_linear_drive_model_rejects_mismatched_shapes():
+    with pytest.raises(ValueError, match="one shape"):
+        LinearDriveModel(SIGMA_Z, np.eye(3), SIGMA_Y, _gaussian_sequence())
+
+
+def test_linear_drive_model_validates_dimension():
+    with pytest.raises(ValueError, match="dimension must be 2 or 3, got 4"):
+        LinearDriveModel(np.eye(4), np.eye(4), np.eye(4), _gaussian_sequence())
 
 
 def test_hamiltonian_model_validates_dimension():
