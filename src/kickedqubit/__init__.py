@@ -36,8 +36,6 @@ from .hydrogen import (
     coupling_rotation,
     default_params,
     effective_two_state_model,
-    hamiltonian_coupled_basis,
-    hamiltonian_j_basis,
     p_target,
     rabi_time,
     revival_time,
@@ -46,7 +44,6 @@ from .hydrogen import (
 )
 from .integrator import (
     BACKEND,
-    HamiltonianModel,
     IntegrationDivergedError,
     LinearDriveModel,
     Trajectory,
@@ -115,14 +112,12 @@ __all__ = [
     # limits
     "LIMIT_KINDS", "limit_catalog",
     # integrator
-    "BACKEND", "HamiltonianModel", "IntegrationDivergedError",
-    "LinearDriveModel", "Trajectory", "TwoStatePulseModel", "integrate",
-    "norm_drift", "rk4_step",
+    "BACKEND", "IntegrationDivergedError", "LinearDriveModel", "Trajectory",
+    "TwoStatePulseModel", "integrate", "norm_drift", "rk4_step",
     # hydrogen
     "DEFAULT_MHZ", "HydrogenModel", "HydrogenParams", "UNIT_SCALES",
     "coupling_rotation", "default_params", "effective_two_state_model",
-    "hamiltonian_coupled_basis", "hamiltonian_j_basis", "p_target",
-    "rabi_time", "revival_time", "run_pulse_sequence",
+    "p_target", "rabi_time", "revival_time", "run_pulse_sequence",
     "stroboscopic_free_propagator",
     # experiments
     "EXPERIMENT_IDS", "ConfigError", "ExperimentConfig", "ResultDataset",

@@ -28,8 +28,10 @@ import numpy as np
 
 from ._version import __version__
 from .hydrogen import (
+    DEFAULT_MHZ,
     HydrogenParams,
     UNIT_SCALES,
+    default_params,
     p_target,
     revival_time,
     run_pulse_sequence,
@@ -220,6 +222,8 @@ def _config_from_dict(raw: dict) -> ExperimentConfig:
         if o not in ORDERINGS:
             raise ConfigError(
                 f"orderings[{i}]", f"expected one of {ORDERINGS}, got {o!r}")
+        if o in orderings[:i]:
+            raise ConfigError(f"orderings[{i}]", f"ordering {o!r} is listed twice")
 
     dt = raw.get("dt")
     if dt is not None:
@@ -324,12 +328,10 @@ def default_config(experiment: str, convention: str = "plain") -> ExperimentConf
                          _gauss(a3, MODEL_T3, narrow)]
         raw["sample_every"] = 5
     elif experiment in ("figure5", "figure6"):
-        params = HydrogenParams.from_mhz(1057.0, 10956.0, 626.0, convention=convention)
-        t2 = HYDROGEN_T1_PS + revival_time(params)
+        t2 = HYDROGEN_T1_PS + revival_time(default_params(convention))
         second_axis = "y" if experiment == "figure6" else "x"
         raw["system"] = "hydrogen"
-        raw["hydrogen"] = {"delta_e_mhz": 1057.0, "e_fs_mhz": 10956.0,
-                           "gamma_mhz": 626.0, "convention": convention}
+        raw["hydrogen"] = dict(zip(_HYDROGEN_KEYS, (*DEFAULT_MHZ, convention)))
         raw["pulses"] = [_gauss(a1, HYDROGEN_T1_PS, 1.0),
                          _gauss(a2, t2, 1.0, axis=second_axis)]
         raw["sample_every"] = 10
@@ -500,14 +502,19 @@ def _warn_diagnostics(seq: KickSequence) -> None:
 
 def _qubit_trajectory(config: ExperimentConfig, seq: KickSequence) -> Trajectory:
     t_end = config.t_end if config.t_end is not None else default_end_time(seq)
-    dt = config.dt
-    if dt is None:
-        # land on a whole number of steps so the rounded step stays <= tau/20
-        target = min(p.tau for p in seq.pulses) / 20.0
-        dt = t_end / math.ceil(t_end / target)
     model = TwoStatePulseModel(seq)
+    dt = config.dt if config.dt is not None else model.default_dt(t_end)
     y0 = np.array([1.0, 0.0], dtype=complex)
     return integrate(model, y0, 0.0, t_end, dt, sample_every=config.sample_every)
+
+
+def _ideal_twin(seq: KickSequence) -> KickSequence:
+    """``seq`` with every pulse replaced by an ideal kick of the same axis,
+    area and center."""
+    return KickSequence(
+        pulses=tuple(PulseSpec(shape="ideal", axis=p.axis, alpha=p.alpha,
+                               t_k=p.t_k, tau=0.0) for p in seq.pulses),
+        delta_e=seq.delta_e)
 
 
 def _trajectory_dataset(config: ExperimentConfig, ordering: str) -> ResultDataset:
@@ -535,11 +542,7 @@ def _trajectory_dataset(config: ExperimentConfig, ordering: str) -> ResultDatase
         traj = _qubit_trajectory(config, seq)
         columns = ("t", "p1", "p2", "norm")
         table = np.column_stack([traj.times, traj.probabilities, traj.norms])
-        ideal = KickSequence(
-            pulses=tuple(PulseSpec(shape="ideal", axis=p.axis, alpha=p.alpha,
-                                   t_k=p.t_k, tau=0.0) for p in seq.pulses),
-            delta_e=seq.delta_e)
-        u_ideal = multi_kick(ideal)
+        u_ideal = multi_kick(_ideal_twin(seq))
         meta = {
             "ordering": ordering,
             "unit_convention": "dimensionless",
@@ -611,11 +614,7 @@ def _width_scan_distance(config: ExperimentConfig, tau: float) -> tuple[float, f
     y0 = np.array([1.0, 0.0], dtype=complex)
     n_steps = max(1, round((t_b - t_a) / dt))
     traj = integrate(model, y0, t_a, t_b, dt, sample_every=n_steps)
-    ideal = KickSequence(
-        pulses=tuple(PulseSpec(shape="ideal", axis=p.axis, alpha=p.alpha,
-                               t_k=p.t_k, tau=0.0) for p in seq.pulses),
-        delta_e=seq.delta_e)
-    reference = (free_phase(seq.delta_e, -t_b) @ multi_kick(ideal)
+    reference = (free_phase(seq.delta_e, -t_b) @ multi_kick(_ideal_twin(seq))
                  @ free_phase(seq.delta_e, t_a) @ y0)
     beta = 0.5 * tau * abs(seq.delta_e)
     return beta, float(np.linalg.norm(traj.states[-1] - reference))
@@ -655,12 +654,12 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
 
     Returns (datasets, written paths) and prints the headline numbers (final
     probabilities, surface extrema, or fitted slope) to standard output.
+    A config built directly rather than by ``from_dict`` is validated and
+    completed with its defaults first.
     """
+    config = ExperimentConfig.from_dict(config.to_dict())
     if config.experiment == "figure7":
-        grid = config.grid or {}
-        datasets = [run_ordering_surface(
-            grid.get("n_epsilon", 200), grid.get("n_phi", 200),
-            grid.get("phi_max", 2.0 * math.pi), config=config)]
+        datasets = [run_ordering_surface(**config.grid, config=config)]
         d = datasets[0]
         print(f"{d.name}: min diff = {d.meta['min_diff']:.6f}, "
               f"max diff = {d.meta['max_diff']:.6f}")

@@ -26,12 +26,11 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .integrator import HamiltonianModel, LinearDriveModel, Trajectory, integrate
-from .pulses import KickSequence
+from .integrator import LinearDriveModel, Trajectory, integrate
+from .pulses import KickSequence, _need_finite
 from .su2 import SIGMA_X, SIGMA_Y
 
 UNIT_SCALES = {"plain": 1e-6, "two_pi": 2.0 * math.pi * 1e-6}
@@ -56,6 +55,8 @@ class HydrogenParams:
     gamma: float
 
     def __post_init__(self) -> None:
+        for name in ("delta_e", "e_fs", "gamma"):
+            _need_finite(name, getattr(self, name))
         if self.delta_e <= 0 or self.e_fs <= 0:
             raise ValueError(
                 f"delta_e and e_fs must be positive, got {self.delta_e}, {self.e_fs}")
@@ -93,6 +94,9 @@ def rabi_time(params: HydrogenParams) -> float:
 
 
 def _j_matrix(params: HydrogenParams, v: complex) -> np.ndarray:
+    """H in the (2s, 2p_{1/2}, 2p_{3/2}) basis for a drive element V: the
+    free part is diagonal at (delta_e, -i*gamma/2, e_fs - i*gamma/2) and the
+    drive enters with the dipole pattern (-V, -sqrt(2) V) on the 2s row."""
     g2 = -0.5j * params.gamma
     cv = np.conj(v)
     return np.array([
@@ -103,6 +107,9 @@ def _j_matrix(params: HydrogenParams, v: complex) -> np.ndarray:
 
 
 def _coupled_matrix(params: HydrogenParams, w: complex) -> np.ndarray:
+    """H in the (2s, 2p, 2p') basis for a drive element W on 2s <-> 2p: the
+    fine structure splits into 2/3 and 1/3 of e_fs on 2p and 2p' plus a
+    sqrt(2)/3 e_fs mixing of the pair."""
     e = params.e_fs
     g2 = -0.5j * params.gamma
     return np.array([
@@ -110,36 +117,6 @@ def _coupled_matrix(params: HydrogenParams, w: complex) -> np.ndarray:
         [w, (2.0 / 3.0) * e + g2, (SQRT2 / 3.0) * e],
         [0.0, (SQRT2 / 3.0) * e, (1.0 / 3.0) * e + g2],
     ])
-
-
-def hamiltonian_j_basis(params: HydrogenParams,
-                        field: Callable[[float], float]) -> HamiltonianModel:
-    """Model in the (2s, 2p_{1/2}, 2p_{3/2}) basis for a drive element V(t).
-
-    The free part is diagonal at (delta_e, -i*gamma/2, e_fs - i*gamma/2); the
-    drive enters with the dipole pattern (-V, -sqrt(2) V) on the 2s row.
-    """
-    return HamiltonianModel(
-        dimension=3, evaluate=lambda t: _j_matrix(params, field(t)))
-
-
-def hamiltonian_coupled_basis(params: HydrogenParams, chi: float = 0.0,
-                              field: Callable[[float], float] | None = None,
-                              ) -> HamiltonianModel:
-    """Model in the (2s, 2p, 2p') basis for a drive element W(t) on 2s <-> 2p.
-
-    The fine structure is not diagonal here: it splits into diagonal parts
-    (2/3 and 1/3 of e_fs on 2p and 2p') plus a sqrt(2)/3 e_fs mixing of the
-    pair.  The spin angle ``chi`` fixes which magnetic-sublevel combination
-    plays the role of the dark 2p' state; the matrix is the same for every
-    chi, so the dynamics never depends on it.
-    """
-    del chi  # shapes the basis vectors, not the matrix
-    if field is None:
-        return HamiltonianModel(
-            dimension=3, evaluate=lambda t: _coupled_matrix(params, 0.0))
-    return HamiltonianModel(
-        dimension=3, evaluate=lambda t: _coupled_matrix(params, field(t)))
 
 
 def coupling_rotation() -> np.ndarray:
@@ -243,14 +220,11 @@ def run_pulse_sequence(params: HydrogenParams, seq: KickSequence,
             f"t_end = {t_end:g} ps reaches into the decay tail "
             f"(1/gamma = {1.0 / params.gamma:g} ps)", stacklevel=2)
 
+    model = HydrogenModel(params, seq, basis=basis)
     if dt is None:
-        # land on a whole number of steps so the rounded step stays <= tau/20
-        target = min(p.tau for p in seq.pulses) / 20.0
-        dt = t_end / math.ceil(t_end / target)
+        dt = model.default_dt(t_end)
     if state0 is None:
         state0 = np.array([1.0, 0.0, 0.0], dtype=complex)
-
-    model = HydrogenModel(params, seq, basis=basis)
     return integrate(model, state0, 0.0, t_end, dt, sample_every=sample_every)
 
 

@@ -1,13 +1,11 @@
 """Fixed-grid integration of small driven quantum systems: RK4 inside pulses,
 exact free flight between them.
 
-Every model exposes ``dimension`` (2 or 3) and ``hamiltonians(times, side)``,
-its Hamiltonian matrices at an array of times in the time-last layout
-``(d, d, n)``, and :func:`integrate` has a single path for all of them.
-Pulse-driven models are :class:`LinearDriveModel` instances,
-``H(t) = H0 + v_x(t) A_x + v_y(t) A_y`` with constant matrices (the qubit,
-hydrogen in both bases and the effective two-state surrogate);
-:class:`HamiltonianModel` wraps an arbitrary evaluator ``t -> matrix``.
+There is one model type, :class:`LinearDriveModel`:
+``H(t) = H0 + v_x(t) A_x + v_y(t) A_y`` with constant 2x2 or 3x3 matrices
+and the field of a train of finite-width pulses.  It covers the qubit,
+hydrogen in both bases and the effective two-state surrogate, and
+:func:`integrate` has a single path for all of them.
 
 :func:`integrate` lays the span out once as a chain of links: exact free
 flight up to each merged pulse support, that support's RK4 steps, and the
@@ -23,7 +21,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from itertools import islice
-from typing import Callable
 
 import numpy as np
 
@@ -41,23 +38,6 @@ _BLOCK = 512
 
 class IntegrationDivergedError(RuntimeError):
     """The integration produced non-finite amplitudes."""
-
-
-@dataclass
-class HamiltonianModel:
-    """A time-dependent Hamiltonian: a dimension and an evaluator ``t -> matrix``."""
-
-    dimension: int
-    evaluate: Callable[[float], np.ndarray]
-
-    def __post_init__(self) -> None:
-        if self.dimension not in (2, 3):
-            raise ValueError(f"dimension must be 2 or 3, got {self.dimension}")
-
-    def hamiltonians(self, times: np.ndarray, side: float = 0.0) -> np.ndarray:
-        """``evaluate`` stacked time-last over ``times``; an evaluator has no
-        edge side."""
-        return np.stack([self.evaluate(t) for t in times], axis=-1, dtype=complex)
 
 
 class LinearDriveModel:
@@ -102,15 +82,17 @@ class LinearDriveModel:
             return None
         return lam, v, np.linalg.inv(v)
 
+    def default_dt(self, span: float) -> float:
+        """The largest step that divides ``span`` into whole steps and stays
+        within ``min_tau / 20``, where :func:`integrate` starts to warn."""
+        return span / math.ceil(span / (self.min_tau / 20.0))
+
     def hamiltonians(self, times: np.ndarray, side: float = 0.0) -> np.ndarray:
         """H at ``times``, time-last ``(d, d, n)``; ``side`` picks the side of
         rectangular edges."""
         vx, vy = field_at(self.seq, times, side)
         return (self.h0[:, :, None] + vx * self.a_x[:, :, None]
                 + vy * self.a_y[:, :, None])
-
-    def evaluate(self, t: float) -> np.ndarray:
-        return self.hamiltonians(np.array([t]))[:, :, 0]
 
 
 class TwoStatePulseModel(LinearDriveModel):
@@ -144,15 +126,16 @@ class Trajectory:
                    dt=dt, rk4_steps=rk4_steps)
 
 
-def rk4_step(model, state: np.ndarray, t: float, dt: float) -> np.ndarray:
+def rk4_step(model: LinearDriveModel, state: np.ndarray, t: float,
+             dt: float) -> np.ndarray:
     """One classical Runge-Kutta step of ``i dy/dt = H(t) y``.
 
     The plain-vector reference for the step matrices :func:`integrate` uses.
     """
     y = np.asarray(state, dtype=complex)
-    h_a = model.evaluate(t)
-    h_mid = model.evaluate(t + 0.5 * dt)
-    h_b = model.evaluate(t + dt)
+    h_a, h_mid, h_b = (model.h0 + vx * model.a_x + vy * model.a_y
+                       for vx, vy in (field_at(model.seq, s)
+                                      for s in (t, t + 0.5 * dt, t + dt)))
     k1 = -1j * (h_a @ y)
     k2 = -1j * (h_mid @ (y + 0.5 * dt * k1))
     k3 = -1j * (h_mid @ (y + 0.5 * dt * k2))
@@ -218,11 +201,11 @@ def _rk4_nodes(model, t0: float, h: float, n_steps: int) -> list[np.ndarray]:
     The nodes of a support are its ends, the grid points ``t0 + k h`` inside
     it and the ends of every support inside it.  Ends within ``1e-9 h`` of a
     grid point are moved onto it, so that no step between an end and a grid
-    point is shorter than that.  A model without an exact free propagator is
-    one interval over the whole span.
+    point is shorter than that.  An ``h0`` without an exact free propagator
+    (at an exceptional point) makes the whole span one interval.
     """
     t_end = t0 + n_steps * h
-    if getattr(model, "_free", None) is None:
+    if model._free is None:
         return [t0 + np.arange(n_steps + 1) * h]
     ends = np.array([p.support() for p in model.seq.pulses])
     grid = t0 + np.clip(np.rint((ends - t0) / h), 0, n_steps) * h
@@ -319,21 +302,21 @@ def _store(rows: list, slots: np.ndarray, done: int, times, states) -> int:
     return done + len(slots)
 
 
-def integrate(model, state0, t0: float, t1: float, dt: float,
+def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
               sample_every: int = 1) -> Trajectory:
-    """Integrate ``i dy/dt = H(t) y`` from ``t0`` to ``t1`` on a fixed grid.
+    """Integrate ``i dy/dt = H(t) y`` of ``model`` from ``t0`` to ``t1`` on a
+    fixed grid.
 
     The step is adjusted to the nearest value ``h`` that divides the span
     exactly; samples are taken at ``t0 + k h`` every ``sample_every`` steps
     and always include both endpoints.  RK4 runs only on the merged pulse
     supports, stepping between the grid points inside them and every support
     end, so a rectangular edge never falls inside a step; between supports
-    the free propagator ``exp(-i h0 s)`` is applied exactly.  A model without
-    one (a :class:`HamiltonianModel`, or an ``h0`` at an exceptional point)
-    is stepped over the whole span.  The state passes through the chain of
-    links in time order, one step matrix at a time (see the module
-    docstring).  Pulse-backed models whose ``h`` exceeds ``min_tau / 20``
-    trigger an accuracy warning (not an error).
+    the free propagator ``exp(-i h0 s)`` is applied exactly.  An ``h0`` at
+    an exceptional point has no eigenbasis for it, and RK4 then steps the
+    whole span.  The state passes through the chain of links in time order,
+    one step matrix at a time (see the module docstring).  An ``h`` above
+    ``min_tau / 20`` triggers an accuracy warning (not an error).
 
     Raises
     ------
@@ -353,10 +336,9 @@ def integrate(model, state0, t0: float, t1: float, dt: float,
     n_steps = max(1, round(span / dt))
     h = span / n_steps
 
-    min_tau = getattr(model, "min_tau", None)
-    if min_tau is not None and h > min_tau / 20.0 * (1.0 + 1e-12):
+    if h > model.min_tau / 20.0 * (1.0 + 1e-12):
         warnings.warn(
-            f"dt = {h:g} exceeds tau/20 = {min_tau / 20.0:g}; "
+            f"dt = {h:g} exceeds tau/20 = {model.min_tau / 20.0:g}; "
             f"pulse sampling may be too coarse", stacklevel=2)
 
     y = np.asarray(state0, dtype=complex)

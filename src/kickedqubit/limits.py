@@ -3,7 +3,7 @@
 Each entry of the catalog returns a 2x2 propagator for the Hamiltonian
 ``H = -(delta_e/2) sigma_z + V(t) sigma_x`` evaluated under one classic
 approximation scheme.  Quadratures use composite Simpson integration on a
-uniform grid (default ~10^4 points).
+uniform grid (default ~10^4 points), written in numpy.
 """
 from __future__ import annotations
 
@@ -24,12 +24,26 @@ def _grid_values(field: Callable[[float], float], t: float, n_points: int):
     return ts, vs
 
 
-def _perturbative(field, t, delta_e, n_points):
-    from scipy.integrate import simpson  # local: keeps scipy off the import path
+def _simpson(y: np.ndarray, h: float):
+    """Composite Simpson integral of samples ``y`` (at least 3) spaced ``h``.
 
+    An even number of samples leaves one interval over; it is closed with the
+    quadratic through the last three samples, as ``scipy.integrate.simpson``
+    does since scipy 1.11.
+    """
+    tail = 0.0
+    if len(y) % 2 == 0:
+        tail = h / 12.0 * (5.0 * y[-1] + 8.0 * y[-2] - y[-3])
+        y = y[:-1]
+    inner = 4.0 * y[1:-1:2].sum() + 2.0 * y[2:-1:2].sum()
+    return h / 3.0 * (y[0] + y[-1] + inner) + tail
+
+
+def _perturbative(field, t, delta_e, n_points):
     ts, vs = _grid_values(field, t, n_points)
-    up = simpson(np.exp(1j * delta_e * (0.5 * t - ts)) * vs, x=ts)
-    dn = simpson(np.exp(-1j * delta_e * (0.5 * t - ts)) * vs, x=ts)
+    h = t / (n_points - 1)
+    up = _simpson(np.exp(1j * delta_e * (0.5 * t - ts)) * vs, h)
+    dn = _simpson(np.exp(-1j * delta_e * (0.5 * t - ts)) * vs, h)
     return np.array([
         [np.exp(0.5j * delta_e * t), -1j * up],
         [-1j * dn, np.exp(-0.5j * delta_e * t)],
@@ -42,11 +56,9 @@ def _degenerate(area):
 
 
 def _adiabatic(field, t, delta_e, n_points):
-    from scipy.integrate import simpson
-
-    ts, vs = _grid_values(field, t, n_points)
+    _, vs = _grid_values(field, t, n_points)
     omega = np.sqrt(delta_e ** 2 + 4.0 * vs ** 2)
-    theta = simpson(0.5 * omega, x=ts)
+    theta = _simpson(0.5 * omega, t / (n_points - 1))
     v_end = vs[-1]
     om_end = math.sqrt(delta_e ** 2 + 4.0 * v_end ** 2)
     if om_end == 0.0:

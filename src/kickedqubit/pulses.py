@@ -25,6 +25,11 @@ SHAPES = ("ideal", "gaussian", "rectangular")
 AXES = ("x", "y")
 
 
+def _need_finite(name: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+
+
 @dataclass(frozen=True)
 class PulseSpec:
     """One pulse of a kick sequence.
@@ -55,6 +60,8 @@ class PulseSpec:
             raise ValueError(f"unknown pulse shape {self.shape!r}; expected one of {SHAPES}")
         if self.axis not in AXES:
             raise ValueError(f"unknown pulse axis {self.axis!r}; expected one of {AXES}")
+        for name in ("alpha", "t_k", "tau"):
+            _need_finite(name, getattr(self, name))
         if self.shape == "ideal":
             if self.tau != 0.0:
                 raise ValueError("an ideal kick must have tau == 0")
@@ -108,6 +115,7 @@ class KickSequence:
         object.__setattr__(self, "pulses", tuple(self.pulses))
         if not self.pulses:
             raise ValueError("a kick sequence needs at least one pulse")
+        _need_finite("delta_e", self.delta_e)
 
 
 @dataclass(frozen=True)

@@ -197,6 +197,26 @@ def test_everything_else_is_validated_too():
         ExperimentConfig.from_dict({**conv, "taus": [0.01, 0.02]})
 
 
+def test_an_ordering_listed_twice_is_rejected():
+    for orderings in (["forward", "forward"], ("reversed", "reversed")):
+        with pytest.raises(ConfigError, match="listed twice") as err:
+            ExperimentConfig.from_dict(_raw(orderings=orderings))
+        assert _path_of(err) == "orderings[1]"
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(_raw(orderings=["forward", "reversed", "forward"]))
+    assert _path_of(err) == "orderings[2]"
+
+
+def test_run_experiment_validates_a_directly_built_config(capsys):
+    # figure7's grid defaults are filled in, a missing field is a ConfigError
+    datasets, _ = run_experiment(ExperimentConfig(experiment="figure7"))
+    assert datasets[0].data.shape == (200 * 200, 5)
+    with pytest.raises(ConfigError) as err:
+        run_experiment(ExperimentConfig(experiment="convergence"))
+    assert _path_of(err) == "pulses"
+    capsys.readouterr()
+
+
 # ----------------------------------------------------------------- sequences
 
 def test_config_sequence_reverses_payloads_over_fixed_slots():

@@ -10,7 +10,6 @@ from scipy.linalg import expm
 
 from kickedqubit import (
     DEFAULT_MHZ,
-    HamiltonianModel,
     HydrogenModel,
     HydrogenParams,
     KickSequence,
@@ -18,8 +17,6 @@ from kickedqubit import (
     coupling_rotation,
     default_params,
     effective_two_state_model,
-    hamiltonian_coupled_basis,
-    hamiltonian_j_basis,
     integrate,
     norm_drift,
     p_target,
@@ -41,6 +38,13 @@ def _pair(params, gap=None, tau=1.0, axes=("x", "x")):
         PulseSpec(shape="gaussian", axis=axes[1], alpha=0.15 * math.pi,
                   t_k=20.0 + gap, tau=tau),
     ), delta_e=params.delta_e)
+
+
+def _h_at(params, basis, w):
+    """A HydrogenModel's H for the complex field ``w = v_x + i v_y``, read
+    from its constant matrices h0, a_x and a_y."""
+    model = HydrogenModel(params, _pair(params), basis=basis)
+    return model.h0 + w.real * model.a_x + w.imag * model.a_y
 
 
 # ------------------------------------------------------------------- params
@@ -66,6 +70,14 @@ def test_param_validation():
     HydrogenParams(delta_e=1.0, e_fs=1.0, gamma=0.0)  # gamma = 0 is allowed
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+@pytest.mark.parametrize("field", ["delta_e", "e_fs", "gamma"])
+def test_params_reject_non_finite_numbers(field, bad):
+    kwargs = {"delta_e": 1.0, "e_fs": 10.0, "gamma": 0.5, field: bad}
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        HydrogenParams(**kwargs)
+
+
 def test_default_params_and_periods():
     p = default_params()
     assert DEFAULT_MHZ == (1057.0, 10956.0, 626.0)
@@ -79,9 +91,11 @@ def test_default_params_and_periods():
 
 def test_j_basis_matrix_entries():
     p = HydrogenParams(delta_e=1.0, e_fs=10.0, gamma=0.5)
-    model = hamiltonian_j_basis(p, field=lambda t: 0.2)
-    h = model.evaluate(0.0)
+    model = HydrogenModel(p, _pair(p), basis="j")
     assert model.dimension == 3
+    assert np.array_equal(model.h0, np.diag(np.diag(model.h0)))
+    # the raw field f enters as V = f/sqrt(3): f = 0.2 sqrt(3) gives V = 0.2
+    h = _h_at(p, "j", 0.2 * SQRT3 + 0j)
     assert h[0, 0] == pytest.approx(1.0)
     assert h[1, 1] == pytest.approx(-0.25j)
     assert h[2, 2] == pytest.approx(10.0 - 0.25j)
@@ -94,8 +108,7 @@ def test_j_basis_matrix_entries():
 
 def test_coupled_basis_matrix_entries():
     p = HydrogenParams(delta_e=1.0, e_fs=9.0, gamma=0.5)
-    model = hamiltonian_coupled_basis(p, field=lambda t: 0.3)
-    h = model.evaluate(0.0)
+    h = _h_at(p, "coupled", 0.3 + 0j)
     assert h[0, 0] == pytest.approx(1.0)
     assert h[1, 0] == pytest.approx(0.3)
     assert h[0, 1] == pytest.approx(0.3)
@@ -109,30 +122,24 @@ def test_coupled_basis_matrix_entries():
 def test_complex_drive_is_placed_hermitianly():
     p = HydrogenParams(delta_e=1.0, e_fs=9.0, gamma=0.0)
     w = 0.2 + 0.1j
-    h = hamiltonian_coupled_basis(p, field=lambda t: w).evaluate(0.0)
+    h = _h_at(p, "coupled", w)
     assert h[1, 0] == pytest.approx(w)
     assert h[0, 1] == pytest.approx(np.conj(w))
-    hj = hamiltonian_j_basis(p, field=lambda t: w).evaluate(0.0)
+    hj = _h_at(p, "j", SQRT3 * w)
     assert hj[1, 0] == pytest.approx(-w)
     assert hj[0, 1] == pytest.approx(-np.conj(w))
     assert hj[2, 0] == pytest.approx(-SQRT2 * w)
     assert hj[0, 2] == pytest.approx(-SQRT2 * np.conj(w))
 
 
-def test_chi_never_changes_the_coupled_matrix():
-    p = default_params()
-    h0 = hamiltonian_coupled_basis(p, chi=0.0, field=lambda t: 0.1).evaluate(1.0)
-    h1 = hamiltonian_coupled_basis(p, chi=1.2, field=lambda t: 0.1).evaluate(1.0)
-    assert np.array_equal(h0, h1)
-
-
 def test_rotation_links_the_two_bases():
     p = HydrogenParams(delta_e=1.3, e_fs=7.0, gamma=0.4)
     r = coupling_rotation()
     assert np.max(np.abs(r @ r.T - np.eye(3))) < 1e-15
-    for w in (0.25, 0.1 - 0.3j):
-        hc = hamiltonian_coupled_basis(p, field=lambda t: w).evaluate(0.0)
-        hj = hamiltonian_j_basis(p, field=lambda t: w / SQRT3).evaluate(0.0)
+    for w in (0.25 + 0j, 0.1 - 0.3j):
+        # one raw field: W = w in the coupled basis, V = w/sqrt(3) in the j basis
+        hc = _h_at(p, "coupled", w)
+        hj = _h_at(p, "j", w)
         assert np.max(np.abs(r @ hc @ r.T - hj)) < 1e-14
 
 
@@ -140,7 +147,7 @@ def test_rotation_links_the_two_bases():
 
 def test_strobe_propagator_matches_expm():
     p = HydrogenParams(delta_e=1.3, e_fs=7.0, gamma=0.4)
-    h_free = hamiltonian_coupled_basis(p).evaluate(0.0)
+    h_free = HydrogenModel(p, _pair(p), basis="coupled").h0
     for dt in (0.37, 2.0, revival_time(p), 1.5 * revival_time(p)):
         u = stroboscopic_free_propagator(p, dt)
         assert np.max(np.abs(u - expm(-1j * h_free * dt))) < 1e-12
@@ -185,15 +192,19 @@ def test_norm_decays_monotonically_with_decay():
 
 
 def test_pure_2p_decay_rate():
-    # start in the driven 2p combination with no field: P_target = e^{-gamma t}
+    # start in the driven 2p combination with no field: P_target = e^{-gamma t};
+    # the pulses lie past the run, which is one exact free flight
     p = default_params()
-    model = hamiltonian_coupled_basis(p)
-    y0 = np.array([0.0, 1.0, 0.0], dtype=complex)
-    generic = HamiltonianModel(dimension=3, evaluate=model.evaluate)
     t_end = 500.0
-    traj = integrate(generic, y0, 0.0, t_end, 0.05, sample_every=200)
+    late = KickSequence(pulses=(
+        PulseSpec(shape="gaussian", axis="x", alpha=0.3, t_k=2 * t_end, tau=1.0),),
+        delta_e=p.delta_e)
+    model = HydrogenModel(p, late, basis="coupled")
+    y0 = np.array([0.0, 1.0, 0.0], dtype=complex)
+    traj = integrate(model, y0, 0.0, t_end, 0.05, sample_every=200)
+    assert traj.rk4_steps == 0
     expect = np.exp(-p.gamma * traj.times)
-    assert np.max(np.abs(p_target(traj) - expect)) < 1e-8
+    assert np.max(np.abs(p_target(traj) - expect)) < 1e-12
 
 
 def test_single_pulse_transfer_follows_the_area():
@@ -238,7 +249,7 @@ def test_effective_two_state_model_shape():
     seq = _pair(p)
     model = effective_two_state_model(p, seq)
     assert model.dimension == 2
-    h = model.evaluate(20.0)  # mid first pulse: field at its peak
+    h = model.hamiltonians(np.array([20.0]))[:, :, 0]  # mid first pulse: peak field
     peak = 0.1 * math.pi / math.sqrt(math.pi)
     assert h[0, 0] == pytest.approx(p.delta_e)
     assert h[1, 1] == pytest.approx(-0.5j * p.gamma)

@@ -3,13 +3,13 @@ flight between them, diagnostics."""
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
 from kickedqubit import (
-    HamiltonianModel,
     HydrogenModel,
     IntegrationDivergedError,
     KickSequence,
@@ -32,9 +32,17 @@ from kickedqubit import (
 from kickedqubit.integrator import _BLOCK
 
 
-def _constant_model(h):
+def _constant_model(h, t1):
+    """H(t) = h over the run [0, t1]: a zero h0 and one rectangular pulse of
+    unit height on a_x = h whose support spans the run, so RK4 steps every
+    interval."""
     h = np.asarray(h, dtype=complex)
-    return HamiltonianModel(dimension=h.shape[0], evaluate=lambda t: h)
+    tau = 20.0 * (t1 + 1.0)  # tau/20 exceeds every dt of these tests
+    seq = KickSequence(pulses=(
+        PulseSpec(shape="rectangular", axis="x", alpha=tau, t_k=0.0, tau=tau),),
+        delta_e=1.0)
+    zero = np.zeros_like(h)
+    return LinearDriveModel(zero, h, zero, seq)
 
 
 def _gaussian_sequence(alpha=0.3, t_k=1.0, tau=0.05, delta_e=1.0, axis="x"):
@@ -45,9 +53,10 @@ def _gaussian_sequence(alpha=0.3, t_k=1.0, tau=0.05, delta_e=1.0, axis="x"):
 
 def test_constant_hamiltonian_matches_expm_two_level():
     h = -0.5 * 1.3 * SIGMA_Z + 0.4 * SIGMA_X
-    model = _constant_model(h)
+    model = _constant_model(h, 2.0)
     y0 = np.array([1.0, 0.0], dtype=complex)
     traj = integrate(model, y0, 0.0, 2.0, 1e-3)
+    assert traj.rk4_steps == 2000
     exact = expm(-1j * h * 2.0) @ y0
     assert np.max(np.abs(traj.states[-1] - exact)) < 1e-10
 
@@ -56,16 +65,17 @@ def test_constant_hamiltonian_matches_expm_three_level():
     rng = np.random.default_rng(61)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     h = 0.5 * (a + a.conj().T)
-    model = _constant_model(h)
+    model = _constant_model(h, 1.5)
     y0 = np.array([1.0, 0.0, 0.0], dtype=complex)
     traj = integrate(model, y0, 0.0, 1.5, 1e-3)
+    assert traj.rk4_steps == 1500
     exact = expm(-1j * h * 1.5) @ y0
     assert np.max(np.abs(traj.states[-1] - exact)) < 1e-9
 
 
 def test_global_error_is_fourth_order():
     h = -0.5 * SIGMA_Z + 0.7 * SIGMA_X
-    model = _constant_model(h)
+    model = _constant_model(h, 1.0)
     y0 = np.array([1.0, 0.0], dtype=complex)
     exact = expm(-1j * h * 1.0) @ y0
     errors = []
@@ -87,7 +97,7 @@ def test_norm_drift_stays_tiny_for_hermitian_h():
 
 def test_rk4_step_agrees_with_one_integrate_step():
     h = -0.5 * SIGMA_Z + 0.3 * SIGMA_X
-    model = _constant_model(h)
+    model = _constant_model(h, 0.01)
     y0 = np.array([0.6, 0.8j], dtype=complex)
     stepped = rk4_step(model, y0, 0.0, 0.01)
     traj = integrate(model, y0, 0.0, 0.01, 0.01)
@@ -95,7 +105,7 @@ def test_rk4_step_agrees_with_one_integrate_step():
 
 
 def test_integrate_validates_inputs():
-    model = _constant_model(SIGMA_Z)
+    model = _constant_model(SIGMA_Z, 1.0)
     y0 = np.array([1.0, 0.0], dtype=complex)
     with pytest.raises(ValueError, match="dt"):
         integrate(model, y0, 0.0, 1.0, -0.1)
@@ -108,9 +118,9 @@ def test_integrate_validates_inputs():
 
 
 def test_divergence_raises_on_generic_path():
-    # amplifying (anti-Hermitian-free) generator: dy/dt = +y via H = i
-    model = HamiltonianModel(
-        dimension=2, evaluate=lambda t: 1j * np.eye(2) * 1e3)
+    # amplifying generator dy/dt = 1e3 y (H = 1e3 i), stepped by RK4 over
+    # the whole span
+    model = _constant_model(1j * np.eye(2) * 1e3, 10.0)
     y0 = np.array([1.0, 0.0], dtype=complex)
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(IntegrationDivergedError):
@@ -140,7 +150,7 @@ def test_coarse_dt_warns_against_pulse_width():
 
 
 def test_sampling_includes_both_endpoints():
-    model = _constant_model(SIGMA_Z)
+    model = _constant_model(SIGMA_Z, 1.0)
     y0 = np.array([1.0, 0.0], dtype=complex)
     traj = integrate(model, y0, 0.0, 1.0, 0.1, sample_every=3)
     # steps 0,3,6,9 plus the forced endpoint step 10
@@ -152,7 +162,7 @@ def test_sampling_includes_both_endpoints():
 
 
 def test_step_count_rounds_to_cover_the_span():
-    model = _constant_model(SIGMA_Z)
+    model = _constant_model(SIGMA_Z, 1.0)
     y0 = np.array([1.0, 0.0], dtype=complex)
     traj = integrate(model, y0, 0.0, 1.0, 0.3)  # 3.33 steps -> 3 steps of 1/3
     assert len(traj.times) == 4
@@ -403,6 +413,20 @@ def test_off_grid_rectangular_edges_converge_at_fourth_order():
         assert math.log2(coarse / fine) == pytest.approx(4.0, abs=0.3)
 
 
+@pytest.mark.parametrize("span", [2.0, 7.3, 40.0 / 3.0])
+def test_default_dt_divides_the_span_within_tau_over_20(span):
+    model = TwoStatePulseModel(_gaussian_sequence(tau=0.05))
+    dt = model.default_dt(span)
+    n = round(span / dt)
+    assert dt == span / n and dt <= 0.05 / 20  # whole steps within tau/20
+    assert span / (n - 1) > 0.05 / 20  # and one step fewer would not be
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(model, np.array([1.0, 0.0], dtype=complex), 0.0, span, dt,
+                         sample_every=1000)
+    assert traj.dt == dt
+
+
 def test_two_state_model_rejects_ideal_kicks():
     seq = KickSequence(pulses=(
         PulseSpec(shape="ideal", axis="x", alpha=0.4, t_k=1.0),), delta_e=1.0)
@@ -426,8 +450,3 @@ def test_linear_drive_model_rejects_mismatched_shapes():
 def test_linear_drive_model_validates_dimension():
     with pytest.raises(ValueError, match="dimension must be 2 or 3, got 4"):
         LinearDriveModel(np.eye(4), np.eye(4), np.eye(4), _gaussian_sequence())
-
-
-def test_hamiltonian_model_validates_dimension():
-    with pytest.raises(ValueError, match="dimension"):
-        HamiltonianModel(dimension=4, evaluate=lambda t: np.eye(4))

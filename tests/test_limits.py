@@ -5,17 +5,21 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 from scipy.linalg import expm
 
 from kickedqubit import (
     LIMIT_KINDS,
-    HamiltonianModel,
+    KickSequence,
+    PulseSpec,
     SIGMA_X,
     SIGMA_Z,
+    TwoStatePulseModel,
     integrate,
     limit_catalog,
     unitarity_defect,
 )
+from kickedqubit.limits import _simpson
 
 # constant_field(v=0.8, t=2.3, delta_e=1.7), frozen against scipy expm
 CONST_SPOT = np.array([
@@ -75,8 +79,9 @@ def test_perturbative_matches_rk4_for_a_weak_pulse():
 
     u_pert = limit_catalog("perturbative", field=field, t=t_total, delta_e=de,
                            n_points=40_001)
-    model = HamiltonianModel(dimension=2, evaluate=lambda t: np.array(
-        [[-0.5 * de, field(t)], [field(t), 0.5 * de]]))
+    model = TwoStatePulseModel(KickSequence(pulses=(
+        PulseSpec(shape="rectangular", axis="x", alpha=alpha, t_k=t_k, tau=tau),),
+        delta_e=de))
     traj = integrate(model, np.array([1.0, 0.0], dtype=complex),
                      0.0, t_total, 0.0005)
     # interaction-picture dressing on the numerical state
@@ -139,3 +144,15 @@ def test_unknown_kind_and_missing_inputs():
         limit_catalog("perturbative", t=1.0, delta_e=1.0)
     with pytest.raises(ValueError, match="requires inputs"):
         limit_catalog("degenerate")
+
+
+@pytest.mark.parametrize("n_points", [3, 4, 5, 10, 11, 400, 401, 10_000, 10_001])
+def test_simpson_matches_scipy_on_odd_and_even_grids(n_points):
+    # an even point count closes with scipy's (>= 1.11) last-interval rule
+    t = 2.3
+    ts = np.linspace(0.0, t, n_points)
+    h = t / (n_points - 1)
+    real = np.exp(-((ts - 1.1) / 0.4) ** 2) + 0.3 * ts
+    oscillating = np.exp(1.7j * (0.5 * t - ts)) * real
+    for y in (real, oscillating):
+        assert abs(_simpson(y, h) - simpson(y, x=ts)) < 1e-12

@@ -99,6 +99,26 @@ def test_sequence_needs_a_pulse():
         KickSequence(pulses=(), delta_e=1.0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", ["alpha", "t_k", "tau"])
+@pytest.mark.parametrize("shape", ["gaussian", "rectangular"])
+def test_pulse_rejects_non_finite_numbers(shape, field, bad):
+    kwargs = {"alpha": 0.3, "t_k": 1.0, "tau": 0.05, field: bad}
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        PulseSpec(shape=shape, axis="x", **kwargs)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_ideal_kick_and_sequence_reject_non_finite_numbers(bad):
+    for field in ("alpha", "t_k"):
+        kwargs = {"alpha": 0.3, "t_k": 1.0, field: bad}
+        with pytest.raises(ValueError, match=f"^{field} must be finite"):
+            PulseSpec(shape="ideal", axis="y", **kwargs)
+    pulse = PulseSpec(shape="gaussian", axis="x", alpha=0.3, t_k=1.0, tau=0.05)
+    with pytest.raises(ValueError, match="^delta_e must be finite"):
+        KickSequence(pulses=(pulse,), delta_e=bad)
+
+
 def test_field_at_splits_axes():
     seq = KickSequence(pulses=(
         PulseSpec(shape="rectangular", axis="x", alpha=0.2, t_k=1.0, tau=1.0),

@@ -4,8 +4,10 @@
     python3 tools/bench_pairs.py --base <rev> --seeds 301 302 303 --out BENCH_<n>.json
 
 For every workload and seed this runs ``perfbench/run.py --trace 0`` once in
-a ``git archive`` copy of ``--base`` and once in the working tree, the base
-first for even pair indices and second for odd ones, and writes every run's
+a ``git archive`` copy of ``--base`` and once in a fresh copy of the working
+tree (the files git tracks or would track, so no ``__pycache__`` or other
+ignored output comes along), the base first for even pair indices and
+second for odd ones, and writes every run's
 end-to-end metrics plus, per metric, each side's median and quartiles and
 the number of pairs the working tree wins (by the metric's ``better``
 direction in ``BENCHMARK.json``).  Run it from the root of a checkout.
@@ -40,6 +42,18 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
             "metrics": {k: m["value"] for k, m in line["metrics"].items()}}
 
 
+def copy_worktree(dest: Path) -> None:
+    """Copy the working tree's tracked and untracked, not ignored, files."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, check=True, stdout=subprocess.PIPE).stdout
+    for name in filter(None, listed.decode().split("\0")):
+        src = ROOT / name
+        if src.is_file():  # a tracked file deleted in the tree is skipped
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(src, dest / name)
+
+
 def summarise(pairs: list[dict], better: dict) -> dict:
     out = {}
     for name in pairs[0]["base"]["metrics"]:
@@ -72,11 +86,14 @@ def main(argv=None) -> int:
     better = {m["name"]: m["better"] for m in spec["end_to_end"]}
     rev = subprocess.run(["git", "rev-parse", args.base], cwd=ROOT, check=True,
                          stdout=subprocess.PIPE, text=True).stdout.strip()
-    tmp = Path(tempfile.mkdtemp(prefix="bench-base-"))
+    tmp = Path(tempfile.mkdtemp(prefix="bench-pairs-"))
+    base, change = tmp / "base", tmp / "change"
     try:
+        base.mkdir()
         archive = subprocess.run(["git", "archive", rev], cwd=ROOT, check=True,
                                  stdout=subprocess.PIPE).stdout
-        subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive, check=True)
+        subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
+        copy_worktree(change)
         report = {
             "command": " ".join([Path(sys.argv[0]).as_posix(), *sys.argv[1:]]),
             "base": rev, "change": "working tree",
@@ -88,7 +105,7 @@ def main(argv=None) -> int:
         for workload in args.workloads:
             pairs = []
             for i, seed in enumerate(args.seeds):
-                order = [("base", tmp), ("change", ROOT)]
+                order = [("base", base), ("change", change)]
                 if i % 2:
                     order.reverse()
                 pair = {"seed": seed, "first": order[0][0]}
