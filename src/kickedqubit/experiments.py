@@ -16,10 +16,10 @@ carrying the same provenance.  Writes are atomic (temp file + rename).
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
-import tempfile
 import warnings
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -377,17 +377,15 @@ class ResultDataset:
         out.mkdir(parents=True, exist_ok=True)
         config_json = json.dumps(self.config, sort_keys=True)
         meta_json = json.dumps(self.meta, sort_keys=True)
-        lines = [
+        header = "\n".join([
             f"# kickedqubit {__version__}",
             f"# dataset: {self.name}",
             f"# config: {config_json}",
             f"# meta: {meta_json}",
             ",".join(self.columns),
-        ]
-        body = "\n".join(lines) + "\n" + "\n".join(
-            ",".join("%.17g" % v for v in row) for row in self.data) + "\n"
+        ]) + "\n"
         csv_path = out / f"{self.name}.csv"
-        _atomic_write(csv_path, body)
+        _atomic_write(csv_path, itertools.chain([header], _csv_blocks(self.data)))
         if sidecar:
             payload = {
                 "version": __version__,
@@ -399,12 +397,29 @@ class ResultDataset:
                 "csv": csv_path.name,
             }
             _atomic_write(out / f"{self.name}.json",
-                          json.dumps(payload, sort_keys=True, indent=2) + "\n")
+                          [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
         return csv_path
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+_BLOCK_ROWS = 1024
+
+
+def _csv_blocks(data: np.ndarray):
+    """Yield the table body as one string per block of rows, ``%.17g`` per
+    value, so the whole body is never held as one string."""
+    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
+    for start in range(0, data.shape[0], _BLOCK_ROWS):
+        yield "".join([row % tuple(r) for r in data[start:start + _BLOCK_ROWS].tolist()])
+    if not data.shape[0]:
+        yield "\n"  # the file format: a zero-row table ends in one blank line
+
+
+def _atomic_write(path: Path, chunks) -> None:
+    """Write the strings of ``chunks`` to a temp file beside ``path``, then
+    rename it over ``path``; on any failure the temp file is removed."""
+    tmp = path.with_name(f".{path.name}.{os.urandom(6).hex()}")
+    # mode 0666 through open(2): the kernel applies the umask, as open() does
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         try:
             handle = os.fdopen(fd, "w", newline="\n")
@@ -412,11 +427,7 @@ def _atomic_write(path: Path, text: str) -> None:
             os.close(fd)
             raise
         with handle:
-            handle.write(text)
-        # mkstemp creates 0600; give the file the mode open() would have
-        umask = os.umask(0)
-        os.umask(umask)
-        os.chmod(tmp, 0o666 & ~umask)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -424,13 +435,17 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def read_dataset(csv_path) -> ResultDataset:
-    """Parse a dataset CSV (header block + table) back into a ResultDataset."""
+    """Parse a dataset CSV (header block + table) back into a ResultDataset.
+
+    The header block is read line by line up to the column row; the body is
+    parsed by ``np.loadtxt``, which skips blank and ``#`` lines. A malformed
+    body raises a ``ValueError`` that names the file.
+    """
     path = Path(csv_path)
     name = path.stem
     config: dict = {}
     meta: dict = {}
     header: list[str] = []
-    rows: list[list[float]] = []
     with open(path, newline="\n") as handle:
         for line in handle:
             line = line.rstrip("\n")
@@ -440,13 +455,23 @@ def read_dataset(csv_path) -> ResultDataset:
                 config = json.loads(line[len("# config: "):])
             elif line.startswith("# meta: "):
                 meta = json.loads(line[len("# meta: "):])
-            elif line.startswith("#") or not line:
-                continue
-            elif not header:
+            elif line and not line.startswith("#"):
                 header = line.split(",")
-            else:
-                rows.append([float(v) for v in line.split(",")])
-    data = np.array(rows, dtype=float).reshape(len(rows), len(header))
+                break
+        # np.loadtxt warns on a body without rows, so find the first row here
+        first = next((line for line in handle
+                      if line.rstrip("\n") and not line.startswith("#")), None)
+        if first is None:
+            data = np.empty((0, len(header)))
+        else:
+            try:
+                data = np.loadtxt(itertools.chain([first], handle), delimiter=",",
+                                  comments="#", ndmin=2)
+            except ValueError as exc:
+                raise ValueError(f"{path}: malformed table body: {exc}") from exc
+    if data.shape[1] != len(header):
+        raise ValueError(f"{path}: rows have {data.shape[1]} values but the "
+                         f"column row names {len(header)} columns")
     return ResultDataset(name=name, columns=tuple(header), data=data,
                          config=config, meta=meta)
 

@@ -5,9 +5,12 @@ import json
 import math
 import os
 import stat
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kickedqubit import (
     EXPERIMENT_IDS,
@@ -25,6 +28,7 @@ from kickedqubit import (
     run_ordering_surface,
     two_kick_closed,
 )
+from kickedqubit import experiments
 from kickedqubit.hydrogen import DEFAULT_MHZ, default_params, revival_time
 from kickedqubit.experiments import MODEL_T1, MODEL_T2, MODEL_T_DELTA
 
@@ -300,6 +304,108 @@ def test_written_files_follow_the_umask(tmp_path):
         os.umask(old)
     for path in (csv_path, tmp_path / "modes.json"):
         assert stat.S_IMODE(path.stat().st_mode) == 0o644
+
+
+def test_writing_leaves_the_process_umask_alone(tmp_path, monkeypatch):
+    def no_umask(mask):
+        raise AssertionError("os.umask must not be called while writing")
+
+    monkeypatch.setattr(os, "umask", no_umask)
+    ds = ResultDataset(name="quiet", columns=("t", "value"),
+                       data=np.array([[0.0, 1.0], [1.0, 2.0]]), config={})
+    back = read_dataset(ds.write(tmp_path))
+    assert np.array_equal(back.data, ds.data)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["quiet.csv", "quiet.json"]
+
+
+def test_a_write_that_fails_midway_leaves_the_old_file(tmp_path, monkeypatch):
+    ds = ResultDataset(name="keep", columns=("t", "value"),
+                       data=np.array([[0.0, 1.0], [1.0, 2.0]]), config={})
+    before = ds.write(tmp_path).read_bytes()
+
+    def failing_blocks(data):
+        yield "1,2\n"
+        raise OSError("disk full")
+
+    monkeypatch.setattr(experiments, "_csv_blocks", failing_blocks)
+    with pytest.raises(OSError, match="disk full"):
+        ds.write(tmp_path)
+    assert (tmp_path / "keep.csv").read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keep.csv", "keep.json"]
+
+
+def _write_csv(tmp_path, body: str):
+    path = tmp_path / "hand.csv"
+    path.write_text("# kickedqubit 0.1.0\n# dataset: hand\n# config: {}\n"
+                    "# meta: {}\na,b\n" + body)
+    return path
+
+
+@pytest.mark.parametrize("body", ["1,2\n3,4,5\n", "1,2\n3\n", "1,2,3\n4,5,6\n"])
+def test_a_row_with_the_wrong_column_count_names_the_file(tmp_path, body):
+    path = _write_csv(tmp_path, body)
+    with pytest.raises(ValueError, match="hand.csv"):
+        read_dataset(path)
+
+
+def test_a_single_row_table_keeps_its_shape(tmp_path):
+    for ncol in (1, 3):
+        ds = ResultDataset(name=f"one{ncol}", columns=tuple("abc"[:ncol]),
+                           data=np.arange(1.0, ncol + 1.0)[None, :], config={})
+        back = read_dataset(ds.write(tmp_path))
+        assert back.data.shape == (1, ncol)
+        assert np.array_equal(back.data, ds.data)
+
+
+def test_a_zero_row_table_reads_back_without_a_warning(tmp_path):
+    ds = ResultDataset(name="none", columns=("a", "b", "c"),
+                       data=np.empty((0, 3)), config={})
+    path = ds.write(tmp_path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_dataset(path)
+    assert back.data.shape == (0, 3)
+
+
+def test_blank_and_comment_lines_in_the_body_are_skipped(tmp_path):
+    path = _write_csv(tmp_path, "\n# a note\n1,2\n\n# another\n3,4\n\n")
+    assert read_dataset(path).data.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+
+
+_EDGE_VALUES = (-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308,
+                2.2250738585072014e-308, 0.1, -1.0 / 3.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.one_of(st.sampled_from([0, 1, 1023, 1024, 1025]),
+                      st.integers(0, 2100)),
+       ncol=st.integers(1, 6),
+       seed=st.integers(0, 2**32 - 1),
+       drawn=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=12))
+def test_write_read_is_bit_exact_across_block_edges(tmp_path_factory, rows, ncol,
+                                                     seed, drawn):
+    # random bit patterns cover every exponent; the edge values and the
+    # hypothesis-drawn floats are scattered over the table
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2**64, size=(rows, ncol), dtype=np.uint64)
+    data = bits.view(np.float64).copy()
+    flat = data.reshape(-1)
+    bad = ~np.isfinite(flat)
+    flat[bad] = rng.choice(_EDGE_VALUES, size=int(bad.sum()))
+    extra = list(_EDGE_VALUES) + drawn
+    if flat.size:
+        flat[rng.integers(0, flat.size, size=len(extra))] = extra
+    columns = tuple(f"c{j}" for j in range(ncol))
+    ds = ResultDataset(name="bits", columns=columns, data=data, config={})
+    path = ds.write(tmp_path_factory.mktemp("bits"))
+
+    text = path.read_text()
+    body = text.split(",".join(columns) + "\n", 1)[1]
+    reference = "\n".join(",".join("%.17g" % v for v in row) for row in data) + "\n"
+    assert body == reference
+    back = read_dataset(path)
+    assert back.data.shape == (rows, ncol)
+    assert back.data.tobytes() == data.tobytes()
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):
