@@ -438,8 +438,9 @@ def read_dataset(csv_path) -> ResultDataset:
     """Parse a dataset CSV (header block + table) back into a ResultDataset.
 
     The header block is read line by line up to the column row; the body is
-    parsed by ``np.loadtxt``, which skips blank and ``#`` lines. A malformed
-    body raises a ``ValueError`` that names the file.
+    parsed by ``np.loadtxt``, which skips blank and ``#`` lines. Lines may
+    end in LF or CRLF. A malformed body raises a ``ValueError`` that names
+    the file.
     """
     path = Path(csv_path)
     name = path.stem
@@ -448,7 +449,7 @@ def read_dataset(csv_path) -> ResultDataset:
     header: list[str] = []
     with open(path, newline="\n") as handle:
         for line in handle:
-            line = line.rstrip("\n")
+            line = line.rstrip("\r\n")
             if line.startswith("# dataset: "):
                 name = line[len("# dataset: "):]
             elif line.startswith("# config: "):
@@ -460,7 +461,7 @@ def read_dataset(csv_path) -> ResultDataset:
                 break
         # np.loadtxt warns on a body without rows, so find the first row here
         first = next((line for line in handle
-                      if line.rstrip("\n") and not line.startswith("#")), None)
+                      if line.rstrip("\r\n") and not line.startswith("#")), None)
         if first is None:
             data = np.empty((0, len(header)))
         else:

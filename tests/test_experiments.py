@@ -367,6 +367,29 @@ def test_a_zero_row_table_reads_back_without_a_warning(tmp_path):
     assert back.data.shape == (0, 3)
 
 
+@pytest.mark.parametrize("rows", [3, 0])
+def test_a_crlf_copy_reads_back_equal_to_the_original(tmp_path, rows):
+    # a file edited on Windows: every line ends in CRLF
+    data = np.arange(2.0 * rows).reshape(rows, 2) / 3.0
+    ds = ResultDataset(name=f"t{rows}", columns=("a", "b"), data=data,
+                       config={"experiment": "custom", "dt": 0.125},
+                       meta={"final": 0.5})
+    path = ds.write(tmp_path)
+    crlf = tmp_path / "crlf" / path.name
+    crlf.parent.mkdir()
+    crlf.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_dataset(crlf)
+    original = read_dataset(path)
+    assert back.name == original.name == f"t{rows}"
+    assert back.columns == original.columns == ("a", "b")
+    assert back.config == original.config
+    assert back.meta == original.meta
+    assert back.data.shape == original.data.shape == (rows, 2)
+    assert back.data.tobytes() == original.data.tobytes()
+
+
 def test_blank_and_comment_lines_in_the_body_are_skipped(tmp_path):
     path = _write_csv(tmp_path, "\n# a note\n1,2\n\n# another\n3,4\n\n")
     assert read_dataset(path).data.tolist() == [[1.0, 2.0], [3.0, 4.0]]

@@ -29,7 +29,7 @@ from kickedqubit import (
     rectangular_exact,
     rk4_step,
 )
-from kickedqubit.integrator import _BLOCK
+from kickedqubit.integrator import _BLOCK, _matmul, _step_matrices
 
 
 def _constant_model(h, t1):
@@ -310,6 +310,129 @@ def test_last_free_flight_after_whole_blocks(t_k, rk4_steps):
     expected = _segmented_reference(model, y, 2.0, n_steps, sample_every,
                                     step=_rk4_step_inside)
     assert np.max(np.abs(traj.states - expected)) < 1e-12
+
+
+def _reference_step_matrices(model, starts, dts):
+    """The RK4 step matrices as three ``hamiltonians`` calls and out-of-place
+    arithmetic, the formula that :func:`_step_matrices` reproduces exactly."""
+    side = 1e-6 * dts
+    a1 = -1j * model.hamiltonians(starts, side)
+    a2 = -1j * model.hamiltonians(starts + 0.5 * dts)
+    a3 = -1j * model.hamiltonians(starts + dts, -side)
+    eye = np.eye(model.dimension)[:, :, None]
+    k2 = _matmul(a2, eye + 0.5 * dts * a1)
+    k3 = _matmul(a2, eye + 0.5 * dts * k2)
+    k4 = _matmul(a3, eye + dts * k3)
+    return eye + (dts / 6.0) * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+# Gaussian and rectangular pulses on both axes.  The first three overlap on
+# x, and their supports start in the order 1, 2, 0, so a sum out of sequence
+# order rounds differently; the gaussian at t_k = 1 is nonzero an ulp below
+# its support.  Nothing drives [3.65, 4.1] or anything past 5.8.
+_PIN_TRAIN = KickSequence(pulses=(
+    PulseSpec(shape="gaussian", axis="x", alpha=0.4, t_k=1.0, tau=0.1),
+    PulseSpec(shape="gaussian", axis="x", alpha=-0.3, t_k=1.1, tau=0.2),
+    PulseSpec(shape="rectangular", axis="x", alpha=0.7, t_k=1.2, tau=2.2),
+    PulseSpec(shape="rectangular", axis="y", alpha=0.2, t_k=3.3, tau=0.3),
+    PulseSpec(shape="gaussian", axis="y", alpha=0.25, t_k=3.4, tau=0.02),
+    PulseSpec(shape="rectangular", axis="y", alpha=-0.35, t_k=3.5, tau=0.25),
+    PulseSpec(shape="gaussian", axis="x", alpha=0.3, t_k=5.0, tau=0.1)),
+    delta_e=1.3)
+
+
+def _pin_blocks():
+    """Blocks of RK4 links ``(starts, dts)``: the train on a grid, in
+    blocks of several sizes; blocks that meet no pulse; and single links
+    at every support end and up to 3 ulps either side of it, stepping
+    forward, backward, and over a step too short to leave the end."""
+    h = 1e-2
+    grid = np.arange(-0.6, 6.5, h)
+    for size in (_BLOCK, 97, 5):
+        for b0 in range(0, len(grid), size):
+            yield grid[b0:b0 + size], np.full(len(grid[b0:b0 + size]), h)
+    for starts in (np.linspace(3.7, 4.05, 20), np.linspace(6.0, 7.0, 33), np.array([-2.0])):
+        yield starts, np.full(len(starts), h)
+    for end in np.ravel([p.support() for p in _PIN_TRAIN.pulses]):
+        t = end
+        for _ in range(3):
+            t = np.nextafter(t, -np.inf)
+        for _ in range(7):
+            for starts, dts in (([t], [h]), ([t - h], [h]), ([t], [1e-18])):
+                yield np.array(starts), np.array(dts)
+            t = np.nextafter(t, np.inf)
+
+
+def _pin_models():
+    p = default_params()
+    return (TwoStatePulseModel(_PIN_TRAIN), HydrogenModel(p, _PIN_TRAIN, basis="j"),
+            HydrogenModel(p, _PIN_TRAIN, basis="coupled"),
+            effective_two_state_model(p, _PIN_TRAIN))
+
+
+@pytest.mark.parametrize("model", _pin_models(), ids=["qubit", "j", "coupled", "effective"])
+def test_step_matrices_equal_the_reference_formula(model):
+    # the one field pass over the block's pulses and the in-place arithmetic
+    # change no value of any step matrix
+    blocks = list(_pin_blocks())
+    for starts, dts in blocks:
+        assert np.array_equal(_step_matrices(model, starts, dts),
+                              _reference_step_matrices(model, starts, dts)), (starts, dts)
+    # the blocks do probe a gaussian outside its support where it is nonzero
+    lo, hi = _PIN_TRAIN.pulses[0].support()
+    assert any(np.all(s < lo) and _PIN_TRAIN.pulses[0].value(s[0]) != 0.0
+               for s, dts in blocks if dts[0] < 1e-15)
+
+
+def _gaussian_train(n):
+    """ROADMAP's train: ``n`` gaussian x pulses at t = 1, 2, ..., n and the
+    end of its run."""
+    return TwoStatePulseModel(KickSequence(pulses=tuple(
+        PulseSpec(shape="gaussian", axis="x", alpha=0.05, t_k=float(c), tau=0.01)
+        for c in range(1, n + 1)), delta_e=1.0)), n + 1.5
+
+
+def test_field_evaluations_grow_linearly_with_the_pulse_count(monkeypatch):
+    # each block evaluates only the pulses it meets: at a fixed number of
+    # steps per pulse, twice the pulses cost at most twice the evaluations
+    value = PulseSpec.value
+    calls = []
+
+    def counted(self, t, side=0.0):
+        calls.append(self)
+        return value(self, t, side)
+
+    monkeypatch.setattr(PulseSpec, "value", counted)
+    counts = []
+    for n in (25, 50):
+        model, t1 = _gaussian_train(n)
+        calls.clear()
+        integrate(model, np.array([1.0, 0.0], dtype=complex), 0.0, t1,
+                  model.default_dt(t1), sample_every=10**6)
+        counts.append(len(calls))
+    assert counts[0] >= 25
+    assert counts[1] <= 2.0 * 1.1 * counts[0]
+
+
+def test_a_200_pulse_rectangular_train_matches_the_exact_product():
+    # off-grid x pulses, four to a block or more: a pulse that a block
+    # wrongly leaves out shows far above the RK4 error
+    rng = np.random.default_rng(20050303)
+    tau, de = 0.05, 1.0
+    areas = rng.uniform(-0.6, 0.6, 200)
+    centres = 0.5 + 0.25 * np.arange(200) + rng.uniform(0.0, 0.1, 200)
+    model = TwoStatePulseModel(KickSequence(pulses=tuple(
+        PulseSpec(shape="rectangular", axis="x", alpha=a, t_k=c, tau=tau)
+        for a, c in zip(areas, centres)), delta_e=de))
+    t_end = centres[-1] + 0.5
+    y0 = np.array([1.0, 0.0], dtype=complex)
+    traj = integrate(model, y0, 0.0, t_end, model.default_dt(t_end), sample_every=10**6)
+    u = np.eye(2)
+    for a, c in zip(areas, centres):
+        u = rectangular_exact(a, 0.5 * tau * de, c, de) @ u
+    exact = free_phase(de, -t_end) @ u @ y0
+    assert traj.rk4_steps > 4 * _BLOCK
+    assert np.max(np.abs(traj.states[-1] - exact)) < 2e-8
 
 
 def _diverging_train(kind, late):

@@ -1,0 +1,55 @@
+#!/usr/bin/env python3
+"""Hash the datasets the sweep workloads produce, to show a change leaves
+them bit for bit as they were.
+
+    python3 tools/dataset_hashes.py --seed 101 --ops 120
+
+For sweep_sparse and sweep_dense this runs the first ``--ops`` operations
+of the seed plus the workload's fixed accuracy panel through
+``run_experiment`` and prints one SHA-256 per workload over every dataset's
+``data`` bytes and its ``meta`` (as sorted JSON).  Run it in two checkouts
+and compare the lines.  It imports the package from ``src/`` and the
+workloads from ``perfbench/`` of the checkout it sits in.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import hashlib
+import io
+import json
+import sys
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import kickedqubit as kq  # noqa: E402
+from workloads import SweepWorkload  # noqa: E402
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--seed", type=int, default=101)
+    parser.add_argument("--ops", type=int, default=120)
+    args = parser.parse_args(argv)
+    warnings.simplefilter("ignore")  # the configs' own diagnostics
+    for name, dense in (("sweep_sparse", False), ("sweep_dense", True)):
+        workload = SweepWorkload(name, args.seed, dense)
+        ops = [workload.next_op() for _ in range(args.ops)] + workload.accuracy_panel()
+        digest = hashlib.sha256()
+        for op in ops:
+            with contextlib.redirect_stdout(io.StringIO()):
+                datasets, _ = kq.run_experiment(kq.ExperimentConfig.from_dict(op["raw"]))
+            for ds in datasets:
+                digest.update(np.ascontiguousarray(ds.data).tobytes())
+                digest.update(json.dumps(ds.meta, sort_keys=True).encode())
+        print(f"{name} {len(ops)} operations {digest.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
