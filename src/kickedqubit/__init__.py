@@ -7,7 +7,6 @@ The package splits along the physics:
 * :mod:`~kickedqubit.pulses` — pulse shapes, kick sequences, validation;
 * :mod:`~kickedqubit.propagators` — closed forms for ideal kicks, rectangular
   pulses, kick pairs and triples, ordering observables, reversal checks;
-* :mod:`~kickedqubit.limits` — perturbative/degenerate/adiabatic/RWA limits;
 * :mod:`~kickedqubit.integrator` — one linear-drive model type and batched RK4;
 * :mod:`~kickedqubit.hydrogen` — the 2s-2p model with fine structure and decay;
 * :mod:`~kickedqubit.experiments` — the dataset catalog behind the CLI.
@@ -52,7 +51,6 @@ from .integrator import (
     norm_drift,
     rk4_step,
 )
-from .limits import LIMIT_KINDS, limit_catalog
 from .propagators import (
     XY_ORDERS,
     OrderingObservable,
@@ -109,8 +107,6 @@ __all__ = [
     "opposite_kick_pair", "ordering_observable", "periodic_kick_power",
     "rectangular_exact", "three_kick_closed", "time_reversal_check",
     "two_kick_closed", "two_kick_xy", "untimeordered_opposite_pair",
-    # limits
-    "LIMIT_KINDS", "limit_catalog",
     # integrator
     "BACKEND", "IntegrationDivergedError", "LinearDriveModel", "Trajectory",
     "TwoStatePulseModel", "integrate", "norm_drift", "rk4_step",

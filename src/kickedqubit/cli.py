@@ -44,10 +44,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_config(args: argparse.Namespace) -> ExperimentConfig:
-    if args.experiment not in EXPERIMENT_IDS:
-        raise ConfigError(
-            "experiment",
-            f"unknown id {args.experiment!r}; expected one of {EXPERIMENT_IDS}")
     if args.config is None:
         config = default_config(args.experiment,
                                 convention=args.convention or "plain")
@@ -73,8 +69,6 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
     updates: dict = {}
     if args.dt is not None:
-        if args.dt <= 0:
-            raise ConfigError("dt", f"must be > 0, got {args.dt}")
         updates["dt"] = args.dt
     if args.convention is not None:
         if config.system != "hydrogen":

@@ -110,9 +110,10 @@ class LinearDriveModel:
         within ``min_tau / 20``, where :func:`integrate` starts to warn."""
         return span / math.ceil(span / (self.min_tau / 20.0))
 
-    def hamiltonians(self, times: np.ndarray, side: float = 0.0) -> np.ndarray:
-        """H at ``times``, time-last ``(d, d, n)``; ``side`` picks the side of
-        rectangular edges."""
+    def hamiltonians(self, times: np.ndarray,
+                     side: float | np.ndarray = 0.0) -> np.ndarray:
+        """H at ``times``, time-last ``(d, d, n)``; ``side``, one value or one
+        per time, picks the side of rectangular edges."""
         vx, vy = field_at(self.seq, times, side)
         return (self.h0[:, :, None] + vx * self.a_x[:, :, None]
                 + vy * self.a_y[:, :, None])
@@ -186,12 +187,15 @@ def rk4_step(model: LinearDriveModel, state: np.ndarray, t: float,
              dt: float) -> np.ndarray:
     """One classical Runge-Kutta step of ``i dy/dt = H(t) y``.
 
-    The plain-vector reference for the step matrices :func:`integrate` uses.
+    The plain-vector reference for the step matrices :func:`integrate` uses:
+    like them, it takes rectangular edges from inside the step, from just
+    after ``t`` at its start stage and from just before ``t + dt`` at its end.
     """
     y = np.asarray(state, dtype=complex)
-    h_a, h_mid, h_b = (model.h0 + vx * model.a_x + vy * model.a_y
-                       for vx, vy in (field_at(model.seq, s)
-                                      for s in (t, t + 0.5 * dt, t + dt)))
+    side = 1e-6 * dt
+    h = model.hamiltonians(np.array([t, t + 0.5 * dt, t + dt]),
+                           np.array([side, 0.0, -side]))
+    h_a, h_mid, h_b = h.transpose(2, 0, 1)
     k1 = -1j * (h_a @ y)
     k2 = -1j * (h_mid @ (y + 0.5 * dt * k1))
     k3 = -1j * (h_mid @ (y + 0.5 * dt * k2))

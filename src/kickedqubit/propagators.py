@@ -19,7 +19,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .pulses import KickSequence, validate_sequence
+from .pulses import KickSequence, raise_on_errors, validate_sequence
 from .su2 import SIGMA_Z, compose
 
 
@@ -131,9 +131,7 @@ def multi_kick(seq: KickSequence) -> np.ndarray:
     for i, p in enumerate(seq.pulses):
         if p.shape != "ideal":
             raise ValueError(f"multi_kick needs ideal kicks; pulse {i} has shape {p.shape!r}")
-    errors = [d for d in validate_sequence(seq) if d.level == "error"]
-    if errors:
-        raise ValueError(errors[0].message)
+    raise_on_errors(validate_sequence(seq))
     factors = [kick_interaction(p.alpha, p.t_k, p.axis, seq.delta_e) for p in seq.pulses]
     return compose(factors)
 

@@ -87,9 +87,12 @@ def test_convention_override_flows_through(tmp_path, capsys):
 
 
 def test_unknown_experiment(tmp_path, capsys):
-    assert main(["figure99", "--out", str(tmp_path)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert err.startswith("config error: experiment:")
+    # rejected by the catalog, and by the config parser when a file is given
+    config = _write(tmp_path, _tiny_config(experiment="figure99"))
+    for extra in ([], ["--config", config]):
+        assert main(["figure99", "--out", str(tmp_path), *extra]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error: experiment: unknown id 'figure99'")
 
 
 def test_custom_needs_a_config_file(tmp_path, capsys):

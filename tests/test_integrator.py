@@ -22,7 +22,6 @@ from kickedqubit import (
     TwoStatePulseModel,
     default_params,
     effective_two_state_model,
-    field_at,
     free_phase,
     integrate,
     norm_drift,
@@ -102,6 +101,20 @@ def test_rk4_step_agrees_with_one_integrate_step():
     stepped = rk4_step(model, y0, 0.0, 0.01)
     traj = integrate(model, y0, 0.0, 0.01, 0.01)
     assert np.allclose(stepped, traj.states[-1])
+
+
+def test_rk4_step_takes_rectangular_edges_from_inside_the_step():
+    # the pulse is on over [0, 1], so its trailing edge is the end of the
+    # last step, whose end stage must still see the pulse as integrate's
+    # step matrices do
+    model = TwoStatePulseModel(KickSequence(pulses=(
+        PulseSpec(shape="rectangular", axis="x", alpha=0.4, t_k=0.5, tau=1.0),),
+        delta_e=1.3))
+    y = np.array([1.0, 0.0], dtype=complex)
+    traj = integrate(model, y, 0.0, 1.0, 0.01)
+    for k in range(100):
+        y = rk4_step(model, y, k * 0.01, 0.01)
+    assert np.max(np.abs(y - traj.states[-1])) < 1e-12
 
 
 def test_integrate_validates_inputs():
@@ -199,23 +212,8 @@ def _smooth_model(kind):
     return HydrogenModel(p, seq, basis=kind), 16.0
 
 
-def _rk4_step_inside(model, y, t, dt):
-    """``rk4_step`` of a pulse-driven model whose end stages take
-    rectangular edges from inside the step, as the step matrices do."""
-    side = 1e-6 * dt
-    h_a, h_mid, h_b = (model.h0 + vx * model.a_x + vy * model.a_y
-                       for vx, vy in (field_at(model.seq, t, side),
-                                      field_at(model.seq, t + 0.5 * dt),
-                                      field_at(model.seq, t + dt, -side)))
-    k1 = -1j * (h_a @ y)
-    k2 = -1j * (h_mid @ (y + 0.5 * dt * k1))
-    k3 = -1j * (h_mid @ (y + 0.5 * dt * k2))
-    k4 = -1j * (h_b @ (y + dt * k3))
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-def _segmented_reference(model, y, t1, n_steps, sample_every, step=rk4_step):
-    """Samples of a plain ``step`` loop between the grid points inside
+def _segmented_reference(model, y, t1, n_steps, sample_every):
+    """Samples of a plain :func:`rk4_step` loop between the grid points inside
     the pulse supports and every support end, with ``expm`` of the free
     Hamiltonian across the gaps between supports."""
     h = t1 / n_steps
@@ -227,7 +225,7 @@ def _segmented_reference(model, y, t1, n_steps, sample_every, step=rk4_step):
     for t, t_next in zip(nodes, nodes[1:]):
         mid = 0.5 * (t + t_next)
         if any(lo <= mid <= hi for lo, hi in supports):
-            y = step(model, y, t, t_next - t)
+            y = rk4_step(model, y, t, t_next - t)
         else:
             y = expm(-1j * model.h0 * (t_next - t)) @ y
         k = grid.get(t_next)
@@ -287,8 +285,7 @@ def test_chain_of_rectangular_pulses_matches_rk4_step_loop(kind):
     traj = integrate(model, y, 0.0, t1, dt, sample_every=sample_every)
     assert traj.rk4_steps > 2 * _BLOCK
     assert traj.rk4_steps == 11 * (round(model.min_tau / dt) + 1)
-    expected = _segmented_reference(model, y, t1, n_steps, sample_every,
-                                    step=_rk4_step_inside)
+    expected = _segmented_reference(model, y, t1, n_steps, sample_every)
     assert len(traj.states) == len(expected)
     assert np.max(np.abs(traj.states - expected)) < 1e-12
     assert abs(traj.probabilities[-1, 0] - 1.0) > 1e-2  # the drive acted
@@ -307,8 +304,7 @@ def test_last_free_flight_after_whole_blocks(t_k, rk4_steps):
     n_steps, sample_every = 2048, 7
     traj = integrate(model, y, 0.0, 2.0, 2.0 / n_steps, sample_every=sample_every)
     assert traj.rk4_steps == rk4_steps
-    expected = _segmented_reference(model, y, 2.0, n_steps, sample_every,
-                                    step=_rk4_step_inside)
+    expected = _segmented_reference(model, y, 2.0, n_steps, sample_every)
     assert np.max(np.abs(traj.states - expected)) < 1e-12
 
 
@@ -472,18 +468,19 @@ def test_divergence_names_the_first_non_finite_sample(kind, late, t_bad):
 
 def test_kernel_resolves_rectangular_pulse_against_closed_form():
     # hard-edged pulse, grid aligned with the edges: the one-sided stage
-    # sampling must reproduce the exact sandwich to RK4 truncation accuracy
-    alpha, tau, t_k, de = 0.5, 0.1, 1.0, 1.3
-    seq = KickSequence(pulses=(
-        PulseSpec(shape="rectangular", axis="x", alpha=alpha, t_k=t_k, tau=tau),),
-        delta_e=de)
-    model = TwoStatePulseModel(seq)
+    # sampling must reproduce the exact sandwich to RK4 truncation accuracy,
+    # for a strong pulse and a weak one
+    tau, t_k, de = 0.1, 1.0, 1.3
     y0 = np.array([1.0, 0.0], dtype=complex)
     t_end = 2.0
-    traj = integrate(model, y0, 0.0, t_end, tau / 200)
     beta = 0.5 * tau * de
-    exact = (free_phase(de, -t_end) @ rectangular_exact(alpha, beta, t_k, de)) @ y0
-    assert np.max(np.abs(traj.states[-1] - exact)) < 1e-10
+    for alpha in (0.5, 0.01):
+        model = TwoStatePulseModel(KickSequence(pulses=(
+            PulseSpec(shape="rectangular", axis="x", alpha=alpha, t_k=t_k, tau=tau),),
+            delta_e=de))
+        traj = integrate(model, y0, 0.0, t_end, tau / 200)
+        exact = (free_phase(de, -t_end) @ rectangular_exact(alpha, beta, t_k, de)) @ y0
+        assert np.max(np.abs(traj.states[-1] - exact)) < 1e-10
 
 
 def test_package_models_fly_free_without_lapack(monkeypatch):

@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
-"""Hash the datasets the sweep workloads produce, to show a change leaves
-them bit for bit as they were.
+"""Hash the catalog files and the datasets the sweep workloads produce, to
+show a change leaves them bit for bit as they were.
 
     python3 tools/dataset_hashes.py --seed 101 --ops 120
 
-For sweep_sparse and sweep_dense this runs the first ``--ops`` operations
-of the seed plus the workload's fixed accuracy panel through
-``run_experiment`` and prints one SHA-256 per workload over every dataset's
-``data`` bytes and its ``meta`` (as sorted JSON).  Run it in two checkouts
-and compare the lines.  It imports the package from ``src/`` and the
-workloads from ``perfbench/`` of the checkout it sits in.
+The ``catalog`` line is one SHA-256 over the name and bytes of every CSV
+and JSON file that ``run_experiment`` writes for the default config of each
+catalog id (all of ``EXPERIMENT_IDS`` but ``custom``), id by id in catalog
+order and file by file in name order.  For sweep_sparse and sweep_dense it
+runs the first ``--ops`` operations of the seed plus the workload's fixed
+accuracy panel through ``run_experiment`` and prints one SHA-256 per
+workload over every dataset's ``data`` bytes and its ``meta`` (as sorted
+JSON).  Run it in two checkouts and compare the lines.  It imports the
+package from ``src/`` and the workloads from ``perfbench/`` of the checkout
+it sits in.
 """
 from __future__ import annotations
 
@@ -19,6 +23,7 @@ import hashlib
 import io
 import json
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -37,6 +42,16 @@ def main(argv=None) -> int:
     parser.add_argument("--ops", type=int, default=120)
     args = parser.parse_args(argv)
     warnings.simplefilter("ignore")  # the configs' own diagnostics
+    digest = hashlib.sha256()
+    ids = [i for i in kq.EXPERIMENT_IDS if i != "custom"]
+    for experiment in ids:
+        with tempfile.TemporaryDirectory() as tmp:
+            with contextlib.redirect_stdout(io.StringIO()):
+                kq.run_experiment(kq.default_config(experiment), out_dir=tmp)
+            for path in sorted(Path(tmp).iterdir()):
+                digest.update(path.name.encode())
+                digest.update(path.read_bytes())
+    print(f"catalog {len(ids)} ids {digest.hexdigest()}")
     for name, dense in (("sweep_sparse", False), ("sweep_dense", True)):
         workload = SweepWorkload(name, args.seed, dense)
         ops = [workload.next_op() for _ in range(args.ops)] + workload.accuracy_panel()
