@@ -6,6 +6,7 @@ missing fields, malformed JSON), 3 when the integration diverges.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 
@@ -67,20 +68,16 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
                 f"{args.experiment!r}")
         config = ExperimentConfig.from_dict(raw)
 
-    updates: dict = {}
     if args.dt is not None:
-        updates["dt"] = args.dt
+        config = dataclasses.replace(config, dt=args.dt)
     if args.convention is not None:
         if config.system != "hydrogen":
             raise ConfigError(
                 "hydrogen.convention",
                 f"--convention applies to hydrogen experiments; "
                 f"{config.experiment} runs on {config.system}")
-        hydrogen = dict(config.hydrogen)
-        hydrogen["convention"] = args.convention
-        updates["hydrogen"] = hydrogen
-    if updates:
-        config = ExperimentConfig.from_dict({**config.to_dict(), **updates})
+        config = dataclasses.replace(
+            config, hydrogen={**config.hydrogen, "convention": args.convention})
     return config
 
 

@@ -36,7 +36,7 @@ from .hydrogen import (
     revival_time,
     run_pulse_sequence,
 )
-from .integrator import Trajectory, TwoStatePulseModel, integrate, norm_drift
+from .integrator import TwoStatePulseModel, integrate, norm_drift
 from .propagators import free_phase, multi_kick
 from .pulses import (
     AXES,
@@ -76,14 +76,19 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything needed to reproduce one experiment, JSON-serializable."""
+    """Everything needed to reproduce one experiment, JSON-serializable.
+
+    Construction validates every field and fills the defaults that depend on
+    others (``orderings``: ``("forward",)`` for ``custom``, else both), or
+    raises a ``ConfigError`` naming the first bad field.
+    """
 
     experiment: str
     system: str = "model-qubit"
     delta_e: float = MODEL_DELTA_E
     hydrogen: dict | None = None
     pulses: tuple[dict, ...] = ()
-    orderings: tuple[str, ...] = ORDERINGS
+    orderings: tuple[str, ...] | None = None
     dt: float | None = None
     t_end: float | None = None
     sample_every: int = 1
@@ -92,30 +97,192 @@ class ExperimentConfig:
     taus: tuple[float, ...] | None = None
     out: str | None = None
 
+    def __post_init__(self) -> None:
+        def put(name: str, value) -> None:
+            object.__setattr__(self, name, value)
+
+        experiment, system = self.experiment, self.system
+        if experiment not in EXPERIMENT_IDS:
+            raise ConfigError(
+                "experiment", f"unknown id {experiment!r}; expected one of {EXPERIMENT_IDS}")
+        if system not in SYSTEMS:
+            raise ConfigError("system", f"expected one of {SYSTEMS}, got {system!r}")
+
+        put("delta_e", _need_number(self.delta_e, "delta_e", positive=True))
+
+        hydrogen = self.hydrogen
+        if system == "hydrogen":
+            if not isinstance(hydrogen, dict):
+                raise ConfigError("hydrogen", "hydrogen system needs a parameter object")
+            for key in hydrogen:
+                if key not in _HYDROGEN_KEYS:
+                    raise ConfigError(f"hydrogen.{key}", "unknown parameter field")
+            merged = {"convention": "plain", **hydrogen}
+            for key in ("delta_e_mhz", "e_fs_mhz", "gamma_mhz"):
+                if key not in merged:
+                    raise ConfigError(f"hydrogen.{key}", "missing required field")
+                merged[key] = _need_number(merged[key], f"hydrogen.{key}",
+                                           positive=key != "gamma_mhz", nonnegative=True)
+            if merged["convention"] not in UNIT_SCALES:
+                raise ConfigError(
+                    "hydrogen.convention",
+                    f"expected one of {sorted(UNIT_SCALES)}, got {merged['convention']!r}")
+            put("hydrogen", merged)
+        elif hydrogen is not None:
+            raise ConfigError("hydrogen", "only meaningful with system = 'hydrogen'")
+
+        if not isinstance(self.pulses, (list, tuple)):
+            raise ConfigError("pulses", "expected a list of pulse objects")
+        pulses = []
+        for i, p in enumerate(self.pulses):
+            where = f"pulses[{i}]"
+            if not isinstance(p, dict):
+                raise ConfigError(where, "expected a pulse object")
+            for key in p:
+                if key not in _PULSE_KEYS:
+                    raise ConfigError(f"{where}.{key}", "unknown pulse field")
+            shape = p.get("shape", "gaussian")
+            if shape not in SHAPES:
+                raise ConfigError(f"{where}.shape", f"expected one of {SHAPES}, got {shape!r}")
+            axis = p.get("axis", "x")
+            if axis not in AXES:
+                raise ConfigError(f"{where}.axis", f"expected one of {AXES}, got {axis!r}")
+            for key in ("alpha", "t_k"):
+                if key not in p:
+                    raise ConfigError(f"{where}.{key}", "missing required field")
+            alpha = _need_number(p["alpha"], f"{where}.alpha")
+            t_k = _need_number(p["t_k"], f"{where}.t_k")
+            tau = _need_number(p.get("tau", 0.0), f"{where}.tau", nonnegative=True)
+            if shape == "ideal" and tau != 0.0:
+                raise ConfigError(f"{where}.tau", "an ideal kick must have tau = 0")
+            if shape != "ideal" and tau <= 0.0:
+                raise ConfigError(f"{where}.tau", f"a {shape} pulse needs tau > 0")
+            if shape == "ideal" and experiment != "figure7":
+                raise ConfigError(
+                    f"{where}.shape", f"{experiment} integrates its pulses, and an "
+                    f"ideal kick has no width to integrate; use gaussian or rectangular")
+            pulses.append(
+                {"shape": shape, "axis": axis, "alpha": alpha, "t_k": t_k, "tau": tau})
+        if experiment != "figure7" and not pulses:
+            raise ConfigError("pulses", f"experiment {experiment!r} needs at least one pulse")
+        for i, (a, b) in enumerate(zip(pulses, pulses[1:])):
+            if b["t_k"] <= a["t_k"]:
+                raise ConfigError(
+                    f"pulses[{i + 1}].t_k", "pulse centers must be strictly increasing")
+        put("pulses", tuple(pulses))
+
+        orderings = self.orderings
+        if orderings is None:
+            orderings = ("forward",) if experiment == "custom" else ORDERINGS
+        if not isinstance(orderings, (list, tuple)) or not orderings:
+            raise ConfigError("orderings", "expected a non-empty list")
+        for i, o in enumerate(orderings):
+            if o not in ORDERINGS:
+                raise ConfigError(
+                    f"orderings[{i}]", f"expected one of {ORDERINGS}, got {o!r}")
+            if o in orderings[:i]:
+                raise ConfigError(f"orderings[{i}]", f"ordering {o!r} is listed twice")
+        put("orderings", tuple(orderings))
+
+        for name in ("dt", "t_end"):
+            if getattr(self, name) is not None:
+                put(name, _need_number(getattr(self, name), name, positive=True))
+
+        sample_every = self.sample_every
+        if isinstance(sample_every, bool) or not isinstance(sample_every, int):
+            raise ConfigError("sample_every", f"expected an integer, got {sample_every!r}")
+        if sample_every < 1:
+            raise ConfigError("sample_every", f"must be >= 1, got {sample_every}")
+
+        if self.basis not in ("j", "coupled"):
+            raise ConfigError("basis", f"expected 'j' or 'coupled', got {self.basis!r}")
+
+        grid = self.grid
+        if experiment == "figure7":
+            grid = {} if grid is None else grid
+            if not isinstance(grid, dict):
+                raise ConfigError("grid", f"expected a grid object, got {grid!r}")
+            for key in grid:
+                if key not in ("n_epsilon", "n_phi", "phi_max"):
+                    raise ConfigError(f"grid.{key}", "unknown grid field")
+            grid = dict(grid)
+            for key in ("n_epsilon", "n_phi"):
+                n = grid.get(key, 200)
+                if isinstance(n, bool) or not isinstance(n, int):
+                    raise ConfigError(f"grid.{key}", f"expected an integer, got {n!r}")
+                if n < 2:
+                    raise ConfigError(f"grid.{key}", f"grid sizes must be >= 2, got {n}")
+                grid[key] = n
+            grid["phi_max"] = _need_number(
+                grid.get("phi_max", 2.0 * math.pi), "grid.phi_max", positive=True)
+            put("grid", grid)
+        elif grid is not None:
+            raise ConfigError("grid", "only meaningful for figure7")
+
+        taus = self.taus
+        if experiment == "convergence":
+            if taus is None:
+                raise ConfigError("taus", "convergence needs a list of pulse widths")
+            if not isinstance(taus, (list, tuple)) or not taus:
+                raise ConfigError("taus", "expected a non-empty list of widths")
+            taus = tuple(_need_number(tau, f"taus[{i}]", nonnegative=True)
+                         for i, tau in enumerate(taus))
+            for a, b in zip(taus, taus[1:]):
+                if b >= a:
+                    raise ConfigError("taus", "widths must be strictly decreasing")
+            put("taus", taus)
+        elif taus is not None:
+            raise ConfigError("taus", "only meaningful for convergence")
+
+        if self.out is not None and not isinstance(self.out, str):
+            raise ConfigError("out", f"expected a string path, got {self.out!r}")
+
+        if experiment in ("figure1", "figure2", "figure3", "figure4", "convergence"):
+            if system != "model-qubit":
+                raise ConfigError("system", f"{experiment} runs on the model qubit")
+        if experiment in ("figure5", "figure6"):
+            if system != "hydrogen":
+                raise ConfigError("system", f"{experiment} runs on hydrogen")
+
+        # every run ends after its last pulse center, so only a last center at
+        # or before t = 0 can leave a run that ends before it starts
+        if (self.t_end is None and experiment not in ("figure7", "convergence")
+                and pulses[-1]["t_k"] <= 0.0):
+            for o in self.orderings:
+                end = _run_end(self, config_sequence(self, o))
+                if end <= 0.0:
+                    raise ConfigError(
+                        "t_end", f"the {o} run would end at t = {end:g}, before it "
+                        f"starts at t = 0; set t_end or move the pulses past t = 0")
+
     def to_dict(self) -> dict:
-        return {
-            "experiment": self.experiment,
-            "system": self.system,
-            "delta_e": self.delta_e,
-            "hydrogen": dict(self.hydrogen) if self.hydrogen is not None else None,
-            "pulses": [dict(p) for p in self.pulses],
-            "orderings": list(self.orderings),
-            "dt": self.dt,
-            "t_end": self.t_end,
-            "sample_every": self.sample_every,
-            "basis": self.basis,
-            "grid": dict(self.grid) if self.grid is not None else None,
-            "taus": list(self.taus) if self.taus is not None else None,
-            "out": self.out,
-        }
+        """Every field as JSON values: tuples become lists, dicts are copied."""
+        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
-        return _config_from_dict(raw)
+        """Build a config from parsed JSON; construction checks the fields."""
+        if not isinstance(raw, dict):
+            raise ConfigError("", f"config must be a JSON object, got {type(raw).__name__}")
+        known = {f.name for f in fields(cls)}
+        for key in raw:
+            if key not in known:
+                raise ConfigError(key, "unknown config field")
+        if "experiment" not in raw:
+            raise ConfigError("experiment", "missing required field")
+        return cls(**raw)
 
 
 _PULSE_KEYS = ("shape", "axis", "alpha", "t_k", "tau")
 _HYDROGEN_KEYS = ("delta_e_mhz", "e_fs_mhz", "gamma_mhz", "convention")
+
+
+def _plain(value):
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 def _need_number(value, path: str, *, positive=False, nonnegative=False) -> float:
@@ -131,177 +298,12 @@ def _need_number(value, path: str, *, positive=False, nonnegative=False) -> floa
     return x
 
 
-def _config_from_dict(raw: dict) -> ExperimentConfig:
-    if not isinstance(raw, dict):
-        raise ConfigError("", f"config must be a JSON object, got {type(raw).__name__}")
-    known = {f.name for f in fields(ExperimentConfig)}
-    for key in raw:
-        if key not in known:
-            raise ConfigError(key, "unknown config field")
-    if "experiment" not in raw:
-        raise ConfigError("experiment", "missing required field")
-    experiment = raw["experiment"]
-    if experiment not in EXPERIMENT_IDS:
-        raise ConfigError(
-            "experiment", f"unknown id {experiment!r}; expected one of {EXPERIMENT_IDS}")
-
-    system = raw.get("system", "model-qubit")
-    if system not in SYSTEMS:
-        raise ConfigError("system", f"expected one of {SYSTEMS}, got {system!r}")
-
-    delta_e = _need_number(raw.get("delta_e", MODEL_DELTA_E), "delta_e", positive=True)
-
-    hydrogen = raw.get("hydrogen")
-    if system == "hydrogen":
-        if not isinstance(hydrogen, dict):
-            raise ConfigError("hydrogen", "hydrogen system needs a parameter object")
-        for key in hydrogen:
-            if key not in _HYDROGEN_KEYS:
-                raise ConfigError(f"hydrogen.{key}", "unknown parameter field")
-        merged = {"convention": "plain", **hydrogen}
-        for key in ("delta_e_mhz", "e_fs_mhz"):
-            if key not in merged:
-                raise ConfigError(f"hydrogen.{key}", "missing required field")
-            merged[key] = _need_number(merged[key], f"hydrogen.{key}", positive=True)
-        if "gamma_mhz" not in merged:
-            raise ConfigError("hydrogen.gamma_mhz", "missing required field")
-        merged["gamma_mhz"] = _need_number(
-            merged["gamma_mhz"], "hydrogen.gamma_mhz", nonnegative=True)
-        if merged["convention"] not in UNIT_SCALES:
-            raise ConfigError(
-                "hydrogen.convention",
-                f"expected one of {sorted(UNIT_SCALES)}, got {merged['convention']!r}")
-        hydrogen = merged
-    elif hydrogen is not None:
-        raise ConfigError("hydrogen", "only meaningful with system = 'hydrogen'")
-
-    pulses = raw.get("pulses", [])
-    if not isinstance(pulses, (list, tuple)):
-        raise ConfigError("pulses", "expected a list of pulse objects")
-    clean_pulses = []
-    for i, p in enumerate(pulses):
-        where = f"pulses[{i}]"
-        if not isinstance(p, dict):
-            raise ConfigError(where, "expected a pulse object")
-        for key in p:
-            if key not in _PULSE_KEYS:
-                raise ConfigError(f"{where}.{key}", "unknown pulse field")
-        shape = p.get("shape", "gaussian")
-        if shape not in SHAPES:
-            raise ConfigError(f"{where}.shape", f"expected one of {SHAPES}, got {shape!r}")
-        axis = p.get("axis", "x")
-        if axis not in AXES:
-            raise ConfigError(f"{where}.axis", f"expected one of {AXES}, got {axis!r}")
-        if "alpha" not in p:
-            raise ConfigError(f"{where}.alpha", "missing required field")
-        if "t_k" not in p:
-            raise ConfigError(f"{where}.t_k", "missing required field")
-        alpha = _need_number(p["alpha"], f"{where}.alpha")
-        t_k = _need_number(p["t_k"], f"{where}.t_k")
-        tau = _need_number(p.get("tau", 0.0), f"{where}.tau", nonnegative=True)
-        if shape == "ideal" and tau != 0.0:
-            raise ConfigError(f"{where}.tau", "an ideal kick must have tau = 0")
-        if shape != "ideal" and tau <= 0.0:
-            raise ConfigError(f"{where}.tau", f"a {shape} pulse needs tau > 0")
-        clean_pulses.append(
-            {"shape": shape, "axis": axis, "alpha": alpha, "t_k": t_k, "tau": tau})
-
-    needs_pulses = experiment not in ("figure7",)
-    if needs_pulses and not clean_pulses:
-        raise ConfigError("pulses", f"experiment {experiment!r} needs at least one pulse")
-    for i, (a, b) in enumerate(zip(clean_pulses, clean_pulses[1:])):
-        if b["t_k"] <= a["t_k"]:
-            raise ConfigError(
-                f"pulses[{i + 1}].t_k", "pulse centers must be strictly increasing")
-
-    orderings = raw.get(
-        "orderings", ["forward"] if experiment == "custom" else list(ORDERINGS))
-    if not isinstance(orderings, (list, tuple)) or not orderings:
-        raise ConfigError("orderings", "expected a non-empty list")
-    for i, o in enumerate(orderings):
-        if o not in ORDERINGS:
-            raise ConfigError(
-                f"orderings[{i}]", f"expected one of {ORDERINGS}, got {o!r}")
-        if o in orderings[:i]:
-            raise ConfigError(f"orderings[{i}]", f"ordering {o!r} is listed twice")
-
-    dt = raw.get("dt")
-    if dt is not None:
-        dt = _need_number(dt, "dt", positive=True)
-    t_end = raw.get("t_end")
-    if t_end is not None:
-        t_end = _need_number(t_end, "t_end", positive=True)
-
-    sample_every = raw.get("sample_every", 1)
-    if isinstance(sample_every, bool) or not isinstance(sample_every, int):
-        raise ConfigError("sample_every", f"expected an integer, got {sample_every!r}")
-    if sample_every < 1:
-        raise ConfigError("sample_every", f"must be >= 1, got {sample_every}")
-
-    basis = raw.get("basis", "j")
-    if basis not in ("j", "coupled"):
-        raise ConfigError("basis", f"expected 'j' or 'coupled', got {basis!r}")
-
-    grid = raw.get("grid")
-    if experiment == "figure7":
-        grid = dict(grid) if grid is not None else {}
-        for key in grid:
-            if key not in ("n_epsilon", "n_phi", "phi_max"):
-                raise ConfigError(f"grid.{key}", "unknown grid field")
-        for key in ("n_epsilon", "n_phi"):
-            n = grid.get(key, 200)
-            if isinstance(n, bool) or not isinstance(n, int):
-                raise ConfigError(f"grid.{key}", f"expected an integer, got {n!r}")
-            if n < 2:
-                raise ConfigError(f"grid.{key}", f"grid sizes must be >= 2, got {n}")
-            grid[key] = n
-        grid["phi_max"] = _need_number(
-            grid.get("phi_max", 2.0 * math.pi), "grid.phi_max", positive=True)
-    elif grid is not None:
-        raise ConfigError("grid", "only meaningful for figure7")
-
-    taus = raw.get("taus")
-    if experiment == "convergence":
-        if taus is None:
-            raise ConfigError("taus", "convergence needs a list of pulse widths")
-        if not isinstance(taus, (list, tuple)) or not taus:
-            raise ConfigError("taus", "expected a non-empty list of widths")
-        clean_taus = []
-        for i, tau in enumerate(taus):
-            clean_taus.append(_need_number(tau, f"taus[{i}]", nonnegative=True))
-        for a, b in zip(clean_taus, clean_taus[1:]):
-            if b >= a:
-                raise ConfigError("taus", "widths must be strictly decreasing")
-        taus = tuple(clean_taus)
-    elif taus is not None:
-        raise ConfigError("taus", "only meaningful for convergence")
-
-    out = raw.get("out")
-    if out is not None and not isinstance(out, str):
-        raise ConfigError("out", f"expected a string path, got {out!r}")
-
-    if experiment in ("figure1", "figure2", "figure3", "figure4", "convergence"):
-        if system != "model-qubit":
-            raise ConfigError("system", f"{experiment} runs on the model qubit")
-    if experiment in ("figure5", "figure6"):
-        if system != "hydrogen":
-            raise ConfigError("system", f"{experiment} runs on hydrogen")
-
-    return ExperimentConfig(
-        experiment=experiment, system=system, delta_e=delta_e, hydrogen=hydrogen,
-        pulses=tuple(clean_pulses), orderings=tuple(orderings), dt=dt, t_end=t_end,
-        sample_every=sample_every, basis=basis, grid=grid, taus=taus, out=out)
-
-
 def _gauss(alpha: float, t_k: float, tau: float, axis: str = "x") -> dict:
     return {"shape": "gaussian", "axis": axis, "alpha": alpha, "t_k": t_k, "tau": tau}
 
 
 def default_config(experiment: str, convention: str = "plain") -> ExperimentConfig:
     """The catalog entry behind each experiment id, with the quoted parameters."""
-    if experiment not in EXPERIMENT_IDS:
-        raise ConfigError(
-            "experiment", f"unknown id {experiment!r}; expected one of {EXPERIMENT_IDS}")
     if experiment == "custom":
         raise ConfigError("experiment", "custom runs need an explicit --config file")
     if convention not in UNIT_SCALES:
@@ -336,8 +338,6 @@ def default_config(experiment: str, convention: str = "plain") -> ExperimentConf
                          _gauss(a2, t2, 1.0, axis=second_axis)]
         raw["sample_every"] = 10
     elif experiment == "figure7":
-        raw["grid"] = {"n_epsilon": 200, "n_phi": 200, "phi_max": 2.0 * math.pi}
-        raw["pulses"] = []
         raw["orderings"] = ["forward"]
     elif experiment == "convergence":
         raw["pulses"] = [{"shape": "rectangular", "axis": "x", "alpha": a3,
@@ -346,7 +346,7 @@ def default_config(experiment: str, convention: str = "plain") -> ExperimentConf
                        for w in (1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5, 1e-4,
                                  10 ** -4.5, 1e-5)]
         raw["orderings"] = ["forward"]
-    return _config_from_dict(raw)
+    return ExperimentConfig(**raw)
 
 
 @dataclass(frozen=True)
@@ -371,8 +371,8 @@ class ResultDataset:
             if not np.all(np.diff(data[:, 0]) > 0):
                 raise ValueError(f"dataset {self.name!r} times are not increasing")
 
-    def write(self, out_dir, sidecar: bool = True) -> Path:
-        """Write <name>.csv (and a JSON sidecar) atomically; return the CSV path."""
+    def write(self, out_dir) -> Path:
+        """Write <name>.csv and its JSON sidecar atomically; return the CSV path."""
         out = Path(out_dir)
         out.mkdir(parents=True, exist_ok=True)
         config_json = json.dumps(self.config, sort_keys=True)
@@ -386,18 +386,17 @@ class ResultDataset:
         ]) + "\n"
         csv_path = out / f"{self.name}.csv"
         _atomic_write(csv_path, itertools.chain([header], _csv_blocks(self.data)))
-        if sidecar:
-            payload = {
-                "version": __version__,
-                "dataset": self.name,
-                "columns": list(self.columns),
-                "rows": int(self.data.shape[0]),
-                "config": self.config,
-                "meta": self.meta,
-                "csv": csv_path.name,
-            }
-            _atomic_write(out / f"{self.name}.json",
-                          [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
+        payload = {
+            "version": __version__,
+            "dataset": self.name,
+            "columns": list(self.columns),
+            "rows": int(self.data.shape[0]),
+            "config": self.config,
+            "meta": self.meta,
+            "csv": csv_path.name,
+        }
+        _atomic_write(out / f"{self.name}.json",
+                      [json.dumps(payload, sort_keys=True, indent=2) + "\n"])
         return csv_path
 
 
@@ -439,23 +438,24 @@ def read_dataset(csv_path) -> ResultDataset:
 
     The header block is read line by line up to the column row; the body is
     parsed by ``np.loadtxt``, which skips blank and ``#`` lines. Lines may
-    end in LF or CRLF. A malformed body raises a ``ValueError`` that names
-    the file.
+    end in LF or CRLF. A malformed ``# config:`` or ``# meta:`` line or a
+    malformed body raises a ``ValueError`` that names the file.
     """
     path = Path(csv_path)
     name = path.stem
-    config: dict = {}
-    meta: dict = {}
+    provenance: dict = {"config": {}, "meta": {}}
     header: list[str] = []
     with open(path, newline="\n") as handle:
         for line in handle:
             line = line.rstrip("\r\n")
             if line.startswith("# dataset: "):
                 name = line[len("# dataset: "):]
-            elif line.startswith("# config: "):
-                config = json.loads(line[len("# config: "):])
-            elif line.startswith("# meta: "):
-                meta = json.loads(line[len("# meta: "):])
+            elif line.startswith(("# config: ", "# meta: ")):
+                key, text = line[2:].split(": ", 1)
+                try:
+                    provenance[key] = json.loads(text)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}: malformed '# {key}:' line: {exc}") from exc
             elif line and not line.startswith("#"):
                 header = line.split(",")
                 break
@@ -473,8 +473,7 @@ def read_dataset(csv_path) -> ResultDataset:
     if data.shape[1] != len(header):
         raise ValueError(f"{path}: rows have {data.shape[1]} values but the "
                          f"column row names {len(header)} columns")
-    return ResultDataset(name=name, columns=tuple(header), data=data,
-                         config=config, meta=meta)
+    return ResultDataset(name=name, columns=tuple(header), data=data, **provenance)
 
 
 def config_sequence(config: ExperimentConfig, ordering: str = "forward",
@@ -511,11 +510,19 @@ def default_end_time(seq: KickSequence) -> float:
     return last.t_k + 8.0 * last.tau + gap
 
 
+def _run_end(config: ExperimentConfig, seq: KickSequence) -> float:
+    """Where a trajectory run of ``seq``, which starts at t = 0, stops."""
+    if config.t_end is not None:
+        return config.t_end
+    if config.system == "hydrogen":
+        return max(p.support()[1] for p in seq.pulses)
+    return default_end_time(seq)
+
+
 def _hydrogen_params(config: ExperimentConfig) -> HydrogenParams:
     h = config.hydrogen
     return HydrogenParams.from_mhz(
-        h["delta_e_mhz"], h["e_fs_mhz"], h["gamma_mhz"],
-        convention=h.get("convention", "plain"))
+        h["delta_e_mhz"], h["e_fs_mhz"], h["gamma_mhz"], convention=h["convention"])
 
 
 def _warn_diagnostics(seq: KickSequence) -> None:
@@ -524,14 +531,6 @@ def _warn_diagnostics(seq: KickSequence) -> None:
     for diag in diagnostics:
         if diag.level == "warning":
             warnings.warn(diag.message, stacklevel=3)
-
-
-def _qubit_trajectory(config: ExperimentConfig, seq: KickSequence) -> Trajectory:
-    t_end = config.t_end if config.t_end is not None else default_end_time(seq)
-    model = TwoStatePulseModel(seq)
-    dt = config.dt if config.dt is not None else model.default_dt(t_end)
-    y0 = np.array([1.0, 0.0], dtype=complex)
-    return integrate(model, y0, 0.0, t_end, dt, sample_every=config.sample_every)
 
 
 def _ideal_twin(seq: KickSequence) -> KickSequence:
@@ -548,16 +547,17 @@ def _trajectory_dataset(config: ExperimentConfig, ordering: str) -> ResultDatase
     seq = config_sequence(config, ordering,
                           delta_e=None if params is None else params.delta_e)
     _warn_diagnostics(seq)
+    t_end = _run_end(config, seq)
     if params is not None:
         traj = run_pulse_sequence(
             params, seq, dt=config.dt, sample_every=config.sample_every,
-            basis=config.basis, t_end=config.t_end)
+            basis=config.basis, t_end=t_end)
         columns = ("t", "p1", "p2", "p3", "norm")
         table = np.column_stack(
             [traj.times, traj.probabilities, traj.norms])
         meta = {
             "ordering": ordering,
-            "unit_convention": config.hydrogen.get("convention", "plain"),
+            "unit_convention": config.hydrogen["convention"],
             "final_p_target": float(p_target(traj)[-1]),
             "final_norm": float(traj.norms[-1]),
             "dt": traj.dt,
@@ -565,7 +565,10 @@ def _trajectory_dataset(config: ExperimentConfig, ordering: str) -> ResultDatase
             "norm_drift": norm_drift(traj),
         }
     else:
-        traj = _qubit_trajectory(config, seq)
+        model = TwoStatePulseModel(seq)
+        dt = config.dt if config.dt is not None else model.default_dt(t_end)
+        traj = integrate(model, np.array([1.0, 0.0], dtype=complex), 0.0, t_end, dt,
+                         sample_every=config.sample_every)
         columns = ("t", "p1", "p2", "norm")
         table = np.column_stack([traj.times, traj.probabilities, traj.norms])
         u_ideal = multi_kick(_ideal_twin(seq))
@@ -604,9 +607,9 @@ def run_ordering_surface(n_epsilon: int = 200, n_phi: int = 200,
     table = np.column_stack([eg.ravel(), pg.ravel(), p2.ravel(), p2_free.ravel(),
                              (p2 - p2_free).ravel()])
     if config is None:
-        raw = default_config("figure7").to_dict()
-        raw["grid"] = {"n_epsilon": n_epsilon, "n_phi": n_phi, "phi_max": phi_max}
-        config = _config_from_dict(raw)
+        config = ExperimentConfig(
+            experiment="figure7", orderings=("forward",),
+            grid={"n_epsilon": n_epsilon, "n_phi": n_phi, "phi_max": phi_max})
     diff = table[:, 4]
     meta = {
         "unit_convention": "dimensionless",
@@ -674,16 +677,13 @@ def run_convergence(config: ExperimentConfig) -> ResultDataset:
         data=table, config=config.to_dict(), meta=meta)
 
 
-def run_experiment(config: ExperimentConfig, out_dir=None,
-                   sidecar: bool = True) -> tuple[list[ResultDataset], list[Path]]:
+def run_experiment(config: ExperimentConfig,
+                   out_dir=None) -> tuple[list[ResultDataset], list[Path]]:
     """Run one catalog experiment; optionally write its datasets.
 
     Returns (datasets, written paths) and prints the headline numbers (final
     probabilities, surface extrema, or fitted slope) to standard output.
-    A config built directly rather than by ``from_dict`` is validated and
-    completed with its defaults first.
     """
-    config = ExperimentConfig.from_dict(config.to_dict())
     if config.experiment == "figure7":
         datasets = [run_ordering_surface(**config.grid, config=config)]
         d = datasets[0]
@@ -707,5 +707,5 @@ def run_experiment(config: ExperimentConfig, out_dir=None,
     paths = []
     if out_dir is not None:
         for d in datasets:
-            paths.append(d.write(out_dir, sidecar=sidecar))
+            paths.append(d.write(out_dir))
     return datasets, paths

@@ -188,15 +188,14 @@ def p_target(traj: Trajectory) -> np.ndarray:
 
 def run_pulse_sequence(params: HydrogenParams, seq: KickSequence,
                        dt: float | None = None, sample_every: int = 1,
-                       basis: str = "j", t_end: float | None = None,
-                       state0: np.ndarray | None = None) -> Trajectory:
+                       basis: str = "j", t_end: float | None = None) -> Trajectory:
     """Integrate the driven three-state system across a pulse sequence.
 
-    Starts in 2s at t = 0 unless ``state0`` is given; runs to the last pulse's
-    support end unless ``t_end`` is given.  Default dt is tau_min/20.  Warns
-    when pulse spacings sit away from whole revival periods (the effective
-    two-state picture then breaks), when pulses are wide enough to feel the
-    2s-2p free phase, and when the run extends into the decay tail.
+    Starts in 2s at t = 0; runs to the last pulse's support end unless
+    ``t_end`` is given.  Default dt is tau_min/20.  Warns when pulse spacings
+    sit away from whole revival periods (the effective two-state picture then
+    breaks), when pulses are wide enough to feel the 2s-2p free phase, and
+    when the run extends into the decay tail.
     """
     t_r = revival_time(params)
     t_free = rabi_time(params)
@@ -223,8 +222,7 @@ def run_pulse_sequence(params: HydrogenParams, seq: KickSequence,
     model = HydrogenModel(params, seq, basis=basis)
     if dt is None:
         dt = model.default_dt(t_end)
-    if state0 is None:
-        state0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+    state0 = np.array([1.0, 0.0, 0.0], dtype=complex)
     return integrate(model, state0, 0.0, t_end, dt, sample_every=sample_every)
 
 

@@ -131,6 +131,34 @@ def test_experiment_mismatch_between_cli_and_file(tmp_path, capsys):
     assert "'custom'" in err and "'figure1'" in err
 
 
+_HYDROGEN_BLOCK = {"delta_e_mhz": 1057.0, "e_fs_mhz": 10956.0, "gamma_mhz": 626.0}
+_IDEAL_KICK = {"shape": "ideal", "axis": "x", "alpha": 0.3, "t_k": 20.0, "tau": 0.0}
+
+
+@pytest.mark.parametrize("payload, field", [
+    # an ideal kick has no width for RK4 or for the convergence scan
+    ({"experiment": "custom", "pulses": [_IDEAL_KICK]}, "pulses[0].shape"),
+    ({"experiment": "figure5", "system": "hydrogen", "hydrogen": _HYDROGEN_BLOCK,
+      "pulses": [_IDEAL_KICK]}, "pulses[0].shape"),
+    ({"experiment": "convergence", "pulses": [_IDEAL_KICK], "taus": [0.1, 0.01]},
+     "pulses[0].shape"),
+    # every pulse ends before the run starts at t = 0 and t_end is not set
+    ({"experiment": "custom", "pulses": [
+        {"shape": "gaussian", "axis": "x", "alpha": 0.3, "t_k": -5.0, "tau": 0.1}]},
+     "t_end"),
+    ({"experiment": "custom", "system": "hydrogen", "hydrogen": _HYDROGEN_BLOCK,
+      "pulses": [{"shape": "gaussian", "axis": "x", "alpha": 0.3, "t_k": -50.0,
+                  "tau": 1.0}]}, "t_end"),
+], ids=["custom-ideal", "figure5-ideal", "convergence-ideal", "qubit-before-zero",
+        "hydrogen-before-zero"])
+def test_configs_that_cannot_run_are_config_errors(tmp_path, capsys, payload, field):
+    config = _write(tmp_path, payload)
+    assert main([payload["experiment"], "--config", config,
+                 "--out", str(tmp_path)]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_overrides_are_validated(tmp_path, capsys):
     assert main(["figure1", "--out", str(tmp_path), "--dt", "0"]) == EXIT_CONFIG
     assert "must be > 0" in capsys.readouterr().err

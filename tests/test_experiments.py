@@ -1,6 +1,7 @@
 """Tests for the experiment catalog: configs, datasets, runners."""
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -62,6 +63,7 @@ def test_default_configs_cover_the_catalog():
         cfg = default_config(experiment)
         assert cfg.experiment == experiment
         assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+        assert ExperimentConfig(**cfg.to_dict()) == cfg
 
 
 def test_config_survives_a_json_round_trip():
@@ -196,6 +198,9 @@ def test_everything_else_is_validated_too():
     with pytest.raises(ConfigError, match=">= 2"):
         ExperimentConfig.from_dict(
             {**f7, "grid": {"n_epsilon": 1, "n_phi": 10}})
+    with pytest.raises(ConfigError, match="expected a grid object") as err:
+        ExperimentConfig.from_dict({**f7, "grid": [10, 10]})
+    assert _path_of(err) == "grid"
     conv = default_config("convergence").to_dict()
     with pytest.raises(ConfigError, match="decreasing"):
         ExperimentConfig.from_dict({**conv, "taus": [0.01, 0.02]})
@@ -219,6 +224,26 @@ def test_run_experiment_validates_a_directly_built_config(capsys):
         run_experiment(ExperimentConfig(experiment="convergence"))
     assert _path_of(err) == "pulses"
     capsys.readouterr()
+
+
+def test_direct_construction_fills_the_same_defaults_as_from_dict(capsys):
+    raw = _raw()
+    direct = ExperimentConfig(experiment="custom", pulses=tuple(raw["pulses"]))
+    assert direct == ExperimentConfig.from_dict(raw)
+    assert direct.orderings == ("forward",)
+    datasets, _ = run_experiment(direct)
+    assert [d.name for d in datasets] == ["custom_forward"]
+    capsys.readouterr()
+
+
+def test_replace_validates_like_from_dict():
+    cfg = default_config("figure1")
+    with pytest.raises(ConfigError) as err:
+        dataclasses.replace(cfg, dt=-1.0)
+    assert _path_of(err) == "dt"
+    with pytest.raises(ConfigError) as parsed:
+        ExperimentConfig.from_dict({**cfg.to_dict(), "dt": -1.0})
+    assert str(err.value) == str(parsed.value)
 
 
 # ----------------------------------------------------------------- sequences
@@ -345,6 +370,16 @@ def _write_csv(tmp_path, body: str):
 def test_a_row_with_the_wrong_column_count_names_the_file(tmp_path, body):
     path = _write_csv(tmp_path, body)
     with pytest.raises(ValueError, match="hand.csv"):
+        read_dataset(path)
+
+
+@pytest.mark.parametrize("key", ["config", "meta"])
+def test_a_malformed_header_line_names_the_file(tmp_path, key):
+    path = tmp_path / "hand.csv"
+    lines = {"config": "{}", "meta": "{}", key: "{not json"}
+    path.write_text(f"# dataset: hand\n# config: {lines['config']}\n"
+                    f"# meta: {lines['meta']}\na,b\n1,2\n")
+    with pytest.raises(ValueError, match=f"hand.csv: malformed '# {key}:' line"):
         read_dataset(path)
 
 
