@@ -595,10 +595,14 @@ def run_ordering_surface(n_epsilon: int = 200, n_phi: int = 200,
     epsilon = sin(dE t-/2) carries the kick spacing, phi = 2 alpha the kick
     strength; p2 = (epsilon sin phi)^2 is the ordered transfer probability of
     the opposite kick pair and p2_no_ordering = sin^2(epsilon phi) its
-    order-free counterpart.
+    order-free counterpart.  The dataset echoes ``config``, so a given
+    config must hold this grid (``ConfigError`` otherwise).
     """
     if n_epsilon < 2 or n_phi < 2:
         raise ConfigError("grid", "grid sizes must be >= 2")
+    grid = {"n_epsilon": n_epsilon, "n_phi": n_phi, "phi_max": phi_max}
+    if config is not None and config.grid != grid:
+        raise ConfigError("grid", f"the config's grid {config.grid} differs from {grid}")
     eps = np.linspace(0.0, 1.0, n_epsilon)
     phi = np.linspace(0.0, phi_max, n_phi)
     eg, pg = np.meshgrid(eps, phi, indexing="ij")
@@ -607,9 +611,7 @@ def run_ordering_surface(n_epsilon: int = 200, n_phi: int = 200,
     table = np.column_stack([eg.ravel(), pg.ravel(), p2.ravel(), p2_free.ravel(),
                              (p2 - p2_free).ravel()])
     if config is None:
-        config = ExperimentConfig(
-            experiment="figure7", orderings=("forward",),
-            grid={"n_epsilon": n_epsilon, "n_phi": n_phi, "phi_max": phi_max})
+        config = ExperimentConfig(experiment="figure7", orderings=("forward",), grid=grid)
     diff = table[:, 4]
     meta = {
         "unit_convention": "dimensionless",

@@ -9,13 +9,18 @@ hydrogen in both bases and the effective two-state surrogate, and
 
 :func:`integrate` lays the span out once as a chain of links: exact free
 flight up to each merged pulse support, that support's RK4 steps, and the
-free flight after the last one.  The RK4 step matrices of a block of links
-are built in one vectorised pass: the field of only the pulses that meet
-the block is evaluated once at all three stage times, each matrix product
-is a sum of outer products over contiguous time rows, and the stages are
-combined in place.  The state is then advanced through them one link after
-the other on Python complex scalars, unrolled for ``d = 2`` and ``d = 3``.
-The matrices equal those of the plain formula with three
+free flight after the last one.  The chain is walked in windows of links.
+The field of only the pulses that meet a window is evaluated once at all
+three stage times of its links.  Where none of them is a gaussian, the
+field is piecewise constant, and each link whose ``dt`` and stage fields
+equal the previous link's repeats its step matrix: the window is cut into
+runs of equal links, and only the first link of each run gets a matrix.
+The matrices are built in vectorised passes, each matrix product a sum of
+outer products over contiguous time rows and the stages combined in place.
+The state is then advanced through them one link after the other on
+Python complex scalars, unrolled for ``d = 2`` and ``d = 3``; a run's
+matrix is bound once and applied once per link.  Every link's matrix
+equals that of the plain formula with three
 :meth:`LinearDriveModel.hamiltonians` calls value for value, so the cost
 per step does not grow with the pulse count and the output does not move.
 """
@@ -35,10 +40,16 @@ from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z
 #: the one integration path, recorded in dataset provenance
 BACKEND = "numpy"
 
-# most links of the chain whose RK4 matrices are built in one vectorised
-# pass; small, so the (d, d, 3n) stage stack stays near 200 kB, yet large
-# enough to spread numpy's per-call cost thin
+# most RK4 matrices built in one vectorised pass, and most links of a
+# window of a chain with gaussian pulses, whose links all differ; small, so
+# the (d, d, 3n) stage stack stays near 200 kB, yet large enough to spread
+# numpy's per-call cost thin
 _BLOCK = 512
+
+# most links of a window of a chain of rectangular pulses only: its field is
+# piecewise constant, so the window needs few matrices, and a longer window
+# spreads the cost of its field pass and comparison thinner
+_RUN_WINDOW = 4096
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -72,6 +83,8 @@ class LinearDriveModel:
             raise ValueError(f"dimension must be 2 or 3, got {self.dimension}")
         self.seq = seq
         self.min_tau = min(p.tau for p in seq.pulses)
+        # every pulse is rectangular, so the field is piecewise constant
+        self._rectangular = all(p.shape == "rectangular" for p in seq.pulses)
         self._free = self._free_eigenbasis()
         # -1j times each matrix, flattened: -1j only swaps and negates the
         # parts, so g0 + v_x g_x + v_y g_y equals -1j (h0 + v_x a_x + v_y a_y)
@@ -85,10 +98,11 @@ class LinearDriveModel:
         # block.  A gaussian is nonzero wherever |(t - t_k) / tau| <= 8
         # rounds true, which can hold an ulp outside its support, so each
         # support is padded by a relative margin.
-        self._supports = [p.support() for p in seq.pulses]
+        supports = [p.support() for p in seq.pulses]
+        self._ends = np.array(supports)
         self._padded = sorted(
             (lo - 1e-9 * (abs(lo) + abs(hi)), hi + 1e-9 * (abs(lo) + abs(hi)), k)
-            for k, (lo, hi) in enumerate(self._supports))
+            for k, (lo, hi) in enumerate(supports))
         self._lo = [lo for lo, _, _ in self._padded]
         self._max_hi = list(accumulate((hi for _, hi, _ in self._padded), max))
 
@@ -118,29 +132,40 @@ class LinearDriveModel:
         return (self.h0[:, :, None] + vx * self.a_x[:, :, None]
                 + vy * self.a_y[:, :, None])
 
-    def _generators(self, times: np.ndarray, sides: np.ndarray) -> np.ndarray:
-        """``-1j H`` at ``times``, time-last ``(d, d, n)``, each time with its
-        own edge ``side``.
+    def _fields(self, starts: np.ndarray, dts: np.ndarray):
+        """The field ``(v_x, v_y)`` at the three RK4 stages of the steps
+        ``starts, dts``, each ``(3, n)`` (start, middle, end) or None for an
+        axis that nothing drives there, and whether a gaussian is part of it.
 
-        Only the pulses whose padded support meets ``times`` widened by the
-        largest ``|side|`` are evaluated, in sequence order: every other one
-        would add exactly 0.0 to the field of :func:`field_at`.
+        The stage at the start of a step sees rectangular edges from just
+        after ``t``, the stage at its end from just before ``t + dt``.  Only
+        the pulses whose padded support meets the stages are evaluated, in
+        sequence order: every other one would add exactly 0.0 to the field
+        of :func:`field_at`.
         """
-        nudge = np.abs(sides).max()
+        n = len(starts)
+        side = 1e-6 * dts
+        times = np.concatenate((starts, starts + 0.5 * dts, starts + dts))
+        sides = np.concatenate((side, np.zeros(n), -side))
+        nudge = side.max()
         first, last = times.min() - nudge, times.max() + nudge
         # the sorted supports before j end before first, those from i on
         # start after last
         j = bisect_left(self._max_hi, first)
         i = bisect_right(self._lo, last)
-        vx = vy = None
-        for k in sorted(k for _, hi, k in self._padded[j:i] if hi >= first):
-            p = self.seq.pulses[k]
-            v = p.value(times, sides)
-            if p.axis == "x":
-                vx = v if vx is None else vx + v
-            else:
-                vy = v if vy is None else vy + v
-        a = np.empty((len(self._g0), len(times)), dtype=complex)
+        pulses = [self.seq.pulses[k]
+                  for k in sorted(k for _, hi, k in self._padded[j:i] if hi >= first)]
+        smooth = any(p.shape != "rectangular" for p in pulses)
+        v = {"x": None, "y": None}
+        for p in pulses:
+            f = p.value(times, sides).reshape(3, n)
+            v[p.axis] = f if v[p.axis] is None else v[p.axis] + f
+        return v["x"], v["y"], smooth
+
+    def _generators(self, vx, vy, n: int) -> np.ndarray:
+        """``-1j H`` for the field ``(vx, vy)`` of :meth:`_fields` at ``n``
+        times, time-last ``(d, d, n)``."""
+        a = np.empty((len(self._g0), n), dtype=complex)
         a[:] = self._g0
         # an axis without a pulse here adds exact zeros: its term is left out
         terms = [v * g for v, g in ((vx, self._gx), (vy, self._gy)) if v is not None]
@@ -218,19 +243,16 @@ def _plus_eye(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _step_matrices(model, starts: np.ndarray, dts: np.ndarray) -> np.ndarray:
-    """RK4 matrices M with ``y(t + dt) = M y(t)``, time-last ``(d, d, n)``,
-    one per start time and step.
+def _rk4_matrices(model, vx, vy, dts: np.ndarray) -> np.ndarray:
+    """RK4 matrices M, time-last ``(d, d, n)``, of the steps ``dts`` whose
+    field ``(vx, vy)`` is given stage-major: at the starts, the midpoints,
+    then the ends of the steps.
 
-    The stage at the start of a step sees rectangular edges from just after
-    ``t``, the stage at its end from just before ``t + dt``.  The field is
-    evaluated once for all three stages, and the stages are combined in
-    place in the order of ``I + dt/6 (a1 + 2 k2 + 2 k3 + k4)``.
+    The stages are combined in place in the order of
+    ``I + dt/6 (a1 + 2 k2 + 2 k3 + k4)``.
     """
-    n = len(starts)
-    side = 1e-6 * dts
-    a = model._generators(np.concatenate((starts, starts + 0.5 * dts, starts + dts)),
-                          np.concatenate((side, np.zeros(n), -side)))
+    n = len(dts)
+    a = model._generators(vx, vy, 3 * n)
     a1, a2, a3 = a[:, :, :n], a[:, :, n:2 * n], a[:, :, 2 * n:]
     half = 0.5 * dts
     k2 = _matmul(a2, _plus_eye(half * a1))
@@ -243,6 +265,40 @@ def _step_matrices(model, starts: np.ndarray, dts: np.ndarray) -> np.ndarray:
     k2 += k4
     k2 *= dts / 6.0
     return _plus_eye(k2)
+
+
+def _step_matrices(model, starts: np.ndarray, dts: np.ndarray, cuts=()):
+    """RK4 matrices M with ``y(t + dt) = M y(t)`` of the links ``starts, dts``:
+    ``(mats, heads)``, one time-last ``(d, d, m)`` matrix per run of equal
+    links and the index of each run's first link.  ``heads`` is None when
+    every link is a run of its own.
+
+    The field is evaluated once for all three stages of every link (see
+    :meth:`LinearDriveModel._fields`).  Where it meets no gaussian, it is
+    piecewise constant, and a link whose ``dt`` and field
+    bits at all three stages equal those of the link before it repeats
+    that link's M bit for bit; only the first link of each run, and each
+    link in ``cuts``, gets a matrix built.  A gaussian field differs at
+    every link, so it is not compared.  The matrices are built at most
+    ``_BLOCK`` at a time.
+    """
+    *fields, smooth = model._fields(starts, dts)
+    heads = None
+    if not smooth:
+        # compared as bits, so that 0.0 and -0.0 stay apart
+        same = dts[1:] == dts[:-1]
+        for v in fields:
+            if v is not None:
+                bits = v.view(np.int64)
+                same &= (bits[:, 1:] == bits[:, :-1]).all(axis=0)
+        same[[c - 1 for c in cuts if c > 0]] = False
+        heads = np.flatnonzero(np.concatenate(([True], ~same)))
+        fields = [None if v is None else v[:, heads] for v in fields]
+        dts = dts[heads]
+    mats = [_rk4_matrices(model, *(None if v is None else v[:, c:c + _BLOCK].ravel()
+                                   for v in fields), dts[c:c + _BLOCK])
+            for c in range(0, len(dts), _BLOCK)]
+    return (mats[0] if len(mats) == 1 else np.concatenate(mats, axis=2)), heads
 
 
 def _advance2(links, y, rows: list):
@@ -267,24 +323,59 @@ def _advance3(links, y, rows: list):
     return y0, y1, y2
 
 
-_ADVANCE = {2: _advance2, 3: _advance3}
+def _walk2(runs, y, rows: list):
+    """:func:`_advance2` for runs ``(matrix entries, sampled flags)``: the
+    entries of a run are bound once and applied once per flag."""
+    y0, y1 = y
+    for (a, b, c, d), flags in runs:
+        for sampled in flags:
+            y0, y1 = a * y0 + b * y1, c * y0 + d * y1
+            if sampled:
+                rows.append((y0, y1))
+    return y0, y1
 
 
-def _rk4_nodes(model, t0: float, h: float, n_steps: int) -> list[np.ndarray]:
-    """Step nodes of RK4, one array per merged pulse support in the span.
+def _walk3(runs, y, rows: list):
+    """:func:`_walk2` for 3x3 step matrices."""
+    y0, y1, y2 = y
+    for (a, b, c, d, e, f, g, h, i), flags in runs:
+        for sampled in flags:
+            y0, y1, y2 = (a * y0 + b * y1 + c * y2, d * y0 + e * y1 + f * y2,
+                          g * y0 + h * y1 + i * y2)
+            if sampled:
+                rows.append((y0, y1, y2))
+    return y0, y1, y2
 
-    The nodes of a support are its ends, the grid points ``t0 + k h`` inside
-    it and the ends of every support inside it.  Ends within ``1e-9 h`` of a
-    grid point are moved onto it, so that no step between an end and a grid
-    point is shorter than that.  An ``h0`` without an exact free propagator
-    (at an exceptional point) makes the whole span one interval.
+
+_ADVANCE = {2: (_advance2, _walk2), 3: (_advance3, _walk3)}
+
+
+def _chain(model, t0: float, h: float, n_steps: int):
+    """The span as one chain of links: RK4 steps and exact free flights.
+
+    RK4 steps the merged pulse supports.  The nodes of a support are its
+    ends, the grid points ``t0 + k h`` inside it and the ends of every
+    support inside it.  Ends within ``1e-9 h`` of a grid point are moved
+    onto it, so that no step between an end and a grid point is shorter
+    than that.  The RK4 links are the steps between the nodes of each
+    support, returned as the arrays ``starts, ends, dts``; the nodes of all
+    supports are laid out in one pass.  A step between two grid points is
+    ``h``, so a support with no end inside a step repeats the full-span
+    grid arithmetic.  The free links, up to each support and after the last
+    one, are returned as a list of ``(k, a, b)``: the flight from ``a`` to
+    ``b`` after the first ``k`` RK4 links.  An ``h0`` without an exact free
+    propagator (at an exceptional point) makes the whole span one support.
     """
     t_end = t0 + n_steps * h
     if model._free is None:
-        return [t0 + np.arange(n_steps + 1) * h]
-    ends = np.array(model._supports)
-    grid = t0 + np.clip(np.rint((ends - t0) / h), 0, n_steps) * h
-    ends = np.clip(np.where(np.abs(ends - grid) <= 1e-9 * h, grid, ends), t0, t_end)
+        nodes = t0 + np.arange(n_steps + 1) * h
+        return nodes[:-1], nodes[1:], np.full(n_steps, h), []
+    ends = model._ends
+    grid = t0 + np.minimum(np.maximum(np.rint((ends - t0) / h), 0), n_steps) * h
+    ends = np.minimum(np.maximum(
+        np.where(np.abs(ends - grid) <= 1e-9 * h, grid, ends), t0), t_end)
+    # ends moved onto the grid are grid points already
+    off = set(ends[ends != t0 + np.rint((ends - t0) / h) * h].tolist())
     # Python sorts: numpy's first sort or unique call maps in 0.4-1.7 MB of code
     merged: list[list[float]] = []
     for lo, hi in sorted(ends.tolist()):
@@ -294,87 +385,94 @@ def _rk4_nodes(model, t0: float, h: float, n_steps: int) -> list[np.ndarray]:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
-    # ends moved onto the grid are grid points already
-    off = sorted({e for e in ends.ravel().tolist()
-                  if e != t0 + round((e - t0) / h) * h})
-    out = []
-    for lo, hi in merged:
-        k = np.arange(max(0, math.floor((lo - t0) / h)),
-                      min(n_steps, math.ceil((hi - t0) / h)) + 1)
-        grid = t0 + k * h
-        grid = grid[(grid > lo) & (grid < hi)]
-        inside = off[bisect_right(off, lo):bisect_left(off, hi)]
-        parts = np.split(grid, np.searchsorted(grid, inside))
-        nodes = [[lo], parts[0]]
-        for e, part in zip(inside, parts[1:]):
-            nodes += [[e], part]
-        out.append(np.concatenate(nodes + [[hi]]))
-    return out
-
-
-def _chain(model, t0: float, h: float, n_steps: int):
-    """The span as one chain of links: RK4 steps and exact free flights.
-
-    The RK4 links are the steps between the nodes of each merged pulse
-    support from :func:`_rk4_nodes`, returned as the arrays ``starts, ends,
-    dts``.  A step between two grid points is ``h``, so a support with no
-    end inside a step repeats the full-span grid arithmetic.  The free links,
-    up to each support and after the last one, are returned as a list of
-    ``(k, a, b)``: the flight from ``a`` to ``b`` after the first ``k`` RK4
-    links.
-    """
-    t_end = t0 + n_steps * h
-    steps, flights = [np.empty((3, 0))], []
-    at, k = t0, 0
-    for nodes in _rk4_nodes(model, t0, h, n_steps):
-        if nodes[0] > at:
-            flights.append((k, at, nodes[0]))
-        on_grid = t0 + np.rint((nodes - t0) / h) * h == nodes
-        steps.append((nodes[:-1], nodes[1:],
-                      np.where(on_grid[:-1] & on_grid[1:], h, np.diff(nodes))))
-        k += len(nodes) - 1
-        at = nodes[-1]
+    inner = sorted(off)
+    # where each node that is no grid point goes, and which are off the grid
+    extra: dict[int, float] = {}
+    support_end, flights, shift, counts = [], [], [], []
+    pos, n_grid, at = 0, 0, t0
+    for i, (lo, hi) in enumerate(merged):
+        if lo > at:
+            flights.append((pos - i, at, lo))
+        at = hi
+        # the grid points strictly inside are t0 + k h for k in [a, b]
+        # (t0 + k h grows with k), split at the ends inside the support
+        a = max(0, math.floor((lo - t0) / h))
+        while t0 + a * h <= lo:
+            a += 1
+        b = min(n_steps, math.ceil((hi - t0) / h))
+        while t0 + b * h >= hi:
+            b -= 1
+        count = max(0, b - a + 1)
+        extra[pos] = lo
+        inside = inner[bisect_right(inner, lo):bisect_left(inner, hi)]
+        for m, e in enumerate(inside):
+            # after the j - a grid points below it
+            j = min(max(math.ceil((e - t0) / h), a), b + 1)
+            while j > a and t0 + (j - 1) * h >= e:
+                j -= 1
+            while j <= b and t0 + j * h < e:
+                j += 1
+            extra[pos + 1 + j - a + m] = e
+        pos += 1 + count + len(inside)
+        extra[pos] = hi
+        support_end.append(pos)
+        # the grid points of all supports form one arange, shifted per support
+        shift.append(a - n_grid)
+        counts.append(count)
+        n_grid += count
+        pos += 1
     if at < t_end:
-        flights.append((k, at, t_end))
-    starts, ends, dts = np.concatenate(steps, axis=1)
+        flights.append((pos - len(merged), at, t_end))
+    if not merged:
+        return np.empty(0), np.empty(0), np.empty(0), flights
+    k = np.arange(n_grid) + np.repeat(shift, counts)
+    nodes = np.empty(pos)
+    is_grid = np.ones(pos, dtype=bool)
+    at_extra = list(extra)
+    is_grid[at_extra] = False
+    nodes[at_extra] = list(extra.values())
+    nodes[is_grid] = t0 + k * h
+    on_grid = np.ones(pos, dtype=bool)
+    on_grid[[p for p, e in extra.items() if e in off]] = False
+    dts = np.where(on_grid[:-1] & on_grid[1:], h, nodes[1:] - nodes[:-1])
+    starts, ends = nodes[:-1], nodes[1:]
+    if len(merged) > 1:
+        # no link from a support's end to the next one's start
+        is_link = np.ones(pos - 1, dtype=bool)
+        is_link[support_end[:-1]] = False
+        starts, ends, dts = starts[is_link], ends[is_link], dts[is_link]
     return starts, ends, dts, flights
 
 
-def _free_flight(model, y, a: float, b: float, times, states) -> list:
-    """Exact free evolution ``y(t) = V exp(-i lam (t - a)) V^-1 y(a)`` to ``b``.
+def _free_links(model, flights, times):
+    """The free flights ``(k, a, b)`` as ``(k, i0, i1, phases)``: the flight
+    after the first ``k`` RK4 links fills the samples ``times[i0:i1]`` in
+    ``(a, b]``, and ``phases`` holds ``exp(-i lam (t - a))`` at those times
+    and at ``b``.  One ``np.exp`` serves every flight."""
+    if not flights:
+        return []
+    ks, a, b = zip(*flights)
+    i = np.searchsorted(times, a + b, side="right").tolist()
+    i0, i1 = i[:len(a)], i[len(a):]
+    # each flight's sample times, then its end
+    t = np.concatenate([x for lo, hi, e in zip(i0, i1, b) for x in (times[lo:hi], (e,))])
+    m = [hi - lo + 1 for lo, hi in zip(i0, i1)]
+    phases = np.exp(-1j * ((t - np.repeat(a, m))[:, None] * model._free[0]))
+    first = list(accumulate(m, initial=0))
+    return [(k, lo, hi, phases[f:f + n]) for k, lo, hi, f, n in zip(ks, i0, i1, first, m)]
 
-    Fills the samples in ``(a, b]`` in one vectorised step and returns the
-    state at ``b``.
-    """
-    lam, v, v_inv = model._free
-    i0 = np.searchsorted(times, a, side="right")
-    i1 = np.searchsorted(times, b, side="right")
-    s = np.append(times[i0:i1], b) - a
-    y = np.asarray(y)
-    out = np.exp(-1j * np.outer(s, lam)) * (y if v is None else v_inv @ y)
+
+def _free_flight(model, y, i0: int, i1: int, phases, states) -> list:
+    """Exact free evolution ``y(t) = V exp(-i lam (t - a)) V^-1 y(a)`` of
+    :func:`_free_links`: fills ``states[i0:i1]`` and returns the state at
+    the flight's end."""
+    _, v, v_inv = model._free
+    out = phases * (y if v is None else v_inv @ y)
     if v is not None:
         out = out @ v.T
-    if not np.all(np.isfinite(out.view(float))):
-        raise IntegrationDivergedError(f"state went non-finite near t = {b:g}")
-    states[i0:i1] = out[:-1]
+    if i1 > i0:
+        states[i0:i1] = out[:-1]
     return out[-1].tolist()
-
-
-def _store(rows: list, slots: np.ndarray, done: int, times, states) -> int:
-    """Move the sampled states ``rows`` to ``states[slots[done:]]`` after one
-    finite check, which names the time of the first non-finite one, and
-    return the number of slots filled so far."""
-    if not rows:
-        return done
-    block = np.array(rows, dtype=complex)
-    slots = slots[done:done + len(rows)]
-    finite = np.isfinite(block.view(float)).all(axis=1)
-    if not finite.all():
-        raise IntegrationDivergedError(
-            f"state went non-finite near t = {times[slots[finite.argmin()]]:g}")
-    states[slots] = block
-    rows.clear()
-    return done + len(slots)
 
 
 def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
@@ -390,7 +488,8 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
     the free propagator ``exp(-i h0 s)`` is applied exactly.  An ``h0`` at
     an exceptional point has no eigenbasis for it, and RK4 then steps the
     whole span.  The state passes through the chain of links in time order,
-    one step matrix at a time (see the module docstring).  An ``h`` above
+    one step matrix at a time, and the links of a run of equal steps share
+    one matrix (see the module docstring).  An ``h`` above
     ``min_tau / 20`` triggers an accuracy warning (not an error).
 
     Raises
@@ -399,7 +498,7 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
         Non-positive ``dt``/``sample_every`` or an empty span.
     IntegrationDivergedError
         A sampled state stopped being finite; the message names the first
-        such sample, or the end of the free flight that produced it.
+        such sample.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -411,9 +510,12 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
     n_steps = max(1, round(span / dt))
     h = span / n_steps
 
-    if h > model.min_tau / 20.0 * (1.0 + 1e-12):
+    # t0 and t1 may each be an ulp or two off the ends a caller meant, and
+    # h takes its share of that: a step of exactly tau/20 must not warn
+    limit = model.min_tau / 20.0
+    if h - limit > 1e-12 * limit + 2.0 * (math.ulp(t0) + math.ulp(t1)) / n_steps:
         warnings.warn(
-            f"dt = {h:g} exceeds tau/20 = {model.min_tau / 20.0:g}; "
+            f"dt = {h:g} exceeds tau/20 = {limit:g}; "
             f"pulse sampling may be too coarse", stacklevel=2)
 
     y = np.asarray(state0, dtype=complex)
@@ -428,40 +530,59 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
     states = np.empty((len(times), model.dimension), dtype=complex)
     states[0] = y
     starts, ends, dts, flights = _chain(model, t0, h, n_steps)
+    flights = _free_links(model, flights, times)
     # the RK4 links that end on a sample time, and their sample slots
-    slots = np.searchsorted(times, ends).clip(max=len(times) - 1)
+    slots = np.minimum(np.searchsorted(times, ends), len(times) - 1)
     sampled = times[slots] == ends
     slots = slots[sampled]
-    advance = _ADVANCE[model.dimension]
+    advance, walk = _ADVANCE[model.dimension]
     y = y.tolist()
-    rows: list = []  # sampled states not yet checked and stored
-    done = 0
-    # blocks of equal size: a block's fixed numpy cost is paid whatever its
-    # length, so no short last block
-    n_blocks = math.ceil(len(starts) / _BLOCK)
-    size = math.ceil(len(starts) / n_blocks) if n_blocks else 1
+    done = 0  # sample slots filled by RK4 links
+    # windows of equal size: a window's fixed numpy cost is paid whatever
+    # its length, so no short last window.  Without a gaussian the chain
+    # needs few matrices, and longer windows spread that cost thinner.
+    cap = _RUN_WINDOW if model._rectangular else _BLOCK
+    n_windows = math.ceil(len(starts) / cap)
+    size = math.ceil(len(starts) / n_windows) if n_windows else 1
     f = 0  # the next free flight
-    # a blow-up is caught at the next sampled state, so the intermediate
-    # overflow warnings carry no extra information
+    # a blow-up shows in the samples, checked once at the end, so the
+    # intermediate overflow warnings carry no extra information
     with np.errstate(over="ignore", invalid="ignore"):
         for b0 in range(0, len(starts), size):
-            stop = b0 + size
-            mats = _step_matrices(model, starts[b0:stop], dts[b0:stop])
-            links = zip(*mats.reshape(model.dimension ** 2, -1).tolist(),
-                        sampled[b0:stop].tolist())
-            at = b0
-            # the free flights of the block, each after the RK4 links before it
-            while f < len(flights) and flights[f][0] < stop:
-                k, a, b = flights[f]
-                f += 1
-                y = advance(islice(links, k - at), y, rows)
-                done = _store(rows, slots, done, times, states)
-                y = _free_flight(model, y, a, b, times, states)
-                at = k
-            y = advance(links, y, rows)
-            done = _store(rows, slots, done, times, states)
-        for _, a, b in flights[f:]:
-            y = _free_flight(model, y, a, b, times, states)
+            stop = min(b0 + size, len(starts))
+            f1 = f  # the free flights of the window, each after its k-th link
+            while f1 < len(flights) and flights[f1][0] < stop:
+                f1 += 1
+            # a run may not carry the state across a free flight
+            cuts = [k - b0 for k, _, _, _ in flights[f:f1]]
+            mats, heads = _step_matrices(model, starts[b0:stop], dts[b0:stop], cuts)
+            entries = mats.reshape(model.dimension ** 2, -1).tolist()
+            flags = sampled[b0:stop].tolist()
+            if heads is None:
+                step, units = advance, zip(*entries, flags)
+            else:
+                heads = heads.tolist()
+                step = walk
+                units = zip(zip(*entries), (flags[i:j] for i, j
+                                            in zip(heads, heads[1:] + [len(flags)])))
+            at = 0  # links, or runs, walked so far
+            rows: list = []  # the window's sampled states
+            for cut, (_, i0, i1, phases) in zip(cuts, flights[f:f1]):
+                u = cut if heads is None else bisect_left(heads, cut)
+                y = step(islice(units, u - at), y, rows)
+                y = _free_flight(model, y, i0, i1, phases, states)
+                at = u
+            f = f1
+            y = step(units, y, rows)
+            if rows:
+                states[slots[done:done + len(rows)]] = np.array(rows, dtype=complex)
+                done += len(rows)
+        for _, i0, i1, phases in flights[f:]:
+            y = _free_flight(model, y, i0, i1, phases, states)
+    finite = np.isfinite(states.view(float)).all(axis=1)
+    if not finite.all():
+        raise IntegrationDivergedError(
+            f"state went non-finite near t = {times[finite.argmin()]:g}")
     return Trajectory.from_states(times, states, dt=h, rk4_steps=len(starts))
 
 

@@ -540,6 +540,30 @@ def test_ordering_surface_spot_values():
         run_ordering_surface(1, 5)
 
 
+@pytest.mark.parametrize("grid", [(3, 5, 2.0 * math.pi), (200, 200, math.pi)])
+def test_ordering_surface_rejects_a_config_with_another_grid(grid):
+    # the dataset echoes the config, so its grid must be the table's
+    with pytest.raises(ConfigError, match="differs") as err:
+        run_ordering_surface(*grid, config=default_config("figure7"))
+    assert err.value.path == "grid"
+    ds = run_ordering_surface(200, 200, 2.0 * math.pi, config=default_config("figure7"))
+    assert ds.data.shape[0] == 200 * 200
+
+
+@pytest.mark.parametrize("t_k", [1.0, 1.3, 1.49])
+def test_convergence_scan_at_tau_over_20_does_not_warn(t_k):
+    # the scan asks for dt = tau/20 exactly, and the window ends t_k +- 1.5
+    # tau round by about an ulp of t_k: that is no coarse step
+    config = ExperimentConfig(
+        experiment="convergence",
+        pulses=({"shape": "rectangular", "axis": "x", "alpha": 0.5, "t_k": t_k,
+                 "tau": 1e-5},), taus=(1e-5,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = run_convergence(config)
+    assert ds.data.shape == (1, 3)
+
+
 def test_convergence_scan_finds_the_first_order_law(capsys):
     ds = run_convergence(default_config("convergence"))
     capsys.readouterr()

@@ -28,7 +28,7 @@ from kickedqubit import (
     rectangular_exact,
     rk4_step,
 )
-from kickedqubit.integrator import _BLOCK, _matmul, _step_matrices
+from kickedqubit.integrator import _BLOCK, _RUN_WINDOW, _chain, _matmul, _step_matrices
 
 
 def _constant_model(h, t1):
@@ -162,6 +162,25 @@ def test_coarse_dt_warns_against_pulse_width():
         integrate(model, y0, 0.0, 2.0, 0.05)  # dt = 20 * (tau/20)
 
 
+@pytest.mark.parametrize("t_k", [1.0, 1.3, 1.49])
+def test_coarse_dt_warning_allows_for_the_rounding_of_the_span(t_k):
+    # the ends t_k -+ 1.5 tau carry a rounding of about an ulp of t_k, which
+    # makes h = span/60 exceed tau/20 by far more than 1e-12 relative; a step
+    # of twice tau/20 still warns
+    tau = 1e-5
+    model = TwoStatePulseModel(KickSequence(pulses=(
+        PulseSpec(shape="rectangular", axis="x", alpha=0.5, t_k=t_k, tau=tau),),
+        delta_e=1.0))
+    y0 = np.array([1.0, 0.0], dtype=complex)
+    t0, t1 = t_k - 0.5 * tau - tau, t_k + 0.5 * tau + tau
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        traj = integrate(model, y0, t0, t1, tau / 20.0, sample_every=60)
+    assert traj.dt > tau / 20.0 * (1.0 + 1e-12)
+    with pytest.warns(UserWarning, match="too coarse"):
+        integrate(model, y0, t0, t1, tau / 10.0)
+
+
 def test_sampling_includes_both_endpoints():
     model = _constant_model(SIGMA_Z, 1.0)
     y0 = np.array([1.0, 0.0], dtype=complex)
@@ -259,7 +278,7 @@ def test_integrate_matches_rk4_step_loop(kind):
 
 def _rectangular_train(kind):
     """Eleven short rectangular pulses with gaps, every edge off the grid of
-    ``dt``: 1,111 RK4 steps, five supports and five free links to a block.
+    ``dt``: 1,111 RK4 steps, eleven supports and their free links.
     Returns the model, the end of its run and ``dt``."""
     scale, dt = (1.0, 1e-3) if kind == "qubit" else (3.0, 3e-3)
     pulses = tuple(
@@ -275,9 +294,10 @@ def _rectangular_train(kind):
 
 @pytest.mark.parametrize("kind", ["qubit", "coupled"])
 def test_chain_of_rectangular_pulses_matches_rk4_step_loop(kind):
-    # the chain crosses blocks with several supports and free links in each;
-    # every support end is a node and the state passes from RK4 links to
-    # free links and back inside a block
+    # a window of the chain holds several supports and free links; every
+    # support end is a node and the state passes from RK4 links to free
+    # links and back inside a window (more than two run windows:
+    # test_rectangular_chain_across_run_windows_matches_rk4_step_loop)
     model, t1, dt = _rectangular_train(kind)
     n_steps, sample_every = round(t1 / dt), 7
     y = np.zeros(model.dimension, dtype=complex)
@@ -293,9 +313,9 @@ def test_chain_of_rectangular_pulses_matches_rk4_step_loop(kind):
 
 @pytest.mark.parametrize("t_k, rk4_steps", [(1.0, 2 * _BLOCK), (5.0, 0)])
 def test_last_free_flight_after_whole_blocks(t_k, rk4_steps):
-    # h = 2^-10: the support [0.5, 1.5] is exactly two blocks of steps, so
-    # the last free flight follows the last block; at t_k = 5 the support
-    # lies past the span and the run is one free flight
+    # h = 2^-10: the support [0.5, 1.5] is exactly 2 * _BLOCK steps, whole
+    # windows, so the last free flight follows the last window; at t_k = 5
+    # the support lies past the span and the run is one free flight
     seq = KickSequence(pulses=(
         PulseSpec(shape="rectangular", axis="x", alpha=0.4, t_k=t_k, tau=1.0),),
         delta_e=1.3)
@@ -337,7 +357,7 @@ _PIN_TRAIN = KickSequence(pulses=(
     delta_e=1.3)
 
 
-def _pin_blocks():
+def _pin_blocks(train=_PIN_TRAIN):
     """Blocks of RK4 links ``(starts, dts)``: the train on a grid, in
     blocks of several sizes; blocks that meet no pulse; and single links
     at every support end and up to 3 ulps either side of it, stepping
@@ -349,7 +369,7 @@ def _pin_blocks():
             yield grid[b0:b0 + size], np.full(len(grid[b0:b0 + size]), h)
     for starts in (np.linspace(3.7, 4.05, 20), np.linspace(6.0, 7.0, 33), np.array([-2.0])):
         yield starts, np.full(len(starts), h)
-    for end in np.ravel([p.support() for p in _PIN_TRAIN.pulses]):
+    for end in np.ravel([p.support() for p in train.pulses]):
         t = end
         for _ in range(3):
             t = np.nextafter(t, -np.inf)
@@ -359,25 +379,147 @@ def _pin_blocks():
             t = np.nextafter(t, np.inf)
 
 
-def _pin_models():
+def _pin_models(train=_PIN_TRAIN):
     p = default_params()
-    return (TwoStatePulseModel(_PIN_TRAIN), HydrogenModel(p, _PIN_TRAIN, basis="j"),
-            HydrogenModel(p, _PIN_TRAIN, basis="coupled"),
-            effective_two_state_model(p, _PIN_TRAIN))
+    return (TwoStatePulseModel(train), HydrogenModel(p, train, basis="j"),
+            HydrogenModel(p, train, basis="coupled"),
+            effective_two_state_model(p, train))
+
+
+def _every_link(model, starts, dts, cuts=()):
+    """The step matrix of every link, each run's matrix repeated over it."""
+    mats, heads = _step_matrices(model, starts, dts, cuts)
+    if heads is None:
+        return mats
+    return np.repeat(mats, np.diff(np.append(heads, len(starts))), axis=2)
 
 
 @pytest.mark.parametrize("model", _pin_models(), ids=["qubit", "j", "coupled", "effective"])
 def test_step_matrices_equal_the_reference_formula(model):
-    # the one field pass over the block's pulses and the in-place arithmetic
-    # change no value of any step matrix
+    # the one field pass over the block's pulses, the runs of equal links
+    # and the in-place arithmetic change no value of any step matrix
     blocks = list(_pin_blocks())
     for starts, dts in blocks:
-        assert np.array_equal(_step_matrices(model, starts, dts),
+        assert np.array_equal(_every_link(model, starts, dts, cuts=(len(starts) // 2,)),
                               _reference_step_matrices(model, starts, dts)), (starts, dts)
     # the blocks do probe a gaussian outside its support where it is nonzero
     lo, hi = _PIN_TRAIN.pulses[0].support()
     assert any(np.all(s < lo) and _PIN_TRAIN.pulses[0].value(s[0]) != 0.0
                for s, dts in blocks if dts[0] < 1e-15)
+
+
+# Rectangular pulses only: on x two that follow one another, then one that
+# overlaps the second; on y one inside the first x pulse, and one that
+# shares its window with a short x pulse.
+_PIN_RECTANGLES = KickSequence(pulses=(
+    PulseSpec(shape="rectangular", axis="x", alpha=0.4, t_k=1.0, tau=0.5),
+    PulseSpec(shape="rectangular", axis="y", alpha=-0.2, t_k=1.1, tau=0.2),
+    PulseSpec(shape="rectangular", axis="x", alpha=-0.3, t_k=1.6, tau=0.5),
+    PulseSpec(shape="rectangular", axis="x", alpha=0.25, t_k=1.8, tau=0.3),
+    PulseSpec(shape="rectangular", axis="x", alpha=0.5, t_k=3.0, tau=0.2),
+    PulseSpec(shape="rectangular", axis="y", alpha=0.3, t_k=3.1, tau=0.4)),
+    delta_e=1.3)
+
+
+@pytest.mark.parametrize("model", _pin_models(_PIN_RECTANGLES),
+                         ids=["qubit", "j", "coupled", "effective"])
+def test_rectangular_step_matrices_equal_the_reference_formula(model):
+    # on rectangular pulses only the runs of equal links change no value of
+    # any matrix, where pulses follow one another and where they overlap
+    for starts, dts in _pin_blocks(_PIN_RECTANGLES):
+        assert np.array_equal(_every_link(model, starts, dts, cuts=(len(starts) // 2,)),
+                              _reference_step_matrices(model, starts, dts)), (starts, dts)
+
+
+def test_a_block_inside_one_plateau_builds_few_matrices():
+    # on a rectangular plateau every full step has the same field and dt, so
+    # the block is one run: its matrix is built once, and every link's
+    # matrix is still the reference formula's
+    model = TwoStatePulseModel(KickSequence(pulses=(
+        PulseSpec(shape="rectangular", axis="x", alpha=0.4, t_k=1.0, tau=1.0),),
+        delta_e=1.3))
+    h = 1e-3
+    starts, dts = 0.6 + h * np.arange(_BLOCK), np.full(_BLOCK, h)
+    mats, heads = _step_matrices(model, starts, dts)
+    assert mats.shape[2] <= 3 and len(heads) == mats.shape[2]
+    assert np.array_equal(_every_link(model, starts, dts),
+                          _reference_step_matrices(model, starts, dts))
+
+
+def test_runs_break_at_a_free_flight():
+    # two plateaus of one amplitude with a free flight between them, in one
+    # window: the last step of the first and the first step of the second
+    # have the same matrix, but the state must fly free between them
+    model = TwoStatePulseModel(KickSequence(pulses=(
+        PulseSpec(shape="rectangular", axis="x", alpha=0.3, t_k=0.5, tau=0.2),
+        PulseSpec(shape="rectangular", axis="x", alpha=0.3, t_k=1.0, tau=0.2)),
+        delta_e=1.3))
+    n_steps, t1 = 150, 1.5
+    starts, _, dts, flights = _chain(model, 0.0, t1 / n_steps, n_steps)
+    (k, a, b), = [f for f in flights if 0 < f[0] < len(starts)]
+    assert (a, b) == pytest.approx((0.6, 0.9))
+    _, heads = _step_matrices(model, starts, dts)
+    assert k not in heads  # without the cut, one run would span the flight
+    y = np.array([1.0, 0.0], dtype=complex)
+    traj = integrate(model, y, 0.0, t1, t1 / n_steps, sample_every=3)
+    expected = _segmented_reference(model, y, t1, n_steps, 3)
+    assert np.max(np.abs(traj.states - expected)) < 1e-12
+
+
+def _rk4_loop(model, y, t1, n_steps, sample_every):
+    """Samples of a plain :func:`rk4_step` loop over the grid of ``[0, t1]``."""
+    h = t1 / n_steps
+    out = [y]
+    for k in range(n_steps):
+        y = rk4_step(model, y, k * h, h)
+        if (k + 1) % sample_every == 0 or k + 1 == n_steps:
+            out.append(y)
+    return np.array(out)
+
+
+def test_constant_hamiltonian_runs_match_rk4_step_loop():
+    # one run per window, over more than two windows
+    rng = np.random.default_rng(62)
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    model = _constant_model(0.5 * (a + a.conj().T), 3.0)
+    n_steps, sample_every = 2 * _RUN_WINDOW + 77, 7
+    y = np.array([1.0, 0.0, 0.0], dtype=complex)
+    traj = integrate(model, y, 0.0, 3.0, 3.0 / n_steps, sample_every=sample_every)
+    assert traj.rk4_steps == n_steps
+    expected = _rk4_loop(model, y, 3.0, n_steps, sample_every)
+    assert np.max(np.abs(traj.states - expected)) < 1e-12
+
+
+def test_exceptional_point_runs_match_rk4_step_loop():
+    # without an eigenbasis for h0, RK4 steps the gaps too: they are runs
+    # of zero field, and the rectangular plateau one more
+    h0 = np.array([[0.0, 0.25], [0.25, -0.5j]])
+    seq = KickSequence(pulses=(
+        PulseSpec(shape="rectangular", axis="y", alpha=0.6, t_k=1.00037, tau=0.5),),
+        delta_e=1.0)
+    model = LinearDriveModel(h0, SIGMA_X, SIGMA_Y, seq)
+    assert model._free is None
+    n_steps, sample_every = 4000, 50
+    y = np.array([1.0, 0.0], dtype=complex)
+    traj = integrate(model, y, 0.0, 2.0, 2.0 / n_steps, sample_every=sample_every)
+    expected = _rk4_loop(model, y, 2.0, n_steps, sample_every)
+    assert np.max(np.abs(traj.states - expected)) < 1e-12
+    assert abs(traj.probabilities[-1, 1]) > 1e-3  # the drive acted
+
+
+def test_rectangular_chain_across_run_windows_matches_rk4_step_loop():
+    # more links than two run windows hold, with free flights inside them
+    model = TwoStatePulseModel(KickSequence(pulses=tuple(
+        PulseSpec(shape="rectangular", axis="xy"[i % 2], alpha=0.3 - 0.1 * i,
+                  t_k=0.4 + 0.6 * i + 0.000371, tau=0.5) for i in range(4)),
+        delta_e=1.3))
+    n_steps, sample_every, t1 = 12_000, 7, 2.5
+    y = np.array([1.0, 0.0], dtype=complex)
+    traj = integrate(model, y, 0.0, t1, t1 / n_steps, sample_every=sample_every)
+    assert traj.rk4_steps > 2 * _RUN_WINDOW
+    expected = _segmented_reference(model, y, t1, n_steps, sample_every)
+    assert np.max(np.abs(traj.states - expected)) < 1e-12
+    assert abs(traj.probabilities[-1, 0] - 1.0) > 1e-2  # the drive acted
 
 
 def _gaussian_train(n):

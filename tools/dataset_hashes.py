@@ -11,7 +11,10 @@ order and file by file in name order.  For sweep_sparse and sweep_dense it
 runs the first ``--ops`` operations of the seed plus the workload's fixed
 accuracy panel through ``run_experiment`` and prints one SHA-256 per
 workload over every dataset's ``data`` bytes and its ``meta`` (as sorted
-JSON).  Run it in two checkouts and compare the lines.  It imports the
+JSON).  The ``dataset_io`` line does the same for the first ``--ops``
+convergence tables of that workload plus its accuracy panel: many short,
+one-sample ``integrate`` calls on a single rectangular pulse.  Run it in two
+checkouts and compare the lines.  It imports the
 package from ``src/`` and the workloads from ``perfbench/`` of the checkout
 it sits in.
 """
@@ -33,7 +36,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import kickedqubit as kq  # noqa: E402
-from workloads import SweepWorkload  # noqa: E402
+from workloads import DatasetIOWorkload, SweepWorkload  # noqa: E402
 
 
 def main(argv=None) -> int:
@@ -63,7 +66,27 @@ def main(argv=None) -> int:
                 digest.update(np.ascontiguousarray(ds.data).tobytes())
                 digest.update(json.dumps(ds.meta, sort_keys=True).encode())
         print(f"{name} {len(ops)} operations {digest.hexdigest()}")
+    with tempfile.TemporaryDirectory() as tmp:
+        workload = DatasetIOWorkload(args.seed, Path(tmp))
+        ops = []
+        while len(ops) < args.ops:
+            op = workload.next_op()
+            if op["kind"] == "convergence":
+                ops.append(op)
+        digest = hashlib.sha256()
+        for op in ops + workload.accuracy_panel():
+            ds = workload._build(op, _NoSpans())
+            digest.update(np.ascontiguousarray(ds.data).tobytes())
+            digest.update(json.dumps(ds.meta, sort_keys=True).encode())
+    print(f"dataset_io {len(ops)} convergence tables + panel {digest.hexdigest()}")
     return 0
+
+
+class _NoSpans:
+    """The tracer the workload's table builder expects, recording nothing."""
+
+    def span(self, *args, **kwargs):
+        return contextlib.nullcontext()
 
 
 if __name__ == "__main__":
