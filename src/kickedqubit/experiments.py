@@ -500,11 +500,14 @@ def config_sequence(config: ExperimentConfig, ordering: str = "forward",
 
 def default_end_time(seq: KickSequence) -> float:
     """Last pulse center + 8 tau + one free interval (half a free period if
-    the sequence has a single pulse)."""
+    the sequence has a single pulse, so ``delta_e = 0`` needs ``t_end``)."""
     centers = sorted(p.t_k for p in seq.pulses)
     last = max(seq.pulses, key=lambda p: p.t_k)
     if len(centers) > 1:
         gap = centers[-1] - centers[-2]
+    elif seq.delta_e == 0.0:
+        raise ValueError("a single pulse with delta_e = 0 has no free period "
+                         "to end on; pass t_end")
     else:
         gap = math.pi / abs(seq.delta_e)
     return last.t_k + 8.0 * last.tau + gap
@@ -517,12 +520,6 @@ def _run_end(config: ExperimentConfig, seq: KickSequence) -> float:
     if config.system == "hydrogen":
         return max(p.support()[1] for p in seq.pulses)
     return default_end_time(seq)
-
-
-def _hydrogen_params(config: ExperimentConfig) -> HydrogenParams:
-    h = config.hydrogen
-    return HydrogenParams.from_mhz(
-        h["delta_e_mhz"], h["e_fs_mhz"], h["gamma_mhz"], convention=h["convention"])
 
 
 def _warn_diagnostics(seq: KickSequence) -> None:
@@ -543,7 +540,8 @@ def _ideal_twin(seq: KickSequence) -> KickSequence:
 
 
 def _trajectory_dataset(config: ExperimentConfig, ordering: str) -> ResultDataset:
-    params = _hydrogen_params(config) if config.system == "hydrogen" else None
+    params = (HydrogenParams.from_mhz(**config.hydrogen)
+              if config.system == "hydrogen" else None)
     seq = config_sequence(config, ordering,
                           delta_e=None if params is None else params.delta_e)
     _warn_diagnostics(seq)
@@ -552,38 +550,24 @@ def _trajectory_dataset(config: ExperimentConfig, ordering: str) -> ResultDatase
         traj = run_pulse_sequence(
             params, seq, dt=config.dt, sample_every=config.sample_every,
             basis=config.basis, t_end=t_end)
-        columns = ("t", "p1", "p2", "p3", "norm")
-        table = np.column_stack(
-            [traj.times, traj.probabilities, traj.norms])
-        meta = {
-            "ordering": ordering,
-            "unit_convention": config.hydrogen["convention"],
-            "final_p_target": float(p_target(traj)[-1]),
-            "final_norm": float(traj.norms[-1]),
-            "dt": traj.dt,
-            "rk4_steps": traj.rk4_steps,
-            "norm_drift": norm_drift(traj),
-        }
+        system_meta = {"unit_convention": config.hydrogen["convention"],
+                       "final_p_target": float(p_target(traj)[-1])}
     else:
         model = TwoStatePulseModel(seq)
         dt = config.dt if config.dt is not None else model.default_dt(t_end)
         traj = integrate(model, np.array([1.0, 0.0], dtype=complex), 0.0, t_end, dt,
                          sample_every=config.sample_every)
-        columns = ("t", "p1", "p2", "norm")
-        table = np.column_stack([traj.times, traj.probabilities, traj.norms])
         u_ideal = multi_kick(_ideal_twin(seq))
-        meta = {
-            "ordering": ordering,
-            "unit_convention": "dimensionless",
-            "final_p2": float(traj.probabilities[-1, 1]),
-            "final_norm": float(traj.norms[-1]),
-            "ideal_final_p2": float(abs(u_ideal[1, 0]) ** 2),
-            "dt": traj.dt,
-            "rk4_steps": traj.rk4_steps,
-            "norm_drift": norm_drift(traj),
-        }
+        system_meta = {"unit_convention": "dimensionless",
+                       "final_p2": float(traj.probabilities[-1, 1]),
+                       "ideal_final_p2": float(abs(u_ideal[1, 0]) ** 2)}
+    levels = traj.probabilities.shape[1]
+    meta = {"ordering": ordering, **system_meta, "final_norm": float(traj.norms[-1]),
+            "dt": traj.dt, "rk4_steps": traj.rk4_steps, "norm_drift": norm_drift(traj)}
     return ResultDataset(
-        name=f"{config.experiment}_{ordering}", columns=columns, data=table,
+        name=f"{config.experiment}_{ordering}",
+        columns=("t", *(f"p{i}" for i in range(1, levels + 1)), "norm"),
+        data=np.column_stack([traj.times, traj.probabilities, traj.norms]),
         config=config.to_dict(), meta=meta)
 
 
@@ -596,12 +580,13 @@ def run_ordering_surface(n_epsilon: int = 200, n_phi: int = 200,
     strength; p2 = (epsilon sin phi)^2 is the ordered transfer probability of
     the opposite kick pair and p2_no_ordering = sin^2(epsilon phi) its
     order-free counterpart.  The dataset echoes ``config``, so a given
-    config must hold this grid (``ConfigError`` otherwise).
+    config must hold this grid (``ConfigError`` otherwise); without one, the
+    figure7 config of this grid is built, and it checks the grid.
     """
-    if n_epsilon < 2 or n_phi < 2:
-        raise ConfigError("grid", "grid sizes must be >= 2")
     grid = {"n_epsilon": n_epsilon, "n_phi": n_phi, "phi_max": phi_max}
-    if config is not None and config.grid != grid:
+    if config is None:
+        config = ExperimentConfig(experiment="figure7", orderings=("forward",), grid=grid)
+    elif config.grid != grid:
         raise ConfigError("grid", f"the config's grid {config.grid} differs from {grid}")
     eps = np.linspace(0.0, 1.0, n_epsilon)
     phi = np.linspace(0.0, phi_max, n_phi)
@@ -610,8 +595,6 @@ def run_ordering_surface(n_epsilon: int = 200, n_phi: int = 200,
     p2_free = np.sin(eg * pg) ** 2
     table = np.column_stack([eg.ravel(), pg.ravel(), p2.ravel(), p2_free.ravel(),
                              (p2 - p2_free).ravel()])
-    if config is None:
-        config = ExperimentConfig(experiment="figure7", orderings=("forward",), grid=grid)
     diff = table[:, 4]
     meta = {
         "unit_convention": "dimensionless",

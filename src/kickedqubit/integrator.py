@@ -358,10 +358,11 @@ def _chain(model, t0: float, h: float, n_steps: int):
     support inside it.  Ends within ``1e-9 h`` of a grid point are moved
     onto it, so that no step between an end and a grid point is shorter
     than that.  The RK4 links are the steps between the nodes of each
-    support, returned as the arrays ``starts, ends, dts``; the nodes of all
-    supports are laid out in one pass.  A step between two grid points is
-    ``h``, so a support with no end inside a step repeats the full-span
-    grid arithmetic.  The free links, up to each support and after the last
+    support, returned as the arrays ``starts, ends, dts``.  The grid points
+    of all supports form one array, and one search places every end after
+    the grid points below it.  A step between two grid points is ``h``, so
+    a support with no end inside a step repeats the full-span grid
+    arithmetic.  The free links, up to each support and after the last
     one, are returned as a list of ``(k, a, b)``: the flight from ``a`` to
     ``b`` after the first ``k`` RK4 links.  An ``h0`` without an exact free
     propagator (at an exceptional point) makes the whole span one support.
@@ -374,8 +375,7 @@ def _chain(model, t0: float, h: float, n_steps: int):
     grid = t0 + np.minimum(np.maximum(np.rint((ends - t0) / h), 0), n_steps) * h
     ends = np.minimum(np.maximum(
         np.where(np.abs(ends - grid) <= 1e-9 * h, grid, ends), t0), t_end)
-    # ends moved onto the grid are grid points already
-    off = set(ends[ends != t0 + np.rint((ends - t0) / h) * h].tolist())
+    off = set(ends[ends != grid].tolist())
     # Python sorts: numpy's first sort or unique call maps in 0.4-1.7 MB of code
     merged: list[list[float]] = []
     for lo, hi in sorted(ends.tolist()):
@@ -386,62 +386,45 @@ def _chain(model, t0: float, h: float, n_steps: int):
         else:
             merged.append([lo, hi])
     inner = sorted(off)
-    # where each node that is no grid point goes, and which are off the grid
-    extra: dict[int, float] = {}
-    support_end, flights, shift, counts = [], [], [], []
-    pos, n_grid, at = 0, 0, t0
-    for i, (lo, hi) in enumerate(merged):
+    edges, last, flights, shift, counts = [], [], [], [], []
+    links, n_grid, at = 0, 0, t0
+    for lo, hi in merged:
         if lo > at:
-            flights.append((pos - i, at, lo))
+            flights.append((links, at, lo))
         at = hi
-        # the grid points strictly inside are t0 + k h for k in [a, b]
-        # (t0 + k h grows with k), split at the ends inside the support
-        a = max(0, math.floor((lo - t0) / h))
-        while t0 + a * h <= lo:
-            a += 1
-        b = min(n_steps, math.ceil((hi - t0) / h))
-        while t0 + b * h >= hi:
-            b -= 1
-        count = max(0, b - a + 1)
-        extra[pos] = lo
+        # the grid points strictly inside are t0 + k h for first <= k <
+        # first + count: each end lies within h/2 of its nearest grid point
+        # t0 + r h, so the comparison with that point decides
+        r = round((lo - t0) / h)
+        first = r + (lo >= t0 + r * h)
+        r = round((hi - t0) / h)
+        count = r + (hi > t0 + r * h) - first
         inside = inner[bisect_right(inner, lo):bisect_left(inner, hi)]
-        for m, e in enumerate(inside):
-            # after the j - a grid points below it
-            j = min(max(math.ceil((e - t0) / h), a), b + 1)
-            while j > a and t0 + (j - 1) * h >= e:
-                j -= 1
-            while j <= b and t0 + j * h < e:
-                j += 1
-            extra[pos + 1 + j - a + m] = e
-        pos += 1 + count + len(inside)
-        extra[pos] = hi
-        support_end.append(pos)
+        edges += [lo, *inside, hi]
+        last.append(len(edges) - 1)
         # the grid points of all supports form one arange, shifted per support
-        shift.append(a - n_grid)
+        shift.append(first - n_grid)
         counts.append(count)
         n_grid += count
-        pos += 1
+        links += count + len(inside) + 1
     if at < t_end:
-        flights.append((pos - len(merged), at, t_end))
+        flights.append((links, at, t_end))
     if not merged:
         return np.empty(0), np.empty(0), np.empty(0), flights
-    k = np.arange(n_grid) + np.repeat(shift, counts)
-    nodes = np.empty(pos)
-    is_grid = np.ones(pos, dtype=bool)
-    at_extra = list(extra)
-    is_grid[at_extra] = False
-    nodes[at_extra] = list(extra.values())
-    nodes[is_grid] = t0 + k * h
-    on_grid = np.ones(pos, dtype=bool)
-    on_grid[[p for p, e in extra.items() if e in off]] = False
+    points = t0 + (np.arange(n_grid) + np.repeat(shift, counts)) * h
+    # each end goes after the grid points below it
+    place = np.searchsorted(points, edges) + np.arange(len(edges))
+    on_grid = np.ones(len(points) + len(edges), dtype=bool)
+    on_grid[place] = False
+    nodes = np.empty(len(on_grid))
+    nodes[on_grid] = points
+    nodes[place] = edges
+    on_grid[place] = [e not in off for e in edges]
     dts = np.where(on_grid[:-1] & on_grid[1:], h, nodes[1:] - nodes[:-1])
-    starts, ends = nodes[:-1], nodes[1:]
-    if len(merged) > 1:
-        # no link from a support's end to the next one's start
-        is_link = np.ones(pos - 1, dtype=bool)
-        is_link[support_end[:-1]] = False
-        starts, ends, dts = starts[is_link], ends[is_link], dts[is_link]
-    return starts, ends, dts, flights
+    # no link from a support's end to the next one's start
+    is_link = np.ones(len(dts), dtype=bool)
+    is_link[place[last[:-1]]] = False
+    return nodes[:-1][is_link], nodes[1:][is_link], dts[is_link], flights
 
 
 def _free_links(model, flights, times):

@@ -275,6 +275,15 @@ def test_default_end_time():
     assert default_end_time(one) == pytest.approx(1.0 + 8 * 0.02 + math.pi / 2)
 
 
+def test_default_end_time_of_a_single_pulse_without_splitting_asks_for_t_end():
+    # half a free period is pi / |delta_e|, which delta_e = 0 does not have
+    one = KickSequence(pulses=(
+        PulseSpec(shape="gaussian", axis="x", alpha=0.3, t_k=1.0, tau=0.01),),
+        delta_e=0.0)
+    with pytest.raises(ValueError, match="delta_e.*t_end"):
+        default_end_time(one)
+
+
 # ------------------------------------------------------------------ datasets
 
 def test_dataset_rejects_bad_tables():

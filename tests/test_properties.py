@@ -2,7 +2,10 @@
 
 Each example is a qubit, a hydrogen j-basis or a hydrogen coupled-basis
 model driven by one to three pulses with free flight before, between and
-after their supports; the span may start inside the first support.
+after their supports; the span may start inside the first support.  The
+chain layout of ``integrate`` is also checked on its own against a plain
+reference, over supports that touch, overlap, sit on or near the grid, or
+reach past the span.
 """
 from __future__ import annotations
 
@@ -17,11 +20,15 @@ from kickedqubit import (
     HydrogenModel,
     HydrogenParams,
     KickSequence,
+    LinearDriveModel,
     PulseSpec,
+    SIGMA_X,
+    SIGMA_Y,
     TwoStatePulseModel,
     field_at,
     integrate,
 )
+from kickedqubit.integrator import _chain
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -128,3 +135,99 @@ def test_sample_times_are_the_grid_points(run):
         ks = np.append(ks, n_steps)
     assert np.array_equal(traj.times, t0 + ks * traj.dt)  # bit for bit
     assert traj.dt == (t_end - t0) / n_steps
+
+
+# support ends on this dyadic lattice make exact centres and widths, so two
+# pulses can share an end exactly
+_LATTICE = 2.0 ** -7
+
+
+@st.composite
+def chain_layouts(draw):
+    """``(model, t0, h, n_steps)`` of a random layout for :func:`_chain`.
+
+    Each support end is a lattice point (on or off the grid; shared ends
+    make touching and overlapping supports) or lies within a few 1e-9 h of
+    a grid point.  Supports may reach past ``t0`` or ``t_end``, or lie
+    wholly outside the span.  Some models have an ``h0`` at an exceptional
+    point, which has no exact free propagator.
+    """
+    n_steps = draw(st.integers(1, 300))
+    h = draw(st.one_of(st.sampled_from([2.0 ** -5, 2.0 ** -7]), st.floats(0.003, 0.05)))
+    t0 = draw(st.integers(-64, 64)) * _LATTICE
+    span = n_steps * h
+    lattice = st.integers(math.floor((t0 - 0.3 * span) / _LATTICE) - 2,
+                          math.ceil((t0 + 1.3 * span) / _LATTICE) + 2).map(
+                              lambda m: m * _LATTICE)
+    near_grid = st.tuples(st.integers(0, n_steps),
+                          st.sampled_from([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0])).map(
+                              lambda kc: t0 + kc[0] * h + kc[1] * 1e-9 * h)
+    end = st.one_of(lattice, near_grid)
+    pulses = []
+    for _ in range(draw(st.integers(1, 6))):
+        lo, hi = sorted((draw(end), draw(end)))
+        if lo == hi:
+            hi += _LATTICE
+        shape = draw(st.sampled_from(("gaussian", "rectangular")))
+        tau = (hi - lo) / (16.0 if shape == "gaussian" else 1.0)
+        pulses.append(PulseSpec(shape=shape, axis="x", alpha=0.3,
+                                t_k=0.5 * (lo + hi), tau=tau))
+    seq = KickSequence(pulses=tuple(pulses), delta_e=1.0)
+    if draw(st.integers(0, 9)) == 7:
+        h0 = np.array([[0.0, 0.25], [0.25, -0.5j]])  # an exceptional point
+        model = LinearDriveModel(h0, SIGMA_X, SIGMA_Y, seq)
+    else:
+        model = TwoStatePulseModel(seq)
+    return model, t0, h, n_steps
+
+
+def _reference_chain(model, t0, h, n_steps):
+    """The chain of :func:`_chain`, support by support: each merged support
+    is the sorted union of the grid points strictly inside it, its ends and
+    the off-grid ends inside it."""
+    grid = [t0 + k * h for k in range(n_steps + 1)]
+    t_end = grid[-1]
+    if model._free is None:
+        return grid[:-1], grid[1:], [h] * n_steps, []
+    on_grid = set(grid)
+
+    def moved(e):
+        # onto a grid point within 1e-9 h, then into the span
+        g = min(grid, key=lambda p: abs(p - e))
+        return min(max(g if abs(e - g) <= 1e-9 * h else e, t0), t_end)
+
+    supports = sorted((moved(lo), moved(hi)) for lo, hi in
+                      (p.support() for p in model.seq.pulses))
+    off = {e for s in supports for e in s if e not in on_grid}
+    merged = []
+    for lo, hi in supports:
+        if lo >= hi:
+            continue
+        if merged and lo <= merged[-1][1]:
+            merged[-1][1] = max(merged[-1][1], hi)
+        else:
+            merged.append([lo, hi])
+    starts, ends, dts, flights, at = [], [], [], [], t0
+    for lo, hi in merged:
+        if lo > at:
+            flights.append((len(starts), at, lo))
+        at = hi
+        nodes = sorted({g for g in grid if lo < g < hi} | {lo, hi}
+                       | {e for e in off if lo < e < hi})
+        for a, b in zip(nodes, nodes[1:]):
+            starts.append(a)
+            ends.append(b)
+            dts.append(h if a in on_grid and b in on_grid else b - a)
+    if at < t_end:
+        flights.append((len(starts), at, t_end))
+    return starts, ends, dts, flights
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_layouts())
+def test_chain_matches_the_reference_layout(layout):
+    *got, flights = _chain(*layout)
+    *expected, expected_flights = _reference_chain(*layout)
+    for a, b in zip(got, expected):
+        assert np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+    assert flights == expected_flights
