@@ -206,6 +206,45 @@ def test_everything_else_is_validated_too():
         ExperimentConfig.from_dict({**conv, "taus": [0.01, 0.02]})
 
 
+def _pulse(**overrides) -> dict:
+    return {**_raw()["pulses"][0], **overrides}
+
+
+_CONVERGENCE = {"experiment": "convergence", "pulses": [_pulse(shape="rectangular")]}
+
+
+@pytest.mark.parametrize("build, path, fragment", [
+    (lambda: ExperimentConfig.from_dict(_raw(pulses="x")), "pulses", "list"),
+    (lambda: ExperimentConfig.from_dict(_raw(pulses=[3])), "pulses[0]", "object"),
+    (lambda: ExperimentConfig.from_dict(_raw(pulses=[_pulse(color="red")])),
+     "pulses[0].color", "unknown"),
+    (lambda: ExperimentConfig.from_dict(_raw(pulses=[_pulse(axis="z")])),
+     "pulses[0].axis", "'z'"),
+    (lambda: ExperimentConfig.from_dict(
+        {"experiment": "figure7", "grid": {"n_epsilon": 10, "size": 3}}),
+     "grid.size", "unknown"),
+    (lambda: ExperimentConfig.from_dict(
+        {"experiment": "figure7", "grid": {"n_epsilon": 10.0}}),
+     "grid.n_epsilon", "integer"),
+    (lambda: ExperimentConfig.from_dict(_CONVERGENCE), "taus", "list"),
+    (lambda: ExperimentConfig.from_dict({**_CONVERGENCE, "taus": []}),
+     "taus", "non-empty"),
+    (lambda: ExperimentConfig.from_dict(_raw(out=3)), "out", "string"),
+    (lambda: ExperimentConfig.from_dict(["custom"]), "", "JSON object"),
+    (lambda: ExperimentConfig.from_dict(_raw(delta_e="1")), "delta_e", "number"),
+    (lambda: ExperimentConfig.from_dict(_raw(dt=math.inf)), "dt", "finite"),
+    (lambda: ExperimentConfig.from_dict(_raw(pulses=[_pulse(tau=-0.1)])),
+     "pulses[0].tau", ">= 0"),
+    (lambda: default_config("figure5", convention="natural"),
+     "hydrogen.convention", "'natural'"),
+])
+def test_config_errors_name_their_field(build, path, fragment):
+    with pytest.raises(ConfigError) as err:
+        build()
+    assert _path_of(err) == path
+    assert fragment in str(err.value)
+
+
 def test_an_ordering_listed_twice_is_rejected():
     for orderings in (["forward", "forward"], ("reversed", "reversed")):
         with pytest.raises(ConfigError, match="listed twice") as err:
