@@ -21,7 +21,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,10 +47,13 @@ from .pulses import (
     validate_sequence,
 )
 
-EXPERIMENT_IDS = (
-    "figure1", "figure2", "figure3", "figure4", "figure5", "figure6",
-    "figure7", "convergence", "custom",
-)
+#: the system each experiment runs on; None where either will do
+_SYSTEM_OF = {
+    "figure1": "model-qubit", "figure2": "model-qubit", "figure3": "model-qubit",
+    "figure4": "model-qubit", "figure5": "hydrogen", "figure6": "hydrogen",
+    "figure7": None, "convergence": "model-qubit", "custom": None,
+}
+EXPERIMENT_IDS = tuple(_SYSTEM_OF)
 SYSTEMS = ("model-qubit", "hydrogen")
 ORDERINGS = ("forward", "reversed")
 
@@ -101,68 +104,42 @@ class ExperimentConfig:
         def put(name: str, value) -> None:
             object.__setattr__(self, name, value)
 
-        experiment, system = self.experiment, self.system
-        if experiment not in EXPERIMENT_IDS:
-            raise ConfigError(
-                "experiment", f"unknown id {experiment!r}; expected one of {EXPERIMENT_IDS}")
-        if system not in SYSTEMS:
-            raise ConfigError("system", f"expected one of {SYSTEMS}, got {system!r}")
+        experiment = _need_choice(self.experiment, "experiment", EXPERIMENT_IDS, "id")
+        system = _need_choice(self.system, "system", SYSTEMS)
 
         put("delta_e", _need_number(self.delta_e, "delta_e", positive=True))
 
         hydrogen = self.hydrogen
         if system == "hydrogen":
-            if not isinstance(hydrogen, dict):
-                raise ConfigError("hydrogen", "hydrogen system needs a parameter object")
-            for key in hydrogen:
-                if key not in _HYDROGEN_KEYS:
-                    raise ConfigError(f"hydrogen.{key}", "unknown parameter field")
-            merged = {"convention": "plain", **hydrogen}
-            for key in ("delta_e_mhz", "e_fs_mhz", "gamma_mhz"):
-                if key not in merged:
-                    raise ConfigError(f"hydrogen.{key}", "missing required field")
+            numbers = _HYDROGEN_KEYS[:3]
+            merged = {"convention": "plain", **_need_object(
+                hydrogen, "hydrogen", _HYDROGEN_KEYS, numbers, "a parameter object")}
+            for key in numbers:
                 merged[key] = _need_number(merged[key], f"hydrogen.{key}",
                                            positive=key != "gamma_mhz", nonnegative=True)
-            if merged["convention"] not in UNIT_SCALES:
-                raise ConfigError(
-                    "hydrogen.convention",
-                    f"expected one of {sorted(UNIT_SCALES)}, got {merged['convention']!r}")
+            _need_choice(merged["convention"], "hydrogen.convention", tuple(UNIT_SCALES))
             put("hydrogen", merged)
         elif hydrogen is not None:
             raise ConfigError("hydrogen", "only meaningful with system = 'hydrogen'")
 
-        if not isinstance(self.pulses, (list, tuple)):
-            raise ConfigError("pulses", "expected a list of pulse objects")
         pulses = []
-        for i, p in enumerate(self.pulses):
+        for i, raw in enumerate(_need_list(self.pulses, "pulses")):
             where = f"pulses[{i}]"
-            if not isinstance(p, dict):
-                raise ConfigError(where, "expected a pulse object")
-            for key in p:
-                if key not in _PULSE_KEYS:
-                    raise ConfigError(f"{where}.{key}", "unknown pulse field")
-            shape = p.get("shape", "gaussian")
-            if shape not in SHAPES:
-                raise ConfigError(f"{where}.shape", f"expected one of {SHAPES}, got {shape!r}")
-            axis = p.get("axis", "x")
-            if axis not in AXES:
-                raise ConfigError(f"{where}.axis", f"expected one of {AXES}, got {axis!r}")
-            for key in ("alpha", "t_k"):
-                if key not in p:
-                    raise ConfigError(f"{where}.{key}", "missing required field")
-            alpha = _need_number(p["alpha"], f"{where}.alpha")
-            t_k = _need_number(p["t_k"], f"{where}.t_k")
-            tau = _need_number(p.get("tau", 0.0), f"{where}.tau", nonnegative=True)
-            if shape == "ideal" and tau != 0.0:
+            raw = _need_object(raw, where, _PULSE_KEYS, ("alpha", "t_k"), "a pulse object")
+            p = {**_PULSE_DEFAULTS, **raw}
+            shape = _need_choice(p["shape"], f"{where}.shape", SHAPES)
+            _need_choice(p["axis"], f"{where}.axis", AXES)
+            for key in ("alpha", "t_k", "tau"):
+                p[key] = _need_number(p[key], f"{where}.{key}", nonnegative=key == "tau")
+            if shape == "ideal" and p["tau"] != 0.0:
                 raise ConfigError(f"{where}.tau", "an ideal kick must have tau = 0")
-            if shape != "ideal" and tau <= 0.0:
+            if shape != "ideal" and p["tau"] <= 0.0:
                 raise ConfigError(f"{where}.tau", f"a {shape} pulse needs tau > 0")
             if shape == "ideal" and experiment != "figure7":
                 raise ConfigError(
                     f"{where}.shape", f"{experiment} integrates its pulses, and an "
                     f"ideal kick has no width to integrate; use gaussian or rectangular")
-            pulses.append(
-                {"shape": shape, "axis": axis, "alpha": alpha, "t_k": t_k, "tau": tau})
+            pulses.append(p)
         if experiment != "figure7" and not pulses:
             raise ConfigError("pulses", f"experiment {experiment!r} needs at least one pulse")
         for i, (a, b) in enumerate(zip(pulses, pulses[1:])):
@@ -174,45 +151,27 @@ class ExperimentConfig:
         orderings = self.orderings
         if orderings is None:
             orderings = ("forward",) if experiment == "custom" else ORDERINGS
-        if not isinstance(orderings, (list, tuple)) or not orderings:
-            raise ConfigError("orderings", "expected a non-empty list")
+        orderings = _need_list(orderings, "orderings", nonempty=True)
         for i, o in enumerate(orderings):
-            if o not in ORDERINGS:
-                raise ConfigError(
-                    f"orderings[{i}]", f"expected one of {ORDERINGS}, got {o!r}")
+            _need_choice(o, f"orderings[{i}]", ORDERINGS, "ordering")
             if o in orderings[:i]:
                 raise ConfigError(f"orderings[{i}]", f"ordering {o!r} is listed twice")
-        put("orderings", tuple(orderings))
+        put("orderings", orderings)
 
         for name in ("dt", "t_end"):
             if getattr(self, name) is not None:
                 put(name, _need_number(getattr(self, name), name, positive=True))
 
-        sample_every = self.sample_every
-        if isinstance(sample_every, bool) or not isinstance(sample_every, int):
-            raise ConfigError("sample_every", f"expected an integer, got {sample_every!r}")
-        if sample_every < 1:
-            raise ConfigError("sample_every", f"must be >= 1, got {sample_every}")
+        _need_int(self.sample_every, "sample_every", 1)
 
-        if self.basis not in ("j", "coupled"):
-            raise ConfigError("basis", f"expected 'j' or 'coupled', got {self.basis!r}")
+        _need_choice(self.basis, "basis", ("j", "coupled"))
 
         grid = self.grid
         if experiment == "figure7":
-            grid = {} if grid is None else grid
-            if not isinstance(grid, dict):
-                raise ConfigError("grid", f"expected a grid object, got {grid!r}")
-            for key in grid:
-                if key not in ("n_epsilon", "n_phi", "phi_max"):
-                    raise ConfigError(f"grid.{key}", "unknown grid field")
-            grid = dict(grid)
+            grid = dict(_need_object({} if grid is None else grid, "grid",
+                                     ("n_epsilon", "n_phi", "phi_max"), (), "a grid object"))
             for key in ("n_epsilon", "n_phi"):
-                n = grid.get(key, 200)
-                if isinstance(n, bool) or not isinstance(n, int):
-                    raise ConfigError(f"grid.{key}", f"expected an integer, got {n!r}")
-                if n < 2:
-                    raise ConfigError(f"grid.{key}", f"grid sizes must be >= 2, got {n}")
-                grid[key] = n
+                grid[key] = _need_int(grid.get(key, 200), f"grid.{key}", 2)
             grid["phi_max"] = _need_number(
                 grid.get("phi_max", 2.0 * math.pi), "grid.phi_max", positive=True)
             put("grid", grid)
@@ -221,12 +180,8 @@ class ExperimentConfig:
 
         taus = self.taus
         if experiment == "convergence":
-            if taus is None:
-                raise ConfigError("taus", "convergence needs a list of pulse widths")
-            if not isinstance(taus, (list, tuple)) or not taus:
-                raise ConfigError("taus", "expected a non-empty list of widths")
             taus = tuple(_need_number(tau, f"taus[{i}]", nonnegative=True)
-                         for i, tau in enumerate(taus))
+                         for i, tau in enumerate(_need_list(taus, "taus", nonempty=True)))
             for a, b in zip(taus, taus[1:]):
                 if b >= a:
                     raise ConfigError("taus", "widths must be strictly decreasing")
@@ -237,12 +192,17 @@ class ExperimentConfig:
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError("out", f"expected a string path, got {self.out!r}")
 
-        if experiment in ("figure1", "figure2", "figure3", "figure4", "convergence"):
-            if system != "model-qubit":
-                raise ConfigError("system", f"{experiment} runs on the model qubit")
-        if experiment in ("figure5", "figure6"):
-            if system != "hydrogen":
-                raise ConfigError("system", f"{experiment} runs on hydrogen")
+        runs_on = _SYSTEM_OF[experiment]
+        if runs_on not in (None, system):
+            raise ConfigError("system", f"{experiment} runs on " + (
+                "hydrogen" if runs_on == "hydrogen" else "the model qubit"))
+        # a field the system never reads must keep its default, so that the
+        # config a dataset echoes is the one that ran
+        if system == "hydrogen" and self.delta_e != MODEL_DELTA_E:
+            raise ConfigError("delta_e", "hydrogen takes its splitting from "
+                                         "hydrogen.delta_e_mhz; leave delta_e out")
+        if system != "hydrogen" and self.basis != "j":
+            raise ConfigError("basis", "only hydrogen has a coupled basis; leave basis out")
 
         # every run ends after its last pulse center, so only a last center at
         # or before t = 0 can leave a run that ends before it starts
@@ -262,18 +222,14 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         """Build a config from parsed JSON; construction checks the fields."""
-        if not isinstance(raw, dict):
-            raise ConfigError("", f"config must be a JSON object, got {type(raw).__name__}")
-        known = {f.name for f in fields(cls)}
-        for key in raw:
-            if key not in known:
-                raise ConfigError(key, "unknown config field")
-        if "experiment" not in raw:
-            raise ConfigError("experiment", "missing required field")
-        return cls(**raw)
+        return cls(**_need_object(raw, "", _CONFIG_KEYS, ("experiment",), "a JSON object"))
 
 
-_PULSE_KEYS = ("shape", "axis", "alpha", "t_k", "tau")
+_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+#: a config pulse's defaults, keyed in PulseSpec's field order; alpha and
+#: t_k have none and must be given
+_PULSE_DEFAULTS = {"shape": "gaussian", "axis": "x", "alpha": None, "t_k": None, "tau": 0.0}
+_PULSE_KEYS = tuple(_PULSE_DEFAULTS)
 _HYDROGEN_KEYS = ("delta_e_mhz", "e_fs_mhz", "gamma_mhz", "convention")
 
 
@@ -283,6 +239,40 @@ def _plain(value):
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
     return value
+
+
+def _need_object(value, path: str, keys, required, what: str) -> dict:
+    """``value``, a dict with no key outside ``keys`` and every key of ``required``."""
+    if not isinstance(value, dict):
+        raise ConfigError(path, f"expected {what}, got {value!r}")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"{path}.{key}" if path else key, "unknown field")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{path}.{key}" if path else key, "missing required field")
+    return value
+
+
+def _need_choice(value, path: str, choices: tuple, what: str = "value"):
+    if value not in choices:
+        raise ConfigError(path, f"unknown {what} {value!r}; expected one of {choices}")
+    return value
+
+
+def _need_int(value, path: str, minimum: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(path, f"expected an integer, got {value!r}")
+    if value < minimum:
+        raise ConfigError(path, f"must be >= {minimum}, got {value}")
+    return value
+
+
+def _need_list(value, path: str, *, nonempty=False) -> tuple:
+    if not isinstance(value, (list, tuple)) or (nonempty and not value):
+        raise ConfigError(
+            path, f"expected a {'non-empty ' * nonempty}list, got {value!r}")
+    return tuple(value)
 
 
 def _need_number(value, path: str, *, positive=False, nonnegative=False) -> float:
@@ -306,10 +296,7 @@ def default_config(experiment: str, convention: str = "plain") -> ExperimentConf
     """The catalog entry behind each experiment id, with the quoted parameters."""
     if experiment == "custom":
         raise ConfigError("experiment", "custom runs need an explicit --config file")
-    if convention not in UNIT_SCALES:
-        raise ConfigError(
-            "hydrogen.convention",
-            f"expected one of {sorted(UNIT_SCALES)}, got {convention!r}")
+    _need_choice(convention, "hydrogen.convention", tuple(UNIT_SCALES))
 
     a1, a2, a3 = 0.1 * math.pi, 0.15 * math.pi, 0.25 * math.pi
     narrow = 0.001 * MODEL_T_DELTA
@@ -484,16 +471,10 @@ def config_sequence(config: ExperimentConfig, ordering: str = "forward",
     *fixed* time slots: "reversed" applies the last payload first.  This is
     the solid/dashed pair of every figure.
     """
-    if ordering not in ORDERINGS:
-        raise ConfigError("orderings", f"unknown ordering {ordering!r}")
-    payloads = list(config.pulses)
-    if ordering == "reversed":
-        payloads = payloads[::-1]
-    times = [p["t_k"] for p in config.pulses]
-    pulses = tuple(
-        PulseSpec(shape=p["shape"], axis=p["axis"], alpha=p["alpha"],
-                  t_k=t, tau=p["tau"])
-        for p, t in zip(payloads, times))
+    _need_choice(ordering, "orderings", ORDERINGS, "ordering")
+    payloads = config.pulses[::-1] if ordering == "reversed" else config.pulses
+    pulses = tuple(PulseSpec(**{**p, "t_k": slot["t_k"]})
+                   for p, slot in zip(payloads, config.pulses))
     return KickSequence(pulses=pulses, delta_e=config.delta_e
                         if delta_e is None else delta_e)
 
@@ -533,10 +514,8 @@ def _warn_diagnostics(seq: KickSequence) -> None:
 def _ideal_twin(seq: KickSequence) -> KickSequence:
     """``seq`` with every pulse replaced by an ideal kick of the same axis,
     area and center."""
-    return KickSequence(
-        pulses=tuple(PulseSpec(shape="ideal", axis=p.axis, alpha=p.alpha,
-                               t_k=p.t_k, tau=0.0) for p in seq.pulses),
-        delta_e=seq.delta_e)
+    return replace(seq, pulses=tuple(replace(p, shape="ideal", tau=0.0)
+                                     for p in seq.pulses))
 
 
 def _trajectory_dataset(config: ExperimentConfig, ordering: str) -> ResultDataset:
@@ -617,9 +596,7 @@ def _width_scan_distance(config: ExperimentConfig, tau: float) -> tuple[float, f
     base = config_sequence(config, "forward")
     if tau == 0.0:
         return 0.0, 0.0
-    pulses = tuple(PulseSpec(shape=p.shape, axis=p.axis, alpha=p.alpha,
-                             t_k=p.t_k, tau=tau) for p in base.pulses)
-    seq = KickSequence(pulses=pulses, delta_e=base.delta_e)
+    seq = replace(base, pulses=tuple(replace(p, tau=tau) for p in base.pulses))
     supports = [p.support() for p in seq.pulses]
     t_a = min(lo for lo, _ in supports) - tau
     t_b = max(hi for _, hi in supports) + tau

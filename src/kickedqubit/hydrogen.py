@@ -38,14 +38,6 @@ UNIT_SCALES = {"plain": 1e-6, "two_pi": 2.0 * math.pi * 1e-6}
 SQRT2 = math.sqrt(2.0)
 SQRT3 = math.sqrt(3.0)
 
-#: drive pattern in the coupled basis: the field connects 2s and 2p only.
-COUPLING_PATTERN = np.array([
-    [0.0, 1.0, 0.0],
-    [1.0, 0.0, 0.0],
-    [0.0, 0.0, 0.0],
-])
-
-
 @dataclass(frozen=True)
 class HydrogenParams:
     """Angular frequencies in rad/ps: Lamb shift, fine structure, decay rate."""

@@ -245,6 +245,33 @@ def test_config_errors_name_their_field(build, path, fragment):
     assert fragment in str(err.value)
 
 
+def test_fields_the_system_never_reads_are_rejected():
+    # hydrogen takes its splitting from hydrogen.delta_e_mhz, and only
+    # hydrogen has a coupled basis: a config must not echo a value that
+    # never runs
+    f5 = default_config("figure5").to_dict()
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict({**f5, "delta_e": 5.0})
+    assert _path_of(err) == "delta_e"
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(_raw(basis="coupled"))
+    assert _path_of(err) == "basis"
+    # the defaults still read back, and hydrogen keeps both bases
+    assert ExperimentConfig.from_dict({**f5, "delta_e": 1.0, "basis": "coupled"})
+    assert ExperimentConfig.from_dict(_raw(basis="j"))
+
+
+def test_an_unhashable_convention_is_a_config_error():
+    f5 = default_config("figure5").to_dict()
+    with pytest.raises(ConfigError) as err:
+        ExperimentConfig.from_dict(
+            {**f5, "hydrogen": {**f5["hydrogen"], "convention": ["plain"]}})
+    assert _path_of(err) == "hydrogen.convention"
+    with pytest.raises(ConfigError) as err:
+        default_config("figure5", convention=["plain"])
+    assert _path_of(err) == "hydrogen.convention"
+
+
 def test_an_ordering_listed_twice_is_rejected():
     for orderings in (["forward", "forward"], ("reversed", "reversed")):
         with pytest.raises(ConfigError, match="listed twice") as err:
@@ -625,6 +652,26 @@ def test_convergence_scan_finds_the_first_order_law(capsys):
     alpha = 0.25 * math.pi
     assert ds.meta["predicted_coefficient"] == pytest.approx(
         abs(math.sin(alpha) / alpha - math.cos(alpha)))
+
+
+def test_run_experiment_prints_the_convergence_slope(capsys):
+    # a width of 0 is the ideal kick itself: its row is 0, 0, 0, and the fit
+    # leaves it out
+    config = ExperimentConfig(
+        experiment="convergence",
+        pulses=({"shape": "rectangular", "axis": "x", "alpha": 0.5, "t_k": 1.0,
+                 "tau": 0.02},), taus=(0.02, 0.01, 0.0))
+    datasets, paths = run_experiment(config)
+    assert paths == []
+    (ds,) = datasets
+    assert ds.data[-1].tolist() == [0.0, 0.0, 0.0]
+    assert ds.meta["slope"] == pytest.approx(1.0, abs=0.01)
+    assert capsys.readouterr().out == (
+        f"convergence: error slope vs tau = {ds.meta['slope']:.3f}\n")
+    # one nonzero distance leaves no slope to fit
+    datasets, _ = run_experiment(dataclasses.replace(config, taus=(0.01, 0.0)))
+    assert "slope" not in datasets[0].meta
+    assert capsys.readouterr().out == "convergence: error slope vs tau = n/a\n"
 
 
 def test_hydrogen_experiment_dataset(capsys):

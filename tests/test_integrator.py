@@ -213,7 +213,8 @@ def _smooth_model(kind):
     """A gaussian-driven model of each kind and the end of its run.
 
     The qubit's supports cover its whole run; the hydrogen pulses leave free
-    flight before, between and after them.
+    flight before, between and after them, and so do those of the general
+    qubit, whose non-diagonal ``h0`` takes the eigenbasis free flight.
     """
     if kind == "qubit":
         seq = KickSequence(pulses=(
@@ -228,7 +229,16 @@ def _smooth_model(kind):
         delta_e=p.delta_e)
     if kind == "effective":
         return effective_two_state_model(p, seq), 16.0
+    if kind == "general":
+        return LinearDriveModel([[0.5, 0.2], [0.2, -0.5]], SIGMA_X, SIGMA_Y, seq), 16.0
     return HydrogenModel(p, seq, basis=kind), 16.0
+
+
+def test_a_non_diagonal_h0_flies_free_in_its_eigenbasis():
+    # every package model has a diagonal h0 or overrides the eigenbasis, so
+    # only the general kind reaches the np.linalg.eig branch
+    model, _ = _smooth_model("general")
+    assert model._free[1] is not None
 
 
 def _segmented_reference(model, y, t1, n_steps, sample_every):
@@ -253,7 +263,7 @@ def _segmented_reference(model, y, t1, n_steps, sample_every):
     return np.array(out)
 
 
-@pytest.mark.parametrize("kind", ["qubit", "j", "coupled", "effective"])
+@pytest.mark.parametrize("kind", ["qubit", "j", "coupled", "effective", "general"])
 def test_integrate_matches_rk4_step_loop(kind):
     # the batched step matrices and the exact free flight against a plain
     # loop of the vector RK4 reference and expm; gaussian profiles, so the

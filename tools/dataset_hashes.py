@@ -13,8 +13,11 @@ accuracy panel through ``run_experiment`` and prints one SHA-256 per
 workload over every dataset's ``data`` bytes and its ``meta`` (as sorted
 JSON).  The ``dataset_io`` line does the same for the first ``--ops``
 convergence tables of that workload plus its accuracy panel: many short,
-one-sample ``integrate`` calls on a single rectangular pulse.  Run it in two
-checkouts and compare the lines.  It imports the
+one-sample ``integrate`` calls on a single rectangular pulse.  The
+``configs`` line is one SHA-256 over the config echo (as sorted JSON) of
+every dataset above, in the order they were built, so it shows a change to
+config normalisation: float conversion, defaults, the hydrogen merge.  Run
+it in two checkouts and compare the lines.  It imports the
 package from ``src/`` and the workloads from ``perfbench/`` of the checkout
 it sits in.
 """
@@ -45,12 +48,14 @@ def main(argv=None) -> int:
     parser.add_argument("--ops", type=int, default=120)
     args = parser.parse_args(argv)
     warnings.simplefilter("ignore")  # the configs' own diagnostics
+    echoes = []  # every dataset's config, in the order they are built
     digest = hashlib.sha256()
     ids = [i for i in kq.EXPERIMENT_IDS if i != "custom"]
     for experiment in ids:
         with tempfile.TemporaryDirectory() as tmp:
             with contextlib.redirect_stdout(io.StringIO()):
-                kq.run_experiment(kq.default_config(experiment), out_dir=tmp)
+                datasets, _ = kq.run_experiment(kq.default_config(experiment), out_dir=tmp)
+            echoes.extend(ds.config for ds in datasets)
             for path in sorted(Path(tmp).iterdir()):
                 digest.update(path.name.encode())
                 digest.update(path.read_bytes())
@@ -63,6 +68,7 @@ def main(argv=None) -> int:
             with contextlib.redirect_stdout(io.StringIO()):
                 datasets, _ = kq.run_experiment(kq.ExperimentConfig.from_dict(op["raw"]))
             for ds in datasets:
+                echoes.append(ds.config)
                 digest.update(np.ascontiguousarray(ds.data).tobytes())
                 digest.update(json.dumps(ds.meta, sort_keys=True).encode())
         print(f"{name} {len(ops)} operations {digest.hexdigest()}")
@@ -76,9 +82,14 @@ def main(argv=None) -> int:
         digest = hashlib.sha256()
         for op in ops + workload.accuracy_panel():
             ds = workload._build(op, _NoSpans())
+            echoes.append(ds.config)
             digest.update(np.ascontiguousarray(ds.data).tobytes())
             digest.update(json.dumps(ds.meta, sort_keys=True).encode())
     print(f"dataset_io {len(ops)} convergence tables + panel {digest.hexdigest()}")
+    digest = hashlib.sha256()
+    for config in echoes:
+        digest.update(json.dumps(config, sort_keys=True).encode())
+    print(f"configs {len(echoes)} datasets {digest.hexdigest()}")
     return 0
 
 
