@@ -51,11 +51,22 @@ from .pulses import (
 _SYSTEM_OF = {
     "figure1": "model-qubit", "figure2": "model-qubit", "figure3": "model-qubit",
     "figure4": "model-qubit", "figure5": "hydrogen", "figure6": "hydrogen",
-    "figure7": None, "convergence": "model-qubit", "custom": None,
+    "figure7": "model-qubit", "convergence": "model-qubit", "custom": None,
 }
 EXPERIMENT_IDS = tuple(_SYSTEM_OF)
 SYSTEMS = ("model-qubit", "hydrogen")
 ORDERINGS = ("forward", "reversed")
+#: experiments that run the forward ordering only
+_FORWARD_ONLY = ("figure7", "convergence")
+#: the fields an experiment never reads, and why: each must keep its
+#: default, so that the config a dataset echoes is the one that ran
+_UNREAD = {
+    "figure7": (("pulses", "delta_e", "dt", "t_end", "sample_every"),
+                "figure7 tabulates a closed form and reads only its grid"),
+    "convergence": (("t_end", "sample_every"),
+                    "convergence integrates a window around its pulses and "
+                    "keeps one sample per width"),
+}
 
 #: dimensionless model-qubit defaults: unit splitting, first kick after one
 #: time unit, second kick a quarter free period later (dE * gap = pi/2, where
@@ -82,8 +93,9 @@ class ExperimentConfig:
     """Everything needed to reproduce one experiment, JSON-serializable.
 
     Construction validates every field and fills the defaults that depend on
-    others (``orderings``: ``("forward",)`` for ``custom``, else both), or
-    raises a ``ConfigError`` naming the first bad field.
+    others (``orderings``: ``("forward",)`` for ``custom``, ``figure7`` and
+    ``convergence``, else both), or raises a ``ConfigError`` naming the
+    first bad field.
     """
 
     experiment: str
@@ -108,6 +120,15 @@ class ExperimentConfig:
         system = _need_choice(self.system, "system", SYSTEMS)
 
         put("delta_e", _need_number(self.delta_e, "delta_e", positive=True))
+        for name in ("dt", "t_end"):
+            if getattr(self, name) is not None:
+                put(name, _need_number(getattr(self, name), name, positive=True))
+        _need_int(self.sample_every, "sample_every", 1)
+        put("pulses", _need_list(self.pulses, "pulses"))
+        unread, why = _UNREAD.get(experiment, ((), ""))
+        for name in unread:
+            if getattr(self, name) != _FIELD_DEFAULTS[name]:
+                raise ConfigError(name, f"{why}; leave {name} out")
 
         hydrogen = self.hydrogen
         if system == "hydrogen":
@@ -123,7 +144,7 @@ class ExperimentConfig:
             raise ConfigError("hydrogen", "only meaningful with system = 'hydrogen'")
 
         pulses = []
-        for i, raw in enumerate(_need_list(self.pulses, "pulses")):
+        for i, raw in enumerate(self.pulses):
             where = f"pulses[{i}]"
             raw = _need_object(raw, where, _PULSE_KEYS, ("alpha", "t_k"), "a pulse object")
             p = {**_PULSE_DEFAULTS, **raw}
@@ -135,7 +156,7 @@ class ExperimentConfig:
                 raise ConfigError(f"{where}.tau", "an ideal kick must have tau = 0")
             if shape != "ideal" and p["tau"] <= 0.0:
                 raise ConfigError(f"{where}.tau", f"a {shape} pulse needs tau > 0")
-            if shape == "ideal" and experiment != "figure7":
+            if shape == "ideal":
                 raise ConfigError(
                     f"{where}.shape", f"{experiment} integrates its pulses, and an "
                     f"ideal kick has no width to integrate; use gaussian or rectangular")
@@ -150,19 +171,17 @@ class ExperimentConfig:
 
         orderings = self.orderings
         if orderings is None:
-            orderings = ("forward",) if experiment == "custom" else ORDERINGS
+            orderings = (("forward",) if experiment in ("custom", *_FORWARD_ONLY)
+                         else ORDERINGS)
         orderings = _need_list(orderings, "orderings", nonempty=True)
         for i, o in enumerate(orderings):
             _need_choice(o, f"orderings[{i}]", ORDERINGS, "ordering")
+            if o != "forward" and experiment in _FORWARD_ONLY:
+                raise ConfigError(f"orderings[{i}]",
+                                  f"{experiment} runs the forward ordering only")
             if o in orderings[:i]:
                 raise ConfigError(f"orderings[{i}]", f"ordering {o!r} is listed twice")
         put("orderings", orderings)
-
-        for name in ("dt", "t_end"):
-            if getattr(self, name) is not None:
-                put(name, _need_number(getattr(self, name), name, positive=True))
-
-        _need_int(self.sample_every, "sample_every", 1)
 
         _need_choice(self.basis, "basis", ("j", "coupled"))
 
@@ -225,7 +244,8 @@ class ExperimentConfig:
         return cls(**_need_object(raw, "", _CONFIG_KEYS, ("experiment",), "a JSON object"))
 
 
-_CONFIG_KEYS = tuple(f.name for f in fields(ExperimentConfig))
+_FIELD_DEFAULTS = {f.name: f.default for f in fields(ExperimentConfig)}
+_CONFIG_KEYS = tuple(_FIELD_DEFAULTS)
 #: a config pulse's defaults, keyed in PulseSpec's field order; alpha and
 #: t_k have none and must be given
 _PULSE_DEFAULTS = {"shape": "gaussian", "axis": "x", "alpha": None, "t_k": None, "tau": 0.0}
@@ -324,15 +344,12 @@ def default_config(experiment: str, convention: str = "plain") -> ExperimentConf
         raw["pulses"] = [_gauss(a1, HYDROGEN_T1_PS, 1.0),
                          _gauss(a2, t2, 1.0, axis=second_axis)]
         raw["sample_every"] = 10
-    elif experiment == "figure7":
-        raw["orderings"] = ["forward"]
     elif experiment == "convergence":
         raw["pulses"] = [{"shape": "rectangular", "axis": "x", "alpha": a3,
                           "t_k": MODEL_T1, "tau": 0.01 * MODEL_T_DELTA}]
         raw["taus"] = [w * MODEL_T_DELTA
                        for w in (1e-2, 10 ** -2.5, 1e-3, 10 ** -3.5, 1e-4,
                                  10 ** -4.5, 1e-5)]
-        raw["orderings"] = ["forward"]
     return ExperimentConfig(**raw)
 
 
@@ -392,11 +409,32 @@ _BLOCK_ROWS = 1024
 
 def _csv_blocks(data: np.ndarray):
     """Yield the table body as one string per block of rows, ``%.17g`` per
-    value, so the whole body is never held as one string."""
-    row = ",".join(["%.17g"] * data.shape[1]) + "\n"
-    for start in range(0, data.shape[0], _BLOCK_ROWS):
-        yield "".join([row % tuple(r) for r in data[start:start + _BLOCK_ROWS].tolist()])
-    if not data.shape[0]:
+    value, so the whole body is never held as one string.
+
+    A column with at most a quarter as many distinct values as rows (the
+    grid axes of a surface) is shared: each distinct value is formatted
+    once and its text enters the row template as ``%s``.  Values are told
+    apart by their bits, so -0.0 keeps its own text.
+    """
+    n_rows, n_cols = data.shape
+    shared = {}  # column -> (text of each distinct value, index of each row's)
+    for j in range(n_cols):
+        bits, index = np.unique(data[:, j].view(np.int64), return_inverse=True)
+        if 4 * len(bits) <= n_rows:
+            texts = ["%.17g" % v for v in bits.view(np.float64).tolist()]
+            shared[j] = (np.array(texts, dtype=object), index)
+    row = ",".join(["%s" if j in shared else "%.17g" for j in range(n_cols)]) + "\n"
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        block = data[start:start + _BLOCK_ROWS]
+        cells = np.empty(block.shape, dtype=object)
+        for j in range(n_cols):
+            if j in shared:
+                texts, index = shared[j]
+                cells[:, j] = texts[index[start:start + len(block)]]
+            else:
+                cells[:, j] = block[:, j]
+        yield (row * len(block)) % tuple(cells.ravel().tolist())
+    if not n_rows:
         yield "\n"  # the file format: a zero-row table ends in one blank line
 
 
@@ -564,7 +602,7 @@ def run_ordering_surface(n_epsilon: int = 200, n_phi: int = 200,
     """
     grid = {"n_epsilon": n_epsilon, "n_phi": n_phi, "phi_max": phi_max}
     if config is None:
-        config = ExperimentConfig(experiment="figure7", orderings=("forward",), grid=grid)
+        config = ExperimentConfig(experiment="figure7", grid=grid)
     elif config.grid != grid:
         raise ConfigError("grid", f"the config's grid {config.grid} differs from {grid}")
     eps = np.linspace(0.0, 1.0, n_epsilon)

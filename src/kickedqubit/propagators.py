@@ -20,7 +20,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .pulses import KickSequence, raise_on_errors, validate_sequence
-from .su2 import SIGMA_Z, compose
+from .su2 import SIGMA_Z
 
 
 def _su2(u11: complex, u21: complex) -> np.ndarray:
@@ -61,13 +61,31 @@ def kick_interaction(alpha: float, t_k: float, axis: str, delta_e: float) -> np.
     delta_e : float
         Level splitting.
     """
+    return np.array(_kick(alpha, t_k, axis, delta_e)).reshape(2, 2)
+
+
+def _kick(alpha: float, t_k: float, axis: str, delta_e: float) -> tuple:
+    """The entries ``(u11, u12, u21, u22)`` of :func:`kick_interaction`, as
+    Python scalars."""
     c, s = math.cos(alpha), math.sin(alpha)
     ph = cmath.exp(1j * delta_e * t_k)
     if axis == "x":
-        return np.array([[c, -1j * s / ph], [-1j * s * ph, c]])
+        return c, -1j * s / ph, -1j * s * ph, c
     if axis == "y":
-        return np.array([[c, -s / ph], [s * ph, c]])
+        return c, -s / ph, s * ph, c
     raise ValueError(f"unknown kick axis {axis!r}; expected 'x' or 'y'")
+
+
+def _product(kicks) -> np.ndarray:
+    """Multiply entry tuples of 2x2 matrices in application order, as
+    :func:`~kickedqubit.su2.compose` does, on Python scalars; one array is
+    built at the end."""
+    kicks = iter(kicks)
+    a, b, c, d = next(kicks)
+    for m11, m12, m21, m22 in kicks:
+        a, b, c, d = (m11 * a + m12 * c, m11 * b + m12 * d,
+                      m21 * a + m22 * c, m21 * b + m22 * d)
+    return np.array([[a, b], [c, d]], dtype=complex)
 
 
 def kick_schrodinger(alpha: float, t_k: float, t: float, delta_e: float) -> np.ndarray:
@@ -132,8 +150,7 @@ def multi_kick(seq: KickSequence) -> np.ndarray:
         if p.shape != "ideal":
             raise ValueError(f"multi_kick needs ideal kicks; pulse {i} has shape {p.shape!r}")
     raise_on_errors(validate_sequence(seq))
-    factors = [kick_interaction(p.alpha, p.t_k, p.axis, seq.delta_e) for p in seq.pulses]
-    return compose(factors)
+    return _product(_kick(p.alpha, p.t_k, p.axis, seq.delta_e) for p in seq.pulses)
 
 
 def two_kick_closed(alpha1: float, alpha2: float, t1: float, t2: float,
@@ -187,10 +204,8 @@ def two_kick_xy(alpha1: float, alpha2: float, t1: float, t2: float,
     if t1 >= t2:
         raise ValueError(f"kick times must satisfy t1 < t2, got t1 = {t1}, t2 = {t2}")
     first_axis, second_axis = ("y", "x") if order == "YthenX" else ("x", "y")
-    u = compose([
-        kick_interaction(alpha1, t1, first_axis, delta_e),
-        kick_interaction(alpha2, t2, second_axis, delta_e),
-    ])
+    u = _product([_kick(alpha1, t1, first_axis, delta_e),
+                  _kick(alpha2, t2, second_axis, delta_e)])
     sign = 1.0 if order == "YthenX" else -1.0
     tm = t2 - t1
     p2 = (math.cos(alpha1) ** 2 * math.sin(alpha2) ** 2
@@ -248,11 +263,8 @@ def three_kick_closed(alpha1: float, alpha2: float, alpha3: float,
     """
     if not (t1 < t2 < t3):
         raise ValueError(f"kick times must satisfy t1 < t2 < t3, got {t1}, {t2}, {t3}")
-    return compose([
-        kick_interaction(alpha1, t1, "x", delta_e),
-        kick_interaction(alpha2, t2, "x", delta_e),
-        kick_interaction(alpha3, t3, "x", delta_e),
-    ])
+    return _product([_kick(alpha1, t1, "x", delta_e), _kick(alpha2, t2, "x", delta_e),
+                     _kick(alpha3, t3, "x", delta_e)])
 
 
 @dataclass(frozen=True)

@@ -159,6 +159,14 @@ def test_configs_that_cannot_run_are_config_errors(tmp_path, capsys, payload, fi
     assert not list(tmp_path.glob("*.csv"))
 
 
+def test_dt_on_figure7_is_a_config_error(tmp_path, capsys):
+    # figure7 tabulates a closed form: an integrator step would be echoed
+    # without ever running
+    assert main(["figure7", "--out", str(tmp_path), "--dt", "0.5"]) == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("config error: dt: figure7 ")
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_cli_overrides_are_validated(tmp_path, capsys):
     assert main(["figure1", "--out", str(tmp_path), "--dt", "0"]) == EXIT_CONFIG
     assert "must be > 0" in capsys.readouterr().err

@@ -261,6 +261,45 @@ def test_fields_the_system_never_reads_are_rejected():
     assert ExperimentConfig.from_dict(_raw(basis="j"))
 
 
+def test_fields_figure7_and_convergence_never_read_are_rejected():
+    # figure7 reads only its grid and convergence picks its own window and
+    # sample: a config must not echo a value that never runs
+    f7 = default_config("figure7").to_dict()
+    hydrogen = {"system": "hydrogen",
+                "hydrogen": dict(zip(("delta_e_mhz", "e_fs_mhz", "gamma_mhz"), DEFAULT_MHZ))}
+    for change, path in [
+        (hydrogen, "system"),
+        ({"pulses": [_pulse()]}, "pulses"),
+        ({"pulses": [_pulse(shape="ideal", tau=0.0)]}, "pulses"),
+        ({"delta_e": 2.0}, "delta_e"),
+        ({"dt": 0.5}, "dt"),
+        ({"t_end": 3.0}, "t_end"),
+        ({"sample_every": 7}, "sample_every"),
+        ({"orderings": ["reversed"]}, "orderings[0]"),
+        ({"orderings": ["forward", "reversed"]}, "orderings[1]"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict({**f7, **change})
+        assert _path_of(err) == path, change
+    conv = default_config("convergence").to_dict()
+    for change, path in [
+        ({"t_end": 99.0}, "t_end"),
+        ({"sample_every": 9}, "sample_every"),
+        ({"orderings": ["forward", "reversed"]}, "orderings[1]"),
+    ]:
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig.from_dict({**conv, **change})
+        assert _path_of(err) == path, change
+    # the defaults still read back, and both ids default to the forward run
+    assert ExperimentConfig.from_dict(
+        {**f7, "pulses": [], "delta_e": 1.0, "sample_every": 1, "dt": None})
+    assert ExperimentConfig.from_dict({**conv, "dt": 0.001, "sample_every": 1})
+    for experiment in ("figure7", "convergence"):
+        raw = {k: v for k, v in default_config(experiment).to_dict().items()
+               if k != "orderings"}
+        assert ExperimentConfig.from_dict(raw).orderings == ("forward",)
+
+
 def test_an_unhashable_convention_is_a_config_error():
     f5 = default_config("figure5").to_dict()
     with pytest.raises(ConfigError) as err:
@@ -535,6 +574,38 @@ def test_write_read_is_bit_exact_across_block_edges(tmp_path_factory, rows, ncol
     text = path.read_text()
     body = text.split(",".join(columns) + "\n", 1)[1]
     reference = "\n".join(",".join("%.17g" % v for v in row) for row in data) + "\n"
+    assert body == reference
+    back = read_dataset(path)
+    assert back.data.shape == (rows, ncol)
+    assert back.data.tobytes() == data.tobytes()
+
+
+@settings(max_examples=40, deadline=None)
+@given(rows=st.one_of(st.sampled_from([0, 1, 1023, 1024, 1025]),
+                      st.integers(0, 2100)),
+       ncol=st.integers(1, 5),
+       seed=st.integers(0, 2**32 - 1),
+       drawn=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6))
+def test_columns_of_few_values_write_bit_exact(tmp_path_factory, rows, ncol, seed,
+                                               drawn):
+    # grid axes repeat a few values over many rows: every column draws from
+    # a small pool that holds -0.0 and 0.0, the extremes and the drawn
+    # floats; the first column holds exactly rows // 4 distinct values and
+    # the second one more
+    rng = np.random.default_rng(seed)
+    pool = np.array(_EDGE_VALUES + tuple(drawn))
+    data = pool[rng.integers(0, len(pool), size=(rows, ncol))]
+    for j, count in enumerate((rows // 4, rows // 4 + 1)[:ncol]):
+        levels = np.concatenate([[-0.0, 0.0, 5e-324, -1e308, 1e308],
+                                 np.geomspace(1e-300, 1e300, max(count - 5, 0))])[:count]
+        if 0 < count <= rows:
+            data[:, j] = rng.permutation(levels[np.arange(rows) % count])
+    columns = tuple(f"c{j}" for j in range(ncol))
+    ds = ResultDataset(name="levels", columns=columns, data=data, config={})
+    path = ds.write(tmp_path_factory.mktemp("levels"))
+
+    body = path.read_text().split(",".join(columns) + "\n", 1)[1]
+    reference = "\n".join(",".join("%.17g" % v for v in row) for row in data.tolist()) + "\n"
     assert body == reference
     back = read_dataset(path)
     assert back.data.shape == (rows, ncol)

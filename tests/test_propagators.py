@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from kickedqubit import (
@@ -35,6 +37,7 @@ from kickedqubit import (
     unitarity_defect,
     untimeordered_opposite_pair,
 )
+from kickedqubit.propagators import _kick
 
 # rectangular_exact(alpha=0.52, beta=0.31, t_k=0.9, delta_e=2.0) against an
 # expm sandwich exp(+iH0(t_k+tau/2)) exp(-iH tau) exp(-iH0(t_k-tau/2))
@@ -474,3 +477,54 @@ def test_periodic_kick_power_validation():
         periodic_kick_power(0.3, 1.0, 0, 1.0)
     with pytest.raises(ValueError, match="period"):
         periodic_kick_power(0.3, -1.0, 2, 1.0)
+
+
+@st.composite
+def kick_trains(draw, min_size=1, max_size=4):
+    """``(alphas, times, axes, delta_e)`` of ideal kicks at increasing times."""
+    n = draw(st.integers(min_size, max_size))
+    alphas = draw(st.lists(st.floats(-3.2, 3.2), min_size=n, max_size=n))
+    axes = draw(st.lists(st.sampled_from(("x", "y")), min_size=n, max_size=n))
+    t = draw(st.floats(-5.0, 5.0))
+    times = [t]
+    for gap in draw(st.lists(st.floats(0.01, 3.0), min_size=n - 1, max_size=n - 1)):
+        times.append(times[-1] + gap)
+    return alphas, times, axes, draw(st.floats(0.1, 3.0))
+
+
+def _kick_product(alphas, times, axes, delta_e) -> np.ndarray:
+    return compose([kick_interaction(a, t, ax, delta_e)
+                    for a, t, ax in zip(alphas, times, axes)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(kick_trains())
+def test_every_kick_product_is_the_composed_kicks(train):
+    # multi_kick, two_kick_xy and three_kick_closed multiply the same single
+    # kicks as compose does; they may round differently, by an ulp or so
+    alphas, times, axes, delta_e = train
+    seq = KickSequence(pulses=tuple(PulseSpec("ideal", ax, a, t)
+                                    for a, t, ax in zip(alphas, times, axes)),
+                       delta_e=delta_e)
+    assert np.max(np.abs(multi_kick(seq) - _kick_product(*train))) <= 1e-15
+    if len(alphas) == 1:  # one kick is the kick itself, bit for bit
+        assert multi_kick(seq).tobytes() == kick_interaction(
+            alphas[0], times[0], axes[0], delta_e).tobytes()
+    if len(alphas) >= 2:
+        (a1, a2), (t1, t2) = alphas[:2], times[:2]
+        for order, pair in (("YthenX", ("y", "x")), ("XthenY", ("x", "y"))):
+            u, _ = two_kick_xy(a1, a2, t1, t2, delta_e, order)
+            reference = _kick_product([a1, a2], [t1, t2], pair, delta_e)
+            assert np.max(np.abs(u - reference)) <= 1e-15
+    if len(alphas) >= 3:
+        u = three_kick_closed(*alphas[:3], *times[:3], delta_e)
+        reference = _kick_product(alphas[:3], times[:3], ("x",) * 3, delta_e)
+        assert np.max(np.abs(u - reference)) <= 1e-15
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.floats(-10.0, 10.0), st.floats(-100.0, 100.0), st.sampled_from(("x", "y")),
+       st.floats(0.0, 10.0))
+def test_kick_interaction_is_its_entry_tuple(alpha, t_k, axis, delta_e):
+    entries = np.array(_kick(alpha, t_k, axis, delta_e)).reshape(2, 2)
+    assert kick_interaction(alpha, t_k, axis, delta_e).tobytes() == entries.tobytes()

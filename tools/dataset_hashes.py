@@ -16,8 +16,11 @@ convergence tables of that workload plus its accuracy panel: many short,
 one-sample ``integrate`` calls on a single rectangular pulse.  The
 ``configs`` line is one SHA-256 over the config echo (as sorted JSON) of
 every dataset above, in the order they were built, so it shows a change to
-config normalisation: float conversion, defaults, the hydrogen merge.  Run
-it in two checkouts and compare the lines.  It imports the
+config normalisation: float conversion, defaults, the hydrogen merge.  The
+``data`` line is one SHA-256 over the ``data`` bytes alone of every dataset
+above, the catalog's as ``read_dataset`` reads them back from its CSVs, so
+a change that moves only ``meta`` (an ideal-kick probability, say) leaves
+it as it was.  Run it in two checkouts and compare the lines.  It imports the
 package from ``src/`` and the workloads from ``perfbench/`` of the checkout
 it sits in.
 """
@@ -49,6 +52,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     warnings.simplefilter("ignore")  # the configs' own diagnostics
     echoes = []  # every dataset's config, in the order they are built
+    tables = hashlib.sha256()  # every dataset's data, in the same order
     digest = hashlib.sha256()
     ids = [i for i in kq.EXPERIMENT_IDS if i != "custom"]
     for experiment in ids:
@@ -59,6 +63,8 @@ def main(argv=None) -> int:
             for path in sorted(Path(tmp).iterdir()):
                 digest.update(path.name.encode())
                 digest.update(path.read_bytes())
+                if path.suffix == ".csv":
+                    tables.update(np.ascontiguousarray(kq.read_dataset(path).data).tobytes())
     print(f"catalog {len(ids)} ids {digest.hexdigest()}")
     for name, dense in (("sweep_sparse", False), ("sweep_dense", True)):
         workload = SweepWorkload(name, args.seed, dense)
@@ -69,7 +75,9 @@ def main(argv=None) -> int:
                 datasets, _ = kq.run_experiment(kq.ExperimentConfig.from_dict(op["raw"]))
             for ds in datasets:
                 echoes.append(ds.config)
-                digest.update(np.ascontiguousarray(ds.data).tobytes())
+                data = np.ascontiguousarray(ds.data).tobytes()
+                tables.update(data)
+                digest.update(data)
                 digest.update(json.dumps(ds.meta, sort_keys=True).encode())
         print(f"{name} {len(ops)} operations {digest.hexdigest()}")
     with tempfile.TemporaryDirectory() as tmp:
@@ -83,13 +91,16 @@ def main(argv=None) -> int:
         for op in ops + workload.accuracy_panel():
             ds = workload._build(op, _NoSpans())
             echoes.append(ds.config)
-            digest.update(np.ascontiguousarray(ds.data).tobytes())
+            data = np.ascontiguousarray(ds.data).tobytes()
+            tables.update(data)
+            digest.update(data)
             digest.update(json.dumps(ds.meta, sort_keys=True).encode())
     print(f"dataset_io {len(ops)} convergence tables + panel {digest.hexdigest()}")
     digest = hashlib.sha256()
     for config in echoes:
         digest.update(json.dumps(config, sort_keys=True).encode())
     print(f"configs {len(echoes)} datasets {digest.hexdigest()}")
+    print(f"data {len(echoes)} datasets {tables.hexdigest()}")
     return 0
 
 
