@@ -72,13 +72,11 @@ from .propagators import (
 )
 from .pulses import (
     GAUSSIAN_SUPPORT,
-    Diagnostic,
     KickSequence,
     PulseSpec,
     beta_angle,
     field_at,
     pulse_area,
-    raise_on_errors,
     validate_sequence,
 )
 from .su2 import (
@@ -98,9 +96,8 @@ __all__ = [
     "IDENTITY", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "compose",
     "occupation_probabilities", "su2_exponential", "unitarity_defect",
     # pulses
-    "GAUSSIAN_SUPPORT", "Diagnostic", "KickSequence", "PulseSpec",
-    "beta_angle", "field_at", "pulse_area", "raise_on_errors",
-    "validate_sequence",
+    "GAUSSIAN_SUPPORT", "KickSequence", "PulseSpec", "beta_angle",
+    "field_at", "pulse_area", "validate_sequence",
     # propagators
     "XY_ORDERS", "OrderingObservable", "TimeReversalReport", "free_phase",
     "kick_interaction", "kick_schrodinger", "kick_width_error", "multi_kick",

@@ -20,7 +20,6 @@ import itertools
 import json
 import math
 import os
-import warnings
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -37,15 +36,8 @@ from .hydrogen import (
     run_pulse_sequence,
 )
 from .integrator import TwoStatePulseModel, integrate, norm_drift
-from .propagators import free_phase, multi_kick
-from .pulses import (
-    AXES,
-    KickSequence,
-    PulseSpec,
-    SHAPES,
-    raise_on_errors,
-    validate_sequence,
-)
+from .propagators import _width_coefficient, free_phase, multi_kick
+from .pulses import AXES, SHAPES, KickSequence, PulseSpec, validate_sequence
 
 #: the system each experiment runs on; None where either will do
 _SYSTEM_OF = {
@@ -56,16 +48,21 @@ _SYSTEM_OF = {
 EXPERIMENT_IDS = tuple(_SYSTEM_OF)
 SYSTEMS = ("model-qubit", "hydrogen")
 ORDERINGS = ("forward", "reversed")
-#: experiments that run the forward ordering only
-_FORWARD_ONLY = ("figure7", "convergence")
-#: the fields an experiment never reads, and why: each must keep its
-#: default, so that the config a dataset echoes is the one that ran
+#: the fields a run never reads, keyed by system and by experiment id, and
+#: why: each must keep its default, so that the config a dataset echoes is
+#: the one that ran.  The ids without an entry of their own integrate
+#: trajectories, the only runs with a reversed ordering.
 _UNREAD = {
-    "figure7": (("pulses", "delta_e", "dt", "t_end", "sample_every"),
+    "model-qubit": (("hydrogen", "basis"),
+                    "only hydrogen reads hydrogen parameters and has a coupled basis"),
+    "hydrogen": (("delta_e",), "hydrogen takes its splitting from hydrogen.delta_e_mhz"),
+    "figure7": (("pulses", "delta_e", "dt", "t_end", "sample_every", "taus"),
                 "figure7 tabulates a closed form and reads only its grid"),
-    "convergence": (("t_end", "sample_every"),
+    "convergence": (("t_end", "sample_every", "grid"),
                     "convergence integrates a window around its pulses and "
                     "keeps one sample per width"),
+    "trajectories": (("grid", "taus"),
+                     "only figure7 reads grid and only convergence reads taus"),
 }
 
 #: dimensionless model-qubit defaults: unit splitting, first kick after one
@@ -125,23 +122,25 @@ class ExperimentConfig:
                 put(name, _need_number(getattr(self, name), name, positive=True))
         _need_int(self.sample_every, "sample_every", 1)
         put("pulses", _need_list(self.pulses, "pulses"))
-        unread, why = _UNREAD.get(experiment, ((), ""))
-        for name in unread:
-            if getattr(self, name) != _FIELD_DEFAULTS[name]:
-                raise ConfigError(name, f"{why}; leave {name} out")
+        if experiment != "figure7" and not self.pulses:
+            raise ConfigError("pulses", f"experiment {experiment!r} needs at least one pulse")
 
-        hydrogen = self.hydrogen
         if system == "hydrogen":
             numbers = _HYDROGEN_KEYS[:3]
             merged = {"convention": "plain", **_need_object(
-                hydrogen, "hydrogen", _HYDROGEN_KEYS, numbers, "a parameter object")}
+                self.hydrogen, "hydrogen", _HYDROGEN_KEYS, numbers, "a parameter object")}
             for key in numbers:
                 merged[key] = _need_number(merged[key], f"hydrogen.{key}",
                                            positive=key != "gamma_mhz", nonnegative=True)
             _need_choice(merged["convention"], "hydrogen.convention", tuple(UNIT_SCALES))
             put("hydrogen", merged)
-        elif hydrogen is not None:
-            raise ConfigError("hydrogen", "only meaningful with system = 'hydrogen'")
+
+        run = experiment if experiment in _UNREAD else "trajectories"
+        for key in (system, run):
+            unread, why = _UNREAD[key]
+            for name in unread:
+                if getattr(self, name) != _FIELD_DEFAULTS[name]:
+                    raise ConfigError(name, f"{why}; leave {name} out")
 
         pulses = []
         for i, raw in enumerate(self.pulses):
@@ -161,8 +160,6 @@ class ExperimentConfig:
                     f"{where}.shape", f"{experiment} integrates its pulses, and an "
                     f"ideal kick has no width to integrate; use gaussian or rectangular")
             pulses.append(p)
-        if experiment != "figure7" and not pulses:
-            raise ConfigError("pulses", f"experiment {experiment!r} needs at least one pulse")
         for i, (a, b) in enumerate(zip(pulses, pulses[1:])):
             if b["t_k"] <= a["t_k"]:
                 raise ConfigError(
@@ -171,12 +168,12 @@ class ExperimentConfig:
 
         orderings = self.orderings
         if orderings is None:
-            orderings = (("forward",) if experiment in ("custom", *_FORWARD_ONLY)
-                         else ORDERINGS)
+            orderings = (ORDERINGS if run == "trajectories" and experiment != "custom"
+                         else ("forward",))
         orderings = _need_list(orderings, "orderings", nonempty=True)
         for i, o in enumerate(orderings):
             _need_choice(o, f"orderings[{i}]", ORDERINGS, "ordering")
-            if o != "forward" and experiment in _FORWARD_ONLY:
+            if o != "forward" and run != "trajectories":
                 raise ConfigError(f"orderings[{i}]",
                                   f"{experiment} runs the forward ordering only")
             if o in orderings[:i]:
@@ -185,28 +182,22 @@ class ExperimentConfig:
 
         _need_choice(self.basis, "basis", ("j", "coupled"))
 
-        grid = self.grid
         if experiment == "figure7":
-            grid = dict(_need_object({} if grid is None else grid, "grid",
+            grid = dict(_need_object({} if self.grid is None else self.grid, "grid",
                                      ("n_epsilon", "n_phi", "phi_max"), (), "a grid object"))
             for key in ("n_epsilon", "n_phi"):
                 grid[key] = _need_int(grid.get(key, 200), f"grid.{key}", 2)
             grid["phi_max"] = _need_number(
                 grid.get("phi_max", 2.0 * math.pi), "grid.phi_max", positive=True)
             put("grid", grid)
-        elif grid is not None:
-            raise ConfigError("grid", "only meaningful for figure7")
 
-        taus = self.taus
         if experiment == "convergence":
             taus = tuple(_need_number(tau, f"taus[{i}]", nonnegative=True)
-                         for i, tau in enumerate(_need_list(taus, "taus", nonempty=True)))
+                         for i, tau in enumerate(_need_list(self.taus, "taus", nonempty=True)))
             for a, b in zip(taus, taus[1:]):
                 if b >= a:
                     raise ConfigError("taus", "widths must be strictly decreasing")
             put("taus", taus)
-        elif taus is not None:
-            raise ConfigError("taus", "only meaningful for convergence")
 
         if self.out is not None and not isinstance(self.out, str):
             raise ConfigError("out", f"expected a string path, got {self.out!r}")
@@ -215,18 +206,10 @@ class ExperimentConfig:
         if runs_on not in (None, system):
             raise ConfigError("system", f"{experiment} runs on " + (
                 "hydrogen" if runs_on == "hydrogen" else "the model qubit"))
-        # a field the system never reads must keep its default, so that the
-        # config a dataset echoes is the one that ran
-        if system == "hydrogen" and self.delta_e != MODEL_DELTA_E:
-            raise ConfigError("delta_e", "hydrogen takes its splitting from "
-                                         "hydrogen.delta_e_mhz; leave delta_e out")
-        if system != "hydrogen" and self.basis != "j":
-            raise ConfigError("basis", "only hydrogen has a coupled basis; leave basis out")
 
         # every run ends after its last pulse center, so only a last center at
         # or before t = 0 can leave a run that ends before it starts
-        if (self.t_end is None and experiment not in ("figure7", "convergence")
-                and pulses[-1]["t_k"] <= 0.0):
+        if self.t_end is None and run == "trajectories" and pulses[-1]["t_k"] <= 0.0:
             for o in self.orderings:
                 end = _run_end(self, config_sequence(self, o))
                 if end <= 0.0:
@@ -366,6 +349,8 @@ class ResultDataset:
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=float)
         object.__setattr__(self, "data", data)
+        if not self.columns:
+            raise ValueError(f"dataset {self.name!r} has no columns")
         if data.ndim != 2 or data.shape[1] != len(self.columns):
             raise ValueError(
                 f"data shape {data.shape} does not match {len(self.columns)} columns")
@@ -463,8 +448,9 @@ def read_dataset(csv_path) -> ResultDataset:
 
     The header block is read line by line up to the column row; the body is
     parsed by ``np.loadtxt``, which skips blank and ``#`` lines. Lines may
-    end in LF or CRLF. A malformed ``# config:`` or ``# meta:`` line or a
-    malformed body raises a ``ValueError`` that names the file.
+    end in LF or CRLF. A file without a column row, a malformed ``# config:``
+    or ``# meta:`` line or a malformed body raises a ``ValueError`` that
+    names the file.
     """
     path = Path(csv_path)
     name = path.stem
@@ -484,6 +470,8 @@ def read_dataset(csv_path) -> ResultDataset:
             elif line and not line.startswith("#"):
                 header = line.split(",")
                 break
+        else:
+            raise ValueError(f"{path}: no column row")
         # np.loadtxt warns on a body without rows, so find the first row here
         first = next((line for line in handle
                       if line.rstrip("\r\n") and not line.startswith("#")), None)
@@ -541,14 +529,6 @@ def _run_end(config: ExperimentConfig, seq: KickSequence) -> float:
     return default_end_time(seq)
 
 
-def _warn_diagnostics(seq: KickSequence) -> None:
-    diagnostics = validate_sequence(seq)
-    raise_on_errors(diagnostics)
-    for diag in diagnostics:
-        if diag.level == "warning":
-            warnings.warn(diag.message, stacklevel=3)
-
-
 def _ideal_twin(seq: KickSequence) -> KickSequence:
     """``seq`` with every pulse replaced by an ideal kick of the same axis,
     area and center."""
@@ -561,7 +541,7 @@ def _trajectory_dataset(config: ExperimentConfig, ordering: str) -> ResultDatase
               if config.system == "hydrogen" else None)
     seq = config_sequence(config, ordering,
                           delta_e=None if params is None else params.delta_e)
-    _warn_diagnostics(seq)
+    validate_sequence(seq)
     t_end = _run_end(config, seq)
     if params is not None:
         traj = run_pulse_sequence(
@@ -670,8 +650,7 @@ def run_convergence(config: ExperimentConfig) -> ResultDataset:
         meta["coefficient_per_beta"] = float(np.exp(np.mean(np.log(ratio))))
     if len(config.pulses) == 1 and config.pulses[0]["axis"] == "x":
         alpha = config.pulses[0]["alpha"]
-        meta["predicted_coefficient"] = abs(
-            math.sin(alpha) / alpha - math.cos(alpha)) if alpha != 0 else 0.0
+        meta["predicted_coefficient"] = abs(_width_coefficient(alpha))
     return ResultDataset(
         name=config.experiment, columns=("tau", "beta", "distance"),
         data=table, config=config.to_dict(), meta=meta)

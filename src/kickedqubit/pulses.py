@@ -15,6 +15,7 @@ integrator samples; both take scalar or array times.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,12 +119,6 @@ class KickSequence:
         _need_finite("delta_e", self.delta_e)
 
 
-@dataclass(frozen=True)
-class Diagnostic:
-    level: str  # "error" | "warning"
-    message: str
-
-
 def pulse_area(pulse: PulseSpec) -> float:
     """Integral of the pulse field over all time.
 
@@ -156,39 +151,30 @@ def field_at(seq: KickSequence, t, side: float = 0.0):
     return (vx, vy) if t.ndim else (float(vx), float(vy))
 
 
-def validate_sequence(seq: KickSequence) -> list[Diagnostic]:
-    """Check a sequence and return a list of error/warning diagnostics.
+def validate_sequence(seq: KickSequence) -> None:
+    """Check a sequence: raise on an error, then warn on each doubtful pulse.
 
-    Errors: pulse centers not strictly increasing.
-    Warnings: pulses closer than 4*(tau_i + tau_j) center-to-center (their
-    profiles overlap appreciably) and width angles ``beta > 0.1`` (the sudden
+    Raises ``ValueError`` if the pulse centers do not strictly increase,
+    before any warning.  Then warns (``UserWarning``) for each pair of pulses
+    closer than 4*(tau_i + tau_j) center-to-center (their profiles overlap
+    appreciably) and for each width angle ``beta > 0.1`` (the sudden
     approximation degrades).
     """
-    out: list[Diagnostic] = []
     pulses = seq.pulses
-    for i in range(1, len(pulses)):
-        if pulses[i].t_k <= pulses[i - 1].t_k:
-            out.append(Diagnostic(
-                "error",
-                f"pulse centers must be strictly increasing; pulse {i} at "
-                f"t={pulses[i].t_k} does not follow t={pulses[i - 1].t_k}"))
-        gap = pulses[i].t_k - pulses[i - 1].t_k
-        reach = 4.0 * (pulses[i].tau + pulses[i - 1].tau)
-        if gap > 0 and reach > 0 and gap < reach:
-            out.append(Diagnostic(
-                "warning",
-                f"pulses {i - 1} and {i} overlap: center gap {gap:g} < {reach:g}"))
+    pairs = list(enumerate(zip(pulses, pulses[1:]), 1))
+    errors = [f"pulse centers must be strictly increasing; pulse {i} at "
+              f"t={b.t_k} does not follow t={a.t_k}"
+              for i, (a, b) in pairs if b.t_k <= a.t_k]
+    if errors:
+        raise ValueError("; ".join(errors))
+    for i, (a, b) in pairs:
+        gap = b.t_k - a.t_k
+        reach = 4.0 * (a.tau + b.tau)
+        if gap < reach:
+            warnings.warn(f"pulses {i - 1} and {i} overlap: center gap {gap:g} < {reach:g}",
+                          stacklevel=2)
     for i, p in enumerate(pulses):
         beta = beta_angle(p, seq.delta_e)
         if abs(beta) > 0.1:
-            out.append(Diagnostic(
-                "warning",
-                f"pulse {i} has width angle beta = {beta:.3g} > 0.1; "
-                f"finite-width corrections are no longer small"))
-    return out
-
-
-def raise_on_errors(diagnostics: list[Diagnostic]) -> None:
-    errors = [d.message for d in diagnostics if d.level == "error"]
-    if errors:
-        raise ValueError("; ".join(errors))
+            warnings.warn(f"pulse {i} has width angle beta = {beta:.3g} > 0.1; "
+                          f"finite-width corrections are no longer small", stacklevel=2)

@@ -1,18 +1,18 @@
 """Tests for pulse profiles, areas, and sequence validation."""
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
 
 from kickedqubit import (
-    Diagnostic,
     KickSequence,
     PulseSpec,
     beta_angle,
     field_at,
     pulse_area,
-    raise_on_errors,
     validate_sequence,
 )
 
@@ -135,11 +135,23 @@ def test_validate_flags_non_increasing_centers():
         PulseSpec(shape="ideal", axis="x", alpha=0.1, t_k=2.0),
         PulseSpec(shape="ideal", axis="x", alpha=0.1, t_k=1.0),
     ), delta_e=1.0)
-    diags = validate_sequence(seq)
-    assert any(d.level == "error" and "strictly increasing" in d.message
-               for d in diags)
-    with pytest.raises(ValueError, match="strictly increasing"):
-        raise_on_errors(diags)
+    with pytest.raises(ValueError, match="strictly increasing; pulse 1 at t=1.0"):
+        validate_sequence(seq)
+
+
+def test_validate_raises_before_it_warns():
+    # the first pair overlaps and the second is out of order: the error
+    # comes first, and no warning is emitted on the way
+    seq = KickSequence(pulses=(
+        PulseSpec(shape="gaussian", axis="x", alpha=0.1, t_k=1.0, tau=0.2),
+        PulseSpec(shape="gaussian", axis="x", alpha=0.1, t_k=1.5, tau=0.2),
+        PulseSpec(shape="gaussian", axis="x", alpha=0.1, t_k=1.2, tau=0.2),
+    ), delta_e=1.0)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ValueError, match="pulse 2 at t=1.2 does not follow t=1.5"):
+            validate_sequence(seq)
+    assert caught == []
 
 
 def test_validate_warns_on_overlap():
@@ -147,17 +159,17 @@ def test_validate_warns_on_overlap():
         PulseSpec(shape="gaussian", axis="x", alpha=0.1, t_k=1.0, tau=0.2),
         PulseSpec(shape="gaussian", axis="x", alpha=0.1, t_k=1.5, tau=0.2),
     ), delta_e=1.0)
-    diags = validate_sequence(seq)
-    assert any(d.level == "warning" and "overlap" in d.message for d in diags)
-    raise_on_errors(diags)  # warnings alone never raise
+    with pytest.warns(UserWarning, match="pulses 0 and 1 overlap") as caught:
+        assert validate_sequence(seq) is None  # warnings alone never raise
+    assert len(caught) == 1
 
 
 def test_validate_warns_on_wide_pulse():
     seq = KickSequence(pulses=(
         PulseSpec(shape="gaussian", axis="x", alpha=0.1, t_k=1.0, tau=0.5),
     ), delta_e=1.0)
-    diags = validate_sequence(seq)
-    assert any(d.level == "warning" and "beta" in d.message for d in diags)
+    with pytest.warns(UserWarning, match="beta = 0.25 > 0.1"):
+        validate_sequence(seq)
 
 
 def test_validate_passes_a_clean_sequence():
@@ -165,9 +177,7 @@ def test_validate_passes_a_clean_sequence():
         PulseSpec(shape="gaussian", axis="x", alpha=0.1, t_k=1.0, tau=0.01),
         PulseSpec(shape="gaussian", axis="y", alpha=0.2, t_k=3.0, tau=0.01),
     ), delta_e=1.0)
-    assert validate_sequence(seq) == []
-
-
-def test_diagnostic_shape():
-    d = Diagnostic("warning", "badly spaced")
-    assert (d.level, d.message) == ("warning", "badly spaced")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        validate_sequence(seq)
+    assert caught == []

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Benchmark a base commit against the working tree in alternating pairs.
 
-    python3 tools/bench_pairs.py --base <rev> --seeds 301 302 303 --out BENCH_<n>.json
+    python3 tools/bench_pairs.py --base <rev> --out BENCH_<n>.json
 
 For every workload and seed this runs ``perfbench/run.py --trace 0`` once in
 a ``git archive`` copy of ``--base`` and once in a fresh copy of the working
@@ -10,7 +10,9 @@ ignored output comes along), the base first for even pair indices and
 second for odd ones, and writes every run's
 end-to-end metrics plus, per metric, each side's median and quartiles and
 the number of pairs the working tree wins (by the metric's ``better``
-direction in ``BENCHMARK.json``).  Run it from the root of a checkout.
+direction in ``BENCHMARK.json``).  ``--seeds`` defaults to ten seeds,
+301 to 310: fewer pairs cannot show a 9-in-10 win, nor tell a sweep's
+median from its spread.  Run it from the root of a checkout.
 """
 from __future__ import annotations
 
@@ -75,7 +77,7 @@ def summarise(pairs: list[dict], better: dict) -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--seeds", type=int, nargs="+", required=True)
+    parser.add_argument("--seeds", type=int, nargs="+", default=list(range(301, 311)))
     parser.add_argument("--workloads", nargs="+",
                         default=["cli_catalog", "sweep_sparse", "sweep_dense", "dataset_io"])
     parser.add_argument("--seconds", type=float, default=20.0)

@@ -20,9 +20,11 @@ config normalisation: float conversion, defaults, the hydrogen merge.  The
 ``data`` line is one SHA-256 over the ``data`` bytes alone of every dataset
 above, the catalog's as ``read_dataset`` reads them back from its CSVs, so
 a change that moves only ``meta`` (an ideal-kick probability, say) leaves
-it as it was.  Run it in two checkouts and compare the lines.  It imports the
-package from ``src/`` and the workloads from ``perfbench/`` of the checkout
-it sits in.
+it as it was.  The ``warnings`` line is one SHA-256 over the category and
+message of every warning raised while the datasets above are built, each
+repeat included, in the order raised.  Run it in two checkouts and compare
+the lines.  It imports the package from ``src/`` and the workloads from
+``perfbench/`` of the checkout it sits in.
 """
 from __future__ import annotations
 
@@ -42,6 +44,7 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import kickedqubit as kq  # noqa: E402
+from spans import NullTracer  # noqa: E402
 from workloads import DatasetIOWorkload, SweepWorkload  # noqa: E402
 
 
@@ -50,7 +53,17 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=101)
     parser.add_argument("--ops", type=int, default=120)
     args = parser.parse_args(argv)
-    warnings.simplefilter("ignore")  # the configs' own diagnostics
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        print_dataset_hashes(args.seed, args.ops)
+    digest = hashlib.sha256()
+    for w in caught:
+        digest.update(f"{w.category.__name__}: {w.message}\n".encode())
+    print(f"warnings {len(caught)} raised {digest.hexdigest()}")
+    return 0
+
+
+def print_dataset_hashes(seed: int, n_ops: int) -> None:
     echoes = []  # every dataset's config, in the order they are built
     tables = hashlib.sha256()  # every dataset's data, in the same order
     digest = hashlib.sha256()
@@ -67,8 +80,8 @@ def main(argv=None) -> int:
                     tables.update(np.ascontiguousarray(kq.read_dataset(path).data).tobytes())
     print(f"catalog {len(ids)} ids {digest.hexdigest()}")
     for name, dense in (("sweep_sparse", False), ("sweep_dense", True)):
-        workload = SweepWorkload(name, args.seed, dense)
-        ops = [workload.next_op() for _ in range(args.ops)] + workload.accuracy_panel()
+        workload = SweepWorkload(name, seed, dense)
+        ops = [workload.next_op() for _ in range(n_ops)] + workload.accuracy_panel()
         digest = hashlib.sha256()
         for op in ops:
             with contextlib.redirect_stdout(io.StringIO()):
@@ -81,15 +94,15 @@ def main(argv=None) -> int:
                 digest.update(json.dumps(ds.meta, sort_keys=True).encode())
         print(f"{name} {len(ops)} operations {digest.hexdigest()}")
     with tempfile.TemporaryDirectory() as tmp:
-        workload = DatasetIOWorkload(args.seed, Path(tmp))
+        workload = DatasetIOWorkload(seed, Path(tmp))
         ops = []
-        while len(ops) < args.ops:
+        while len(ops) < n_ops:
             op = workload.next_op()
             if op["kind"] == "convergence":
                 ops.append(op)
         digest = hashlib.sha256()
         for op in ops + workload.accuracy_panel():
-            ds = workload._build(op, _NoSpans())
+            ds = workload._build(op, NullTracer())
             echoes.append(ds.config)
             data = np.ascontiguousarray(ds.data).tobytes()
             tables.update(data)
@@ -101,14 +114,6 @@ def main(argv=None) -> int:
         digest.update(json.dumps(config, sort_keys=True).encode())
     print(f"configs {len(echoes)} datasets {digest.hexdigest()}")
     print(f"data {len(echoes)} datasets {tables.hexdigest()}")
-    return 0
-
-
-class _NoSpans:
-    """The tracer the workload's table builder expects, recording nothing."""
-
-    def span(self, *args, **kwargs):
-        return contextlib.nullcontext()
 
 
 if __name__ == "__main__":
