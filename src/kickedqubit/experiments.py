@@ -349,8 +349,17 @@ class ResultDataset:
     def __post_init__(self) -> None:
         data = np.asarray(self.data, dtype=float)
         object.__setattr__(self, "data", data)
+        # the name is a file name in the output directory and a header line
+        if not self.name or any(c in self.name for c in "/\\\r\n"):
+            raise ValueError(f"dataset name {self.name!r} is not a plain file name")
         if not self.columns:
             raise ValueError(f"dataset {self.name!r} has no columns")
+        # the column row must read back as the same names
+        row = ",".join(self.columns)
+        if (not row or row.startswith("#") or "\r" in row or "\n" in row
+                or tuple(row.split(",")) != tuple(self.columns)):
+            raise ValueError(f"dataset {self.name!r} columns {self.columns!r} do not "
+                             f"round-trip through the column row")
         if data.ndim != 2 or data.shape[1] != len(self.columns):
             raise ValueError(
                 f"data shape {data.shape} does not match {len(self.columns)} columns")

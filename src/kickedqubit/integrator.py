@@ -86,14 +86,11 @@ class LinearDriveModel:
         # every pulse is rectangular, so the field is piecewise constant
         self._rectangular = all(p.shape == "rectangular" for p in seq.pulses)
         self._free = self._free_eigenbasis()
-        # -1j times each matrix, flattened: -1j only swaps and negates the
-        # parts, so g0 + v_x g_x + v_y g_y equals -1j (h0 + v_x a_x + v_y a_y)
-        # exactly.  Only the entries where g_x or g_y is nonzero take the
-        # field; elsewhere both terms are exact zeros.
-        g0, gx, gy = ((-1j * m).ravel() for m in (self.h0, self.a_x, self.a_y))
-        self._g0 = g0[:, None]
-        self._driven = np.flatnonzero((gx != 0) | (gy != 0))
-        self._g0d, self._gx, self._gy = (g[self._driven, None] for g in (g0, gx, gy))
+        # -1j times each matrix, flattened to a column: -1j only swaps and
+        # negates the parts, so g0 + v_x g_x + v_y g_y equals
+        # -1j (h0 + v_x a_x + v_y a_y) exactly
+        self._g0, self._gx, self._gy = ((-1j * m).reshape(-1, 1)
+                                        for m in (self.h0, self.a_x, self.a_y))
         # the supports sorted by start, once, for picking the pulses of a
         # block.  A gaussian is nonzero wherever |(t - t_k) / tau| <= 8
         # rounds true, which can hold an ulp outside its support, so each
@@ -110,7 +107,7 @@ class LinearDriveModel:
         """``(lam, V, V^-1)`` with ``h0 = V diag(lam) V^-1`` for the exact free
         propagator; ``V`` is None for a diagonal ``h0``, which needs no LAPACK
         call.  None when ``h0`` is (nearly) defective, as at an exceptional
-        point: RK4 then steps the whole span."""
+        point: the span is then one more support (see :func:`_chain`)."""
         lam = np.diag(self.h0).copy()
         if np.array_equal(self.h0, np.diag(lam)):
             return lam, None, None
@@ -165,15 +162,11 @@ class LinearDriveModel:
     def _generators(self, vx, vy, n: int) -> np.ndarray:
         """``-1j H`` for the field ``(vx, vy)`` of :meth:`_fields` at ``n``
         times, time-last ``(d, d, n)``."""
-        a = np.empty((len(self._g0), n), dtype=complex)
-        a[:] = self._g0
+        a = np.repeat(self._g0, n, axis=1)
         # an axis without a pulse here adds exact zeros: its term is left out
-        terms = [v * g for v, g in ((vx, self._gx), (vy, self._gy)) if v is not None]
-        if terms:
-            terms[0] += self._g0d
-            for term in terms[1:]:
-                terms[0] += term
-            a[self._driven] = terms[0]
+        for v, g in ((vx, self._gx), (vy, self._gy)):
+            if v is not None:
+                a += v * g
         return a.reshape(self.dimension, self.dimension, -1)
 
 
@@ -365,13 +358,12 @@ def _chain(model, t0: float, h: float, n_steps: int):
     arithmetic.  The free links, up to each support and after the last
     one, are returned as a list of ``(k, a, b)``: the flight from ``a`` to
     ``b`` after the first ``k`` RK4 links.  An ``h0`` without an exact free
-    propagator (at an exceptional point) makes the whole span one support.
+    propagator (at an exceptional point) adds the span as one more support.
     """
     t_end = t0 + n_steps * h
-    if model._free is None:
-        nodes = t0 + np.arange(n_steps + 1) * h
-        return nodes[:-1], nodes[1:], np.full(n_steps, h), []
     ends = model._ends
+    if model._free is None:
+        ends = np.concatenate(([[t0, t_end]], ends))
     grid = t0 + np.minimum(np.maximum(np.rint((ends - t0) / h), 0), n_steps) * h
     ends = np.minimum(np.maximum(
         np.where(np.abs(ends - grid) <= 1e-9 * h, grid, ends), t0), t_end)
@@ -409,8 +401,6 @@ def _chain(model, t0: float, h: float, n_steps: int):
         links += count + len(inside) + 1
     if at < t_end:
         flights.append((links, at, t_end))
-    if not merged:
-        return np.empty(0), np.empty(0), np.empty(0), flights
     points = t0 + (np.arange(n_grid) + np.repeat(shift, counts)) * h
     # each end goes after the grid points below it
     place = np.searchsorted(points, edges) + np.arange(len(edges))
@@ -469,10 +459,10 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
     supports, stepping between the grid points inside them and every support
     end, so a rectangular edge never falls inside a step; between supports
     the free propagator ``exp(-i h0 s)`` is applied exactly.  An ``h0`` at
-    an exceptional point has no eigenbasis for it, and RK4 then steps the
-    whole span.  The state passes through the chain of links in time order,
-    one step matrix at a time, and the links of a run of equal steps share
-    one matrix (see the module docstring).  An ``h`` above
+    an exceptional point has no eigenbasis for it, and the whole span is
+    then one support.  The state passes through the chain of links in time
+    order, one step matrix at a time, and the links of a run of equal steps
+    share one matrix (see the module docstring).  An ``h`` above
     ``min_tau / 20`` triggers an accuracy warning (not an error).
 
     Raises

@@ -151,14 +151,19 @@ def field_at(seq: KickSequence, t, side: float = 0.0):
     return (vx, vy) if t.ndim else (float(vx), float(vy))
 
 
+# how far from its center, in units of tau, a pulse overlaps a neighbour
+_REACH = {"ideal": 0.0, "gaussian": 4.0, "rectangular": 0.5}
+
+
 def validate_sequence(seq: KickSequence) -> None:
     """Check a sequence: raise on an error, then warn on each doubtful pulse.
 
     Raises ``ValueError`` if the pulse centers do not strictly increase,
-    before any warning.  Then warns (``UserWarning``) for each pair of pulses
-    closer than 4*(tau_i + tau_j) center-to-center (their profiles overlap
-    appreciably) and for each width angle ``beta > 0.1`` (the sudden
-    approximation degrades).
+    before any warning.  Then warns (``UserWarning``) for each pair of
+    neighbours whose center gap is below the sum of their reaches (their
+    profiles overlap appreciably) and for each width angle ``beta > 0.1``
+    (the sudden approximation degrades).  A gaussian reaches ``4 tau``, a
+    rectangle ``tau / 2`` (its support) and an ideal kick 0.
     """
     pulses = seq.pulses
     pairs = list(enumerate(zip(pulses, pulses[1:]), 1))
@@ -169,7 +174,7 @@ def validate_sequence(seq: KickSequence) -> None:
         raise ValueError("; ".join(errors))
     for i, (a, b) in pairs:
         gap = b.t_k - a.t_k
-        reach = 4.0 * (a.tau + b.tau)
+        reach = _REACH[a.shape] * a.tau + _REACH[b.shape] * b.tau
         if gap < reach:
             warnings.warn(f"pulses {i - 1} and {i} overlap: center gap {gap:g} < {reach:g}",
                           stacklevel=2)

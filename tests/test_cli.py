@@ -65,6 +65,16 @@ def test_custom_config_run(tmp_path, capsys):
     assert ds.columns == ("t", "p1", "p2", "norm")
 
 
+def test_a_config_file_without_experiment_runs_the_command_line_id(tmp_path, capsys):
+    payload = _tiny_config(orderings=["forward"])
+    del payload["experiment"]
+    config = _write(tmp_path, payload)
+    assert main(["custom", "--config", config, "--out", str(tmp_path / "run")]) == EXIT_OK
+    assert capsys.readouterr().out.count("wrote") == 1
+    ds = read_dataset(tmp_path / "run" / "custom_forward.csv")
+    assert ds.config["experiment"] == "custom"
+
+
 def test_dt_override_is_recorded(tmp_path, capsys):
     config = _write(tmp_path, _tiny_config(orderings=["forward"]))
     assert main(["custom", "--config", config, "--out", str(tmp_path / "run"),

@@ -412,6 +412,31 @@ def test_a_dataset_needs_a_column():
             ResultDataset(name="d", columns=(), data=np.empty((rows, 0)), config={})
 
 
+@pytest.mark.parametrize("name", ["", "../escape", "a/b", "a\\b", "a\nb", "a\rb"])
+def test_a_dataset_name_must_be_a_plain_file_name(name):
+    # each would write outside the output directory, fail to open, write a
+    # hidden file or break its header line
+    with pytest.raises(ValueError, match="not a plain file name"):
+        ResultDataset(name=name, columns=("t",), data=np.zeros((1, 1)), config={})
+
+
+@pytest.mark.parametrize("columns", [("",), ("#t", "p"), ("a,b",), ("a\nb",), ("a\rb",)])
+def test_dataset_columns_must_round_trip_through_the_column_row(columns):
+    # an empty or '#' row reads as a comment, a comma splits a name, and a
+    # line break ends the row early
+    data = np.zeros((2, len(columns)))
+    with pytest.raises(ValueError, match="'d' columns .* do not round-trip"):
+        ResultDataset(name="d", columns=columns, data=data, config={})
+
+
+def test_names_and_columns_that_round_trip_are_accepted(tmp_path):
+    ds = ResultDataset(name="a b.v2", columns=("p #1", "", "q"),
+                       data=np.ones((2, 3)), config={})
+    back = read_dataset(ds.write(tmp_path))
+    assert (back.name, back.columns) == (ds.name, ds.columns)
+    assert np.array_equal(back.data, ds.data)
+
+
 def test_write_read_round_trip(tmp_path):
     rng = np.random.default_rng(7)
     data = np.column_stack([np.sort(rng.uniform(0, 9, 25)),

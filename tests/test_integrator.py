@@ -501,8 +501,10 @@ def test_constant_hamiltonian_runs_match_rk4_step_loop():
 
 
 def test_exceptional_point_runs_match_rk4_step_loop():
-    # without an eigenbasis for h0, RK4 steps the gaps too: they are runs
-    # of zero field, and the rectangular plateau one more
+    # without an eigenbasis for h0, RK4 steps the gaps too: the whole span
+    # is one support, and the off-grid rectangular edges are its nodes, so
+    # the run keeps fourth order against the exact product of one expm per
+    # constant piece
     h0 = np.array([[0.0, 0.25], [0.25, -0.5j]])
     seq = KickSequence(pulses=(
         PulseSpec(shape="rectangular", axis="y", alpha=0.6, t_k=1.00037, tau=0.5),),
@@ -512,8 +514,16 @@ def test_exceptional_point_runs_match_rk4_step_loop():
     n_steps, sample_every = 4000, 50
     y = np.array([1.0, 0.0], dtype=complex)
     traj = integrate(model, y, 0.0, 2.0, 2.0 / n_steps, sample_every=sample_every)
-    expected = _rk4_loop(model, y, 2.0, n_steps, sample_every)
-    assert np.max(np.abs(traj.states - expected)) < 1e-12
+    assert traj.rk4_steps == n_steps + 2  # one more link per off-grid edge
+    lo, hi = seq.pulses[0].support()
+    nodes = sorted({*traj.times.tolist(), lo, hi})
+    exact, at = [y], y
+    for a, b in zip(nodes, nodes[1:]):
+        at = expm(-1j * model.hamiltonians(np.array([0.5 * (a + b)]))[:, :, 0]
+                  * (b - a)) @ at
+        if b in traj.times:
+            exact.append(at)
+    assert np.max(np.abs(traj.states - np.array(exact))) < 1e-10
     assert abs(traj.probabilities[-1, 1]) > 1e-3  # the drive acted
 
 

@@ -291,6 +291,12 @@ def test_two_kick_xy_rejects_bad_order_token():
         two_kick_xy(0.1, 0.2, 0.0, 1.0, 1.0, "both")
 
 
+@pytest.mark.parametrize("t1, t2", [(1.0, 1.0), (2.0, 1.0)])
+def test_two_kick_xy_requires_increasing_times(t1, t2):
+    with pytest.raises(ValueError, match="t1 < t2"):
+        two_kick_xy(0.1, 0.2, t1, t2, 1.0, "YthenX")
+
+
 # --------------------------------------------------- opposite pair / ordering
 
 def test_opposite_pair_equals_product():

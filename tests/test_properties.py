@@ -3,6 +3,8 @@
 Each example is a qubit, a hydrogen j-basis or a hydrogen coupled-basis
 model driven by one to three pulses with free flight before, between and
 after their supports; the span may start inside the first support.  The
+rectangular trains also drive a decaying ``h0`` at an exceptional point,
+which has no exact free propagator.  The
 chain layout of ``integrate`` is also checked on its own against a plain
 reference, over supports that touch, overlap, sit on or near the grid, or
 reach past the span.
@@ -33,6 +35,10 @@ from kickedqubit.integrator import _chain
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None)
 
 
+# a decaying h0 with a single eigenvector
+_EXCEPTIONAL_H0 = np.array([[0.0, 0.25], [0.25, -0.5j]])
+
+
 def _half_support(shape: str, tau: float) -> float:
     return 8.0 * tau if shape == "gaussian" else 0.5 * tau
 
@@ -42,11 +48,12 @@ def pulse_runs(draw, kinds=("qubit", "j", "coupled"),
                shapes=("gaussian", "rectangular"), decay=None):
     """``(model, t0, t_end, sample_every)`` of a random valid pulse train.
 
-    ``decay`` picks the hydrogen 2p decay: True for the quoted rate, False
-    for none, None for either.
+    The kind ``"exceptional"`` is a qubit-scale train on an ``h0`` at an
+    exceptional point.  ``decay`` picks the hydrogen 2p decay: True for the
+    quoted rate, False for none, None for either.
     """
     kind = draw(st.sampled_from(kinds))
-    if kind == "qubit":
+    if kind in ("qubit", "exceptional"):
         delta_e = draw(st.floats(0.5, 2.0))
         taus, gaps = st.floats(0.02, 0.2), st.floats(0.05, 1.0)
     else:
@@ -68,8 +75,12 @@ def pulse_runs(draw, kinds=("qubit", "j", "coupled"),
     # from before the first support to inside it
     t0 = draw(st.floats(0.0, first.t_k))
     t_end = end + draw(gaps)
-    model = (TwoStatePulseModel(seq) if kind == "qubit"
-             else HydrogenModel(params, seq, basis=kind))
+    if kind == "qubit":
+        model = TwoStatePulseModel(seq)
+    elif kind == "exceptional":
+        model = LinearDriveModel(_EXCEPTIONAL_H0, SIGMA_X, SIGMA_Y, seq)
+    else:
+        model = HydrogenModel(params, seq, basis=kind)
     return model, t0, t_end, draw(st.integers(1, 50))
 
 
@@ -98,7 +109,7 @@ def _piecewise_expm(model, y0, t0, times):
 
 
 @PROPERTY_SETTINGS
-@given(pulse_runs(shapes=("rectangular",)))
+@given(pulse_runs(kinds=("qubit", "j", "coupled", "exceptional"), shapes=("rectangular",)))
 def test_rectangular_trains_match_piecewise_expm(run):
     model, t0, t_end, _ = run
     # about 30 samples, each one a reference expm
@@ -174,8 +185,7 @@ def chain_layouts(draw):
                                 t_k=0.5 * (lo + hi), tau=tau))
     seq = KickSequence(pulses=tuple(pulses), delta_e=1.0)
     if draw(st.integers(0, 9)) == 7:
-        h0 = np.array([[0.0, 0.25], [0.25, -0.5j]])  # an exceptional point
-        model = LinearDriveModel(h0, SIGMA_X, SIGMA_Y, seq)
+        model = LinearDriveModel(_EXCEPTIONAL_H0, SIGMA_X, SIGMA_Y, seq)
     else:
         model = TwoStatePulseModel(seq)
     return model, t0, h, n_steps
@@ -184,11 +194,10 @@ def chain_layouts(draw):
 def _reference_chain(model, t0, h, n_steps):
     """The chain of :func:`_chain`, support by support: each merged support
     is the sorted union of the grid points strictly inside it, its ends and
-    the off-grid ends inside it."""
+    the off-grid ends inside it.  Without an exact free propagator the span
+    is one more support."""
     grid = [t0 + k * h for k in range(n_steps + 1)]
     t_end = grid[-1]
-    if model._free is None:
-        return grid[:-1], grid[1:], [h] * n_steps, []
     on_grid = set(grid)
 
     def moved(e):
@@ -196,8 +205,9 @@ def _reference_chain(model, t0, h, n_steps):
         g = min(grid, key=lambda p: abs(p - e))
         return min(max(g if abs(e - g) <= 1e-9 * h else e, t0), t_end)
 
+    spans = [(t0, t_end)] if model._free is None else []
     supports = sorted((moved(lo), moved(hi)) for lo, hi in
-                      (p.support() for p in model.seq.pulses))
+                      spans + [p.support() for p in model.seq.pulses])
     off = {e for s in supports for e in s if e not in on_grid}
     merged = []
     for lo, hi in supports:

@@ -164,6 +164,24 @@ def test_validate_warns_on_overlap():
     assert len(caught) == 1
 
 
+def test_validate_warns_on_rectangles_only_where_their_supports_overlap():
+    # a rectangle reaches tau/2, its support: supports 0.4 apart, or
+    # touching, do not warn; supports that share 0.1 do
+    def rectangles(gap, tau=0.1):
+        return KickSequence(pulses=(
+            PulseSpec(shape="rectangular", axis="x", alpha=0.1, t_k=1.0, tau=tau),
+            PulseSpec(shape="rectangular", axis="x", alpha=0.1, t_k=1.0 + gap, tau=tau),
+        ), delta_e=0.1)  # beta <= 0.025: no width warning
+
+    for seq in (rectangles(0.5), rectangles(0.5, tau=0.5)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            validate_sequence(seq)
+        assert caught == []
+    with pytest.warns(UserWarning, match="pulses 0 and 1 overlap: center gap 0.4 < 0.5"):
+        validate_sequence(rectangles(0.4, tau=0.5))
+
+
 def test_validate_warns_on_wide_pulse():
     seq = KickSequence(pulses=(
         PulseSpec(shape="gaussian", axis="x", alpha=0.1, t_k=1.0, tau=0.5),
