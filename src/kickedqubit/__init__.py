@@ -34,6 +34,7 @@ from .hydrogen import (
     UNIT_SCALES,
     coupling_rotation,
     default_params,
+    default_run_end,
     effective_two_state_model,
     p_target,
     rabi_time,
@@ -49,7 +50,6 @@ from .integrator import (
     TwoStatePulseModel,
     integrate,
     norm_drift,
-    rk4_step,
 )
 from .propagators import (
     XY_ORDERS,
@@ -75,8 +75,6 @@ from .pulses import (
     KickSequence,
     PulseSpec,
     beta_angle,
-    field_at,
-    pulse_area,
     validate_sequence,
 )
 from .su2 import (
@@ -96,8 +94,7 @@ __all__ = [
     "IDENTITY", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "compose",
     "occupation_probabilities", "su2_exponential", "unitarity_defect",
     # pulses
-    "GAUSSIAN_SUPPORT", "KickSequence", "PulseSpec", "beta_angle",
-    "field_at", "pulse_area", "validate_sequence",
+    "GAUSSIAN_SUPPORT", "KickSequence", "PulseSpec", "beta_angle", "validate_sequence",
     # propagators
     "XY_ORDERS", "OrderingObservable", "TimeReversalReport", "free_phase",
     "kick_interaction", "kick_schrodinger", "kick_width_error", "multi_kick",
@@ -106,10 +103,10 @@ __all__ = [
     "two_kick_closed", "two_kick_xy", "untimeordered_opposite_pair",
     # integrator
     "BACKEND", "IntegrationDivergedError", "LinearDriveModel", "Trajectory",
-    "TwoStatePulseModel", "integrate", "norm_drift", "rk4_step",
+    "TwoStatePulseModel", "integrate", "norm_drift",
     # hydrogen
     "DEFAULT_MHZ", "HydrogenModel", "HydrogenParams", "UNIT_SCALES",
-    "coupling_rotation", "default_params", "effective_two_state_model",
+    "coupling_rotation", "default_params", "default_run_end", "effective_two_state_model",
     "p_target", "rabi_time", "revival_time", "run_pulse_sequence",
     "stroboscopic_free_propagator",
     # experiments

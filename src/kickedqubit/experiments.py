@@ -31,13 +31,15 @@ from .hydrogen import (
     HydrogenParams,
     UNIT_SCALES,
     default_params,
+    default_run_end,
     p_target,
     revival_time,
     run_pulse_sequence,
 )
 from .integrator import TwoStatePulseModel, integrate, norm_drift
 from .propagators import _width_coefficient, free_phase, multi_kick
-from .pulses import AXES, SHAPES, KickSequence, PulseSpec, validate_sequence
+from .pulses import (AXES, GAUSSIAN_RUN_TAIL, SHAPES, KickSequence, PulseSpec,
+                     validate_sequence)
 
 #: the system each experiment runs on; None where either will do
 _SYSTEM_OF = {
@@ -75,6 +77,11 @@ MODEL_T3 = MODEL_T2 + 1.3
 MODEL_T_DELTA = 2.0 * math.pi / MODEL_DELTA_E
 
 HYDROGEN_T1_PS = 20.0
+
+#: most samples, (t_end / dt) / sample_every, that a config lets one
+#: trajectory run keep: a table of this many rows takes some 100 MB to build,
+#: hundreds of times the largest catalog or benchmark run (a few thousand)
+MAX_SAMPLES = 1_000_000
 
 
 class ConfigError(ValueError):
@@ -207,15 +214,24 @@ class ExperimentConfig:
             raise ConfigError("system", f"{experiment} runs on " + (
                 "hydrogen" if runs_on == "hydrogen" else "the model qubit"))
 
-        # every run ends after its last pulse center, so only a last center at
-        # or before t = 0 can leave a run that ends before it starts
-        if self.t_end is None and run == "trajectories" and pulses[-1]["t_k"] <= 0.0:
+        if run == "trajectories":
+            dt = self.dt if self.dt is not None else min(p["tau"] for p in pulses) / 20.0
             for o in self.orderings:
-                end = _run_end(self, config_sequence(self, o))
+                end = (self.t_end if self.t_end is not None
+                       else _run_end(self, config_sequence(self, o)))
+                # every run ends after its last pulse center, so only a
+                # default end can come before t = 0, where the run starts
                 if end <= 0.0:
                     raise ConfigError(
                         "t_end", f"the {o} run would end at t = {end:g}, before it "
                         f"starts at t = 0; set t_end or move the pulses past t = 0")
+                samples = end / dt / self.sample_every
+                if samples > MAX_SAMPLES:
+                    raise ConfigError(
+                        "sample_every", f"the {o} run would keep {samples:.3g} samples "
+                        f"(t_end = {end:g}, dt = {dt:g}), above the limit of "
+                        f"{MAX_SAMPLES:,}; set a shorter t_end, a larger dt or a "
+                        f"larger sample_every")
 
     def to_dict(self) -> dict:
         """Every field as JSON values: tuples become lists, dicts are copied."""
@@ -516,7 +532,10 @@ def config_sequence(config: ExperimentConfig, ordering: str = "forward",
 
 def default_end_time(seq: KickSequence) -> float:
     """Last pulse center + 8 tau + one free interval (half a free period if
-    the sequence has a single pulse, so ``delta_e = 0`` needs ``t_end``)."""
+    the sequence has a single pulse, so ``delta_e = 0`` needs ``t_end``).
+
+    The 8 tau lie past a gaussian's ``6 tau`` support (``GAUSSIAN_SUPPORT``),
+    so the run ends in free flight after the last pulse."""
     centers = sorted(p.t_k for p in seq.pulses)
     last = max(seq.pulses, key=lambda p: p.t_k)
     if len(centers) > 1:
@@ -526,7 +545,7 @@ def default_end_time(seq: KickSequence) -> float:
                          "to end on; pass t_end")
     else:
         gap = math.pi / abs(seq.delta_e)
-    return last.t_k + 8.0 * last.tau + gap
+    return last.t_k + GAUSSIAN_RUN_TAIL * last.tau + gap
 
 
 def _run_end(config: ExperimentConfig, seq: KickSequence) -> float:
@@ -534,7 +553,7 @@ def _run_end(config: ExperimentConfig, seq: KickSequence) -> float:
     if config.t_end is not None:
         return config.t_end
     if config.system == "hydrogen":
-        return max(p.support()[1] for p in seq.pulses)
+        return default_run_end(seq)
     return default_end_time(seq)
 
 

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrator import LinearDriveModel, Trajectory, integrate
-from .pulses import KickSequence, _need_finite
+from .pulses import GAUSSIAN_RUN_TAIL, KickSequence, _need_finite
 from .su2 import SIGMA_X, SIGMA_Y
 
 UNIT_SCALES = {"plain": 1e-6, "two_pi": 2.0 * math.pi * 1e-6}
@@ -178,13 +178,21 @@ def p_target(traj: Trajectory) -> np.ndarray:
     return traj.probabilities[:, 1] + traj.probabilities[:, 2]
 
 
+def default_run_end(seq: KickSequence) -> float:
+    """Where a hydrogen run without ``t_end`` stops: the latest of
+    ``t_k + 8 tau`` for each gaussian, past its ``6 tau`` support, and of
+    the support end of each rectangle."""
+    return max(p.t_k + GAUSSIAN_RUN_TAIL * p.tau if p.shape == "gaussian"
+               else p.support()[1] for p in seq.pulses)
+
+
 def run_pulse_sequence(params: HydrogenParams, seq: KickSequence,
                        dt: float | None = None, sample_every: int = 1,
                        basis: str = "j", t_end: float | None = None) -> Trajectory:
     """Integrate the driven three-state system across a pulse sequence.
 
-    Starts in 2s at t = 0; runs to the last pulse's support end unless
-    ``t_end`` is given.  Default dt is tau_min/20.  Warns when pulse spacings
+    Starts in 2s at t = 0; runs to :func:`default_run_end` unless ``t_end``
+    is given.  Default dt is tau_min/20.  Warns when pulse spacings
     sit away from whole revival periods (the effective two-state picture then
     breaks), when pulses are wide enough to feel the 2s-2p free phase, and
     when the run extends into the decay tail.
@@ -205,7 +213,7 @@ def run_pulse_sequence(params: HydrogenParams, seq: KickSequence,
                 f"free period {t_free:g} ps", stacklevel=2)
 
     if t_end is None:
-        t_end = max(p.support()[1] for p in seq.pulses)
+        t_end = default_run_end(seq)
     if params.gamma > 0 and t_end > 0.5 / params.gamma:
         warnings.warn(
             f"t_end = {t_end:g} ps reaches into the decay tail "

@@ -17,12 +17,15 @@ equal the previous link's repeats its step matrix: the window is cut into
 runs of equal links, and only the first link of each run gets a matrix.
 The matrices are built in vectorised passes, each matrix product a sum of
 outer products over contiguous time rows and the stages combined in place.
-The state is then advanced through them one link after the other on
-Python complex scalars, unrolled for ``d = 2`` and ``d = 3``; a run's
-matrix is bound once and applied once per link.  Every link's matrix
-equals that of the plain formula with three
-:meth:`LinearDriveModel.hamiltonians` calls value for value, so the cost
-per step does not grow with the pulse count and the output does not move.
+Every link's matrix equals, value for value, that of the plain RK4 formula
+over the field summed from every pulse, so the cost per step does not grow
+with the pulse count.  The state is then advanced on Python complex
+scalars, unrolled for ``d = 2`` and ``d = 3``: a run's matrix is bound
+once and applied once per link.  A gaussian window that keeps only every
+``sample_every``-th state (``sample_every > 1``) first multiplies the
+links between two kept states, or up to a free flight, into one matrix per
+segment, all segments at once, and applies those; with ``sample_every =
+1`` it applies every link's matrix.
 """
 from __future__ import annotations
 
@@ -34,7 +37,7 @@ from itertools import accumulate, islice
 
 import numpy as np
 
-from .pulses import KickSequence, field_at
+from .pulses import KickSequence
 from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 #: the one integration path, recorded in dataset provenance
@@ -92,9 +95,9 @@ class LinearDriveModel:
         self._g0, self._gx, self._gy = ((-1j * m).reshape(-1, 1)
                                         for m in (self.h0, self.a_x, self.a_y))
         # the supports sorted by start, once, for picking the pulses of a
-        # block.  A gaussian is nonzero wherever |(t - t_k) / tau| <= 8
-        # rounds true, which can hold an ulp outside its support, so each
-        # support is padded by a relative margin.
+        # block.  A gaussian is nonzero wherever |(t - t_k) / tau| <= 6
+        # (GAUSSIAN_SUPPORT) rounds true, which can hold an ulp outside its
+        # support, so each support is padded by a relative margin.
         supports = [p.support() for p in seq.pulses]
         self._ends = np.array(supports)
         self._padded = sorted(
@@ -121,14 +124,6 @@ class LinearDriveModel:
         within ``min_tau / 20``, where :func:`integrate` starts to warn."""
         return span / math.ceil(span / (self.min_tau / 20.0))
 
-    def hamiltonians(self, times: np.ndarray,
-                     side: float | np.ndarray = 0.0) -> np.ndarray:
-        """H at ``times``, time-last ``(d, d, n)``; ``side``, one value or one
-        per time, picks the side of rectangular edges."""
-        vx, vy = field_at(self.seq, times, side)
-        return (self.h0[:, :, None] + vx * self.a_x[:, :, None]
-                + vy * self.a_y[:, :, None])
-
     def _fields(self, starts: np.ndarray, dts: np.ndarray):
         """The field ``(v_x, v_y)`` at the three RK4 stages of the steps
         ``starts, dts``, each ``(3, n)`` (start, middle, end) or None for an
@@ -137,8 +132,8 @@ class LinearDriveModel:
         The stage at the start of a step sees rectangular edges from just
         after ``t``, the stage at its end from just before ``t + dt``.  Only
         the pulses whose padded support meets the stages are evaluated, in
-        sequence order: every other one would add exactly 0.0 to the field
-        of :func:`field_at`.
+        sequence order: every other one would add exactly 0.0 to the sum of
+        all pulses.
         """
         n = len(starts)
         side = 1e-6 * dts
@@ -201,29 +196,10 @@ class Trajectory:
                    dt=dt, rk4_steps=rk4_steps)
 
 
-def rk4_step(model: LinearDriveModel, state: np.ndarray, t: float,
-             dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step of ``i dy/dt = H(t) y``.
-
-    The plain-vector reference for the step matrices :func:`integrate` uses:
-    like them, it takes rectangular edges from inside the step, from just
-    after ``t`` at its start stage and from just before ``t + dt`` at its end.
-    """
-    y = np.asarray(state, dtype=complex)
-    side = 1e-6 * dt
-    h = model.hamiltonians(np.array([t, t + 0.5 * dt, t + dt]),
-                           np.array([side, 0.0, -side]))
-    h_a, h_mid, h_b = h.transpose(2, 0, 1)
-    k1 = -1j * (h_a @ y)
-    k2 = -1j * (h_mid @ (y + 0.5 * dt * k1))
-    k3 = -1j * (h_mid @ (y + 0.5 * dt * k2))
-    k4 = -1j * (h_b @ (y + dt * k3))
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Products ``a[..., t] @ b[..., t]`` of time-last ``(d, d, n)`` stacks,
-    summed as outer products of contiguous length-``n`` rows."""
+    summed as outer products of contiguous length-``n`` rows; ``(d, d, ...)``
+    stacks of more trailing axes multiply the same way."""
     out = a[:, 0, None] * b[0]
     for k in range(1, len(a)):
         out += a[:, k, None] * b[k]
@@ -292,6 +268,31 @@ def _step_matrices(model, starts: np.ndarray, dts: np.ndarray, cuts=()):
                                    for v in fields), dts[c:c + _BLOCK])
             for c in range(0, len(dts), _BLOCK)]
     return (mats[0] if len(mats) == 1 else np.concatenate(mats, axis=2)), heads
+
+
+def _segment_products(mats: np.ndarray, ends: list) -> np.ndarray:
+    """The product ``M[e - 1] ... M[s]`` of each segment ``[s, e)`` of the
+    time-last ``(d, d, n)`` stack ``mats``, for the sorted segment ends
+    ``ends`` (the last is ``n``), time-last ``(d, d, len(ends))``.
+
+    One scatter pads each segment at its front with identities to the
+    power of two ``size`` at or above the longest one.  Neighbouring
+    positions are then multiplied pairwise, over all segments at once, in
+    ``log2(size)`` rounds: a long segment (one sample per window, say)
+    costs a few numpy calls, not one per link.
+    """
+    d, _, n = mats.shape
+    ends = np.array(ends)
+    lengths = np.diff(ends, prepend=0)
+    size = 1 << (int(lengths.max()) - 1).bit_length()
+    stack = np.zeros((d, d, size, len(ends)), dtype=complex)
+    stack.reshape(d * d, size, -1)[::d + 1] = 1.0
+    # link i of the segment ending at e sits at position size - (e - i)
+    stack[:, :, np.arange(n) + size - np.repeat(ends, lengths),
+          np.repeat(np.arange(len(ends)), lengths)] = mats
+    while stack.shape[2] > 1:
+        stack = _matmul(stack[:, :, 1::2], stack[:, :, 0::2])
+    return stack[:, :, 0]
 
 
 def _advance2(links, y, rows: list):
@@ -461,9 +462,10 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
     the free propagator ``exp(-i h0 s)`` is applied exactly.  An ``h0`` at
     an exceptional point has no eigenbasis for it, and the whole span is
     then one support.  The state passes through the chain of links in time
-    order, one step matrix at a time, and the links of a run of equal steps
-    share one matrix (see the module docstring).  An ``h`` above
-    ``min_tau / 20`` triggers an accuracy warning (not an error).
+    order; the links of a run of equal steps share one matrix, and the links
+    between two samples of a gaussian window are multiplied into one (see
+    the module docstring).  An ``h`` above ``min_tau / 20`` triggers an
+    accuracy warning (not an error).
 
     Raises
     ------
@@ -529,8 +531,18 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
             # a run may not carry the state across a free flight
             cuts = [k - b0 for k, _, _, _ in flights[f:f1]]
             mats, heads = _step_matrices(model, starts[b0:stop], dts[b0:stop], cuts)
+            flags = sampled[b0:stop]
+            if heads is None and sample_every > 1:
+                # only the sampled states are kept: one product per segment,
+                # which ends at a sampled link, before a free flight and at
+                # the window's end
+                seg_ends = sorted({*(np.flatnonzero(flags) + 1).tolist(),
+                                   *cuts, len(flags)} - {0})
+                mats = _segment_products(mats, seg_ends)
+                flags = flags[np.array(seg_ends) - 1]
+                cuts = [bisect_right(seg_ends, c) for c in cuts]
             entries = mats.reshape(model.dimension ** 2, -1).tolist()
-            flags = sampled[b0:stop].tolist()
+            flags = flags.tolist()
             if heads is None:
                 step, units = advance, zip(*entries, flags)
             else:
@@ -538,10 +550,11 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
                 step = walk
                 units = zip(zip(*entries), (flags[i:j] for i, j
                                             in zip(heads, heads[1:] + [len(flags)])))
-            at = 0  # links, or runs, walked so far
+                cuts = [bisect_left(heads, c) for c in cuts]
+            at = 0  # links, runs or segments walked so far
             rows: list = []  # the window's sampled states
-            for cut, (_, i0, i1, phases) in zip(cuts, flights[f:f1]):
-                u = cut if heads is None else bisect_left(heads, cut)
+            # each free flight follows the first u units of the window
+            for u, (_, i0, i1, phases) in zip(cuts, flights[f:f1]):
                 y = step(islice(units, u - at), y, rows)
                 y = _free_flight(model, y, i0, i1, phases, states)
                 at = u

@@ -23,6 +23,7 @@ from kickedqubit import (
     config_sequence,
     default_config,
     default_end_time,
+    default_run_end,
     read_dataset,
     run_convergence,
     run_experiment,
@@ -30,7 +31,8 @@ from kickedqubit import (
     two_kick_closed,
 )
 from kickedqubit import experiments
-from kickedqubit.hydrogen import DEFAULT_MHZ, default_params, revival_time
+from kickedqubit.hydrogen import (DEFAULT_MHZ, default_params, revival_time,
+                                  run_pulse_sequence)
 from kickedqubit.experiments import MODEL_T1, MODEL_T2, MODEL_T_DELTA
 
 
@@ -387,6 +389,54 @@ def test_default_end_time_of_a_single_pulse_without_splitting_asks_for_t_end():
         delta_e=0.0)
     with pytest.raises(ValueError, match="delta_e.*t_end"):
         default_end_time(one)
+
+
+def test_default_runs_end_8_tau_past_the_last_gaussian(capsys):
+    # RK4 stops at a gaussian's 6 tau support, but a run without t_end still
+    # ends 8 tau past the last center (plus a free interval on the qubit),
+    # so every dataset keeps its rows
+    for experiment in ("figure1", "figure5"):
+        cfg = default_config(experiment)
+        last = cfg.pulses[-1]
+        datasets, _ = run_experiment(cfg)
+        for ds in datasets:
+            end = last["t_k"] + 8.0 * last["tau"]
+            if experiment == "figure1":
+                end += last["t_k"] - cfg.pulses[-2]["t_k"]
+            assert ds.data[-1, 0] == pytest.approx(end, rel=1e-14), ds.name
+    capsys.readouterr()
+    # and so does the library's hydrogen run without t_end
+    params = default_params()
+    traj = run_pulse_sequence(params, config_sequence(cfg, delta_e=params.delta_e),
+                              sample_every=10**6)
+    assert traj.times[-1] == pytest.approx(end, rel=1e-14)
+    # on hydrogen a rectangle ends the run at its support end
+    seq = KickSequence(pulses=(
+        PulseSpec(shape="gaussian", axis="x", alpha=0.3, t_k=20.0, tau=1.0),
+        PulseSpec(shape="rectangular", axis="x", alpha=0.3, t_k=25.0, tau=2.0)),
+        delta_e=1.0)
+    assert default_run_end(seq) == 28.0
+    assert default_run_end(dataclasses.replace(seq, pulses=seq.pulses[1:])) == 26.0
+
+
+def test_a_run_of_too_many_samples_is_rejected_before_it_runs():
+    # one pulse at delta_e = 1e-6 ends its default run half a free period,
+    # pi * 1e6, after the pulse: 6.3e8 samples at dt = tau/20, which asked
+    # numpy for 4.68 GiB.  The config is rejected; this test never runs it.
+    raw = {"experiment": "custom", "delta_e": 1e-6,
+           "pulses": [{"shape": "gaussian", "axis": "x", "alpha": 0.5, "t_k": 1.0,
+                       "tau": 0.1}]}
+    with pytest.raises(ConfigError, match="6.28e[+]08 samples") as err:
+        ExperimentConfig.from_dict(raw)
+    assert err.value.path == "sample_every"
+    assert "t_end" in str(err.value) and "dt" in str(err.value)
+    # the same run at fewer samples, or explicit ends and steps, is accepted
+    ExperimentConfig.from_dict({**raw, "sample_every": 1000})
+    ExperimentConfig.from_dict({**raw, "t_end": 3.0})
+    with pytest.raises(ConfigError, match="samples") as err:
+        ExperimentConfig.from_dict({**raw, "t_end": 3.0, "dt": 1e-6})
+    assert err.value.path == "sample_every"
+    assert experiments.MAX_SAMPLES == 1_000_000
 
 
 # ------------------------------------------------------------------ datasets

@@ -26,9 +26,18 @@ from kickedqubit import (
     integrate,
     norm_drift,
     rectangular_exact,
-    rk4_step,
 )
-from kickedqubit.integrator import _BLOCK, _RUN_WINDOW, _chain, _matmul, _step_matrices
+from kickedqubit.integrator import (
+    _BLOCK,
+    _RUN_WINDOW,
+    _chain,
+    _free_flight,
+    _free_links,
+    _matmul,
+    _step_matrices,
+)
+
+from field_reference import hamiltonians, rk4_step
 
 
 def _constant_model(h, t1):
@@ -338,13 +347,89 @@ def test_last_free_flight_after_whole_blocks(t_k, rk4_steps):
     assert np.max(np.abs(traj.states - expected)) < 1e-12
 
 
+# the span [0, 4] of _gaussian_windows, in steps of 2^-10
+_WINDOWS_T1, _WINDOWS_STEPS = 4.0, 4096
+
+
+def _gaussian_windows(kind, half):
+    """Three gaussian pulses whose ``6 tau`` supports are ``2 half`` steps of
+    ``h = 2^-10`` each, ends on the grid.  With ``half = 256`` the chain is
+    three windows of 512 links, and each free flight between supports
+    starts exactly at a window boundary."""
+    pulses = tuple(PulseSpec(shape="gaussian", axis="xy"[i % 2], alpha=0.4 - 0.1 * i,
+                             t_k=1.0 + i, tau=half * 2.0 ** -10 / 6.0) for i in range(3))
+    if kind == "qubit":
+        return TwoStatePulseModel(KickSequence(pulses=pulses, delta_e=1.3))
+    p = default_params()  # with 2p decay
+    return HydrogenModel(p, KickSequence(pulses=pulses, delta_e=p.delta_e), basis=kind)
+
+
+@pytest.mark.parametrize("half", [256, 150])
+@pytest.mark.parametrize("kind", ["qubit", "j", "coupled"])
+def test_segment_products_equal_the_per_link_advance(kind, half):
+    # with sample_every > 1 a gaussian window applies one product per segment
+    # of links between samples; the samples it keeps are those of the
+    # per-link advance of sample_every = 1, up to the rounding of the products
+    model, t1, n_steps = _gaussian_windows(kind, half), _WINDOWS_T1, _WINDOWS_STEPS
+    h = t1 / n_steps
+    _, _, _, flights = _chain(model, 0.0, h, n_steps)
+    links = [k for k, _, _ in flights]
+    if half == 256:
+        assert links == [0, _BLOCK, 2 * _BLOCK, 3 * _BLOCK]
+    y = np.zeros(model.dimension, dtype=complex)
+    y[0] = 1.0
+    every = integrate(model, y, 0.0, t1, h)
+    assert every.rk4_steps == 6 * half
+    for sample_every in (5, 10):
+        traj = integrate(model, y, 0.0, t1, h, sample_every=sample_every)
+        ks = np.append(np.arange(0, n_steps, sample_every), n_steps)
+        assert np.array_equal(traj.times, every.times[ks])
+        assert np.max(np.abs(traj.states - every.states[ks])) < 1e-13
+    assert abs(every.probabilities[-1, 0] - 1.0) > 1e-2  # the drive acted
+
+
+def _per_link_states(model, y, t1, n_steps):
+    """The state at every grid point, advanced link by link on Python complex
+    scalars, ``y <- M y`` one entry at a time, with the exact free flights
+    between supports: the advance that ``sample_every = 1`` runs."""
+    h = t1 / n_steps
+    times = np.arange(n_steps + 1) * h
+    starts, ends, dts, flights = _chain(model, 0.0, h, n_steps)
+    mats = _every_link(model, starts, dts).transpose(2, 0, 1).tolist()
+    flights = {k: flight for k, *flight in _free_links(model, flights, times)}
+    states = np.empty((len(times), model.dimension), dtype=complex)
+    states[0] = y
+    y = y.tolist()
+    for k in range(len(starts) + 1):
+        if k in flights:
+            y = _free_flight(model, y, *flights[k], states)
+        if k == len(starts):
+            break
+        y = [sum(m * v for m, v in zip(row, y)) for row in mats[k]]
+        at = np.searchsorted(times, ends[k])
+        if at < len(times) and times[at] == ends[k]:
+            states[at] = y
+    return states
+
+
+@pytest.mark.parametrize("kind", ["qubit", "coupled"])
+def test_sample_every_1_advances_link_by_link(kind):
+    # with every grid point sampled there is nothing to skip: the states are
+    # those of the per-link advance bit for bit, as before segment products
+    model, t1, n_steps = _gaussian_windows(kind, 150), _WINDOWS_T1, _WINDOWS_STEPS
+    y = np.zeros(model.dimension, dtype=complex)
+    y[0] = 1.0
+    traj = integrate(model, y, 0.0, t1, t1 / n_steps)
+    assert np.array_equal(traj.states, _per_link_states(model, y, t1, n_steps))
+
+
 def _reference_step_matrices(model, starts, dts):
     """The RK4 step matrices as three ``hamiltonians`` calls and out-of-place
     arithmetic, the formula that :func:`_step_matrices` reproduces exactly."""
     side = 1e-6 * dts
-    a1 = -1j * model.hamiltonians(starts, side)
-    a2 = -1j * model.hamiltonians(starts + 0.5 * dts)
-    a3 = -1j * model.hamiltonians(starts + dts, -side)
+    a1 = -1j * hamiltonians(model, starts, side)
+    a2 = -1j * hamiltonians(model, starts + 0.5 * dts)
+    a3 = -1j * hamiltonians(model, starts + dts, -side)
     eye = np.eye(model.dimension)[:, :, None]
     k2 = _matmul(a2, eye + 0.5 * dts * a1)
     k3 = _matmul(a2, eye + 0.5 * dts * k2)
@@ -355,9 +440,10 @@ def _reference_step_matrices(model, starts, dts):
 # Gaussian and rectangular pulses on both axes.  The first three overlap on
 # x, and their supports start in the order 1, 2, 0, so a sum out of sequence
 # order rounds differently; the gaussian at t_k = 1 is nonzero an ulp below
-# its support.  Nothing drives [3.65, 4.1] or anything past 5.8.
+# its support (which tau = 0.1 would not give at 6 tau).  Nothing drives
+# [3.65, 4.1] or anything past 5.8.
 _PIN_TRAIN = KickSequence(pulses=(
-    PulseSpec(shape="gaussian", axis="x", alpha=0.4, t_k=1.0, tau=0.1),
+    PulseSpec(shape="gaussian", axis="x", alpha=0.4, t_k=1.0, tau=0.12),
     PulseSpec(shape="gaussian", axis="x", alpha=-0.3, t_k=1.1, tau=0.2),
     PulseSpec(shape="rectangular", axis="x", alpha=0.7, t_k=1.2, tau=2.2),
     PulseSpec(shape="rectangular", axis="y", alpha=0.2, t_k=3.3, tau=0.3),
@@ -519,7 +605,7 @@ def test_exceptional_point_runs_match_rk4_step_loop():
     nodes = sorted({*traj.times.tolist(), lo, hi})
     exact, at = [y], y
     for a, b in zip(nodes, nodes[1:]):
-        at = expm(-1j * model.hamiltonians(np.array([0.5 * (a + b)]))[:, :, 0]
+        at = expm(-1j * hamiltonians(model, np.array([0.5 * (a + b)]))[:, :, 0]
                   * (b - a)) @ at
         if b in traj.times:
             exact.append(at)

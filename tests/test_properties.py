@@ -27,10 +27,11 @@ from kickedqubit import (
     SIGMA_X,
     SIGMA_Y,
     TwoStatePulseModel,
-    field_at,
     integrate,
 )
 from kickedqubit.integrator import _chain
+
+from field_reference import field_at
 
 PROPERTY_SETTINGS = settings(max_examples=30, deadline=None)
 
@@ -40,7 +41,7 @@ _EXCEPTIONAL_H0 = np.array([[0.0, 0.25], [0.25, -0.5j]])
 
 
 def _half_support(shape: str, tau: float) -> float:
-    return 8.0 * tau if shape == "gaussian" else 0.5 * tau
+    return 6.0 * tau if shape == "gaussian" else 0.5 * tau
 
 
 @st.composite
@@ -180,7 +181,7 @@ def chain_layouts(draw):
         if lo == hi:
             hi += _LATTICE
         shape = draw(st.sampled_from(("gaussian", "rectangular")))
-        tau = (hi - lo) / (16.0 if shape == "gaussian" else 1.0)
+        tau = (hi - lo) / (12.0 if shape == "gaussian" else 1.0)
         pulses.append(PulseSpec(shape=shape, axis="x", alpha=0.3,
                                 t_k=0.5 * (lo + hi), tau=tau))
     seq = KickSequence(pulses=tuple(pulses), delta_e=1.0)
