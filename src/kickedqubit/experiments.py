@@ -83,6 +83,13 @@ HYDROGEN_T1_PS = 20.0
 #: hundreds of times the largest catalog or benchmark run (a few thousand)
 MAX_SAMPLES = 1_000_000
 
+#: most RK4 links, (merged support length) / dt, that a config lets one
+#: trajectory run take: ``integrate`` lays every link out in arrays of some
+#: 100 bytes per link in all, so this many take some 100 MB, hundreds of
+#: times the largest catalog or benchmark run (a few thousand).  Free flight
+#: takes no links, so a long run between pulses costs nothing here.
+MAX_LINKS = 1_000_000
+
 
 class ConfigError(ValueError):
     """Invalid experiment config; ``path`` points at the offending field."""
@@ -217,8 +224,8 @@ class ExperimentConfig:
         if run == "trajectories":
             dt = self.dt if self.dt is not None else min(p["tau"] for p in pulses) / 20.0
             for o in self.orderings:
-                end = (self.t_end if self.t_end is not None
-                       else _run_end(self, config_sequence(self, o)))
+                seq = config_sequence(self, o)
+                end = _run_end(self, seq)
                 # every run ends after its last pulse center, so only a
                 # default end can come before t = 0, where the run starts
                 if end <= 0.0:
@@ -232,6 +239,12 @@ class ExperimentConfig:
                         f"(t_end = {end:g}, dt = {dt:g}), above the limit of "
                         f"{MAX_SAMPLES:,}; set a shorter t_end, a larger dt or a "
                         f"larger sample_every")
+                links = _support_length(seq, end) / dt
+                if links > MAX_LINKS:
+                    raise ConfigError(
+                        "dt", f"the {o} run would take {links:.3g} RK4 steps inside "
+                        f"its pulse supports (dt = {dt:g}), above the limit of "
+                        f"{MAX_LINKS:,}; set a larger dt")
 
     def to_dict(self) -> dict:
         """Every field as JSON values: tuples become lists, dicts are copied."""
@@ -546,6 +559,18 @@ def default_end_time(seq: KickSequence) -> float:
     else:
         gap = math.pi / abs(seq.delta_e)
     return last.t_k + GAUSSIAN_RUN_TAIL * last.tau + gap
+
+
+def _support_length(seq: KickSequence, end: float) -> float:
+    """Length of the union of the pulse supports of ``seq`` inside a run
+    from t = 0 to ``end``: the span RK4 steps."""
+    total, reach = 0.0, 0.0
+    for lo, hi in sorted(p.support() for p in seq.pulses):
+        lo, hi = max(lo, reach), min(hi, end)
+        if hi > lo:
+            total += hi - lo
+            reach = hi
+    return total
 
 
 def _run_end(config: ExperimentConfig, seq: KickSequence) -> float:

@@ -19,13 +19,15 @@ The matrices are built in vectorised passes, each matrix product a sum of
 outer products over contiguous time rows and the stages combined in place.
 Every link's matrix equals, value for value, that of the plain RK4 formula
 over the field summed from every pulse, so the cost per step does not grow
-with the pulse count.  The state is then advanced on Python complex
-scalars, unrolled for ``d = 2`` and ``d = 3``: a run's matrix is bound
-once and applied once per link.  A gaussian window that keeps only every
+with the pulse count.  A gaussian window that keeps only every
 ``sample_every``-th state (``sample_every > 1``) first multiplies the
 links between two kept states, or up to a free flight, into one matrix per
-segment, all segments at once, and applies those; with ``sample_every =
-1`` it applies every link's matrix.
+segment, all segments at once.  Every window then hands one stream of
+units to one scalar loop on Python complex scalars, unrolled for ``d = 2``
+and ``d = 3``.  A unit is a matrix's entries and the sampled flags of its
+applications: a run carries one flag per link and is applied once per
+link; a segment product, or a gaussian link at ``sample_every = 1``, is
+applied once.
 """
 from __future__ import annotations
 
@@ -45,7 +47,7 @@ BACKEND = "numpy"
 
 # most RK4 matrices built in one vectorised pass, and most links of a
 # window of a chain with gaussian pulses, whose links all differ; small, so
-# the (d, d, 3n) stage stack stays near 200 kB, yet large enough to spread
+# each (d, d, n) stage stack stays below 128 KiB, yet large enough to spread
 # numpy's per-call cost thin
 _BLOCK = 512
 
@@ -155,8 +157,8 @@ class LinearDriveModel:
         return v["x"], v["y"], smooth
 
     def _generators(self, vx, vy, n: int) -> np.ndarray:
-        """``-1j H`` for the field ``(vx, vy)`` of :meth:`_fields` at ``n``
-        times, time-last ``(d, d, n)``."""
+        """``-1j H`` for the field ``(vx, vy)`` at ``n`` times (one stage row
+        of :meth:`_fields`, or None), time-last ``(d, d, n)``."""
         a = np.repeat(self._g0, n, axis=1)
         # an axis without a pulse here adds exact zeros: its term is left out
         for v, g in ((vx, self._gx), (vy, self._gy)):
@@ -214,21 +216,28 @@ def _plus_eye(m: np.ndarray) -> np.ndarray:
 
 def _rk4_matrices(model, vx, vy, dts: np.ndarray) -> np.ndarray:
     """RK4 matrices M, time-last ``(d, d, n)``, of the steps ``dts`` whose
-    field ``(vx, vy)`` is given stage-major: at the starts, the midpoints,
-    then the ends of the steps.
+    field ``(vx, vy)`` is given as ``(3, n)`` rows: at the starts, the
+    midpoints, then the ends of the steps.
 
-    The stages are combined in place in the order of
+    Each stage's generators are a ``(d, d, n)`` stack of their own, and
+    ``a3`` is built only once ``a1`` and ``a2`` are let go: the fewer stacks
+    are alive at once, the less the heap grows and is trimmed back per
+    window (one ``(d, d, 3n)`` stack passed glibc's 128 KiB mmap threshold
+    at ``d = 3``).  The stages are combined in place in the order of
     ``I + dt/6 (a1 + 2 k2 + 2 k3 + k4)``.
     """
     n = len(dts)
-    a = model._generators(vx, vy, 3 * n)
-    a1, a2, a3 = a[:, :, :n], a[:, :, n:2 * n], a[:, :, 2 * n:]
+    stages = [(None if vx is None else vx[s], None if vy is None else vy[s], n)
+              for s in range(3)]
+    a1 = model._generators(*stages[0])
+    a2 = model._generators(*stages[1])
     half = 0.5 * dts
     k2 = _matmul(a2, _plus_eye(half * a1))
     k3 = _matmul(a2, _plus_eye(half * k2))
-    k4 = _matmul(a3, _plus_eye(dts * k3))
     k2 *= 2.0
     k2 += a1
+    del a1, a2
+    k4 = _matmul(model._generators(*stages[2]), _plus_eye(dts * k3))
     k3 *= 2.0
     k2 += k3
     k2 += k4
@@ -264,7 +273,7 @@ def _step_matrices(model, starts: np.ndarray, dts: np.ndarray, cuts=()):
         heads = np.flatnonzero(np.concatenate(([True], ~same)))
         fields = [None if v is None else v[:, heads] for v in fields]
         dts = dts[heads]
-    mats = [_rk4_matrices(model, *(None if v is None else v[:, c:c + _BLOCK].ravel()
+    mats = [_rk4_matrices(model, *(None if v is None else v[:, c:c + _BLOCK]
                                    for v in fields), dts[c:c + _BLOCK])
             for c in range(0, len(dts), _BLOCK)]
     return (mats[0] if len(mats) == 1 else np.concatenate(mats, axis=2)), heads
@@ -295,33 +304,13 @@ def _segment_products(mats: np.ndarray, ends: list) -> np.ndarray:
     return stack[:, :, 0]
 
 
-def _advance2(links, y, rows: list):
-    """Apply the 2x2 step matrices of ``links`` to ``y`` in order; append the
-    state after each link flagged as sampled to ``rows``."""
+def _walk2(units, y, rows: list):
+    """Apply the 2x2 step matrices of ``units`` to ``y`` in order.  A unit
+    is ``(matrix entries, sampled flags)``: its entries are bound once and
+    applied once per flag, and the state after each flagged application is
+    appended to ``rows``."""
     y0, y1 = y
-    for a, b, c, d, sampled in links:
-        y0, y1 = a * y0 + b * y1, c * y0 + d * y1
-        if sampled:
-            rows.append((y0, y1))
-    return y0, y1
-
-
-def _advance3(links, y, rows: list):
-    """:func:`_advance2` for 3x3 step matrices."""
-    y0, y1, y2 = y
-    for a, b, c, d, e, f, g, h, i, sampled in links:
-        y0, y1, y2 = (a * y0 + b * y1 + c * y2, d * y0 + e * y1 + f * y2,
-                      g * y0 + h * y1 + i * y2)
-        if sampled:
-            rows.append((y0, y1, y2))
-    return y0, y1, y2
-
-
-def _walk2(runs, y, rows: list):
-    """:func:`_advance2` for runs ``(matrix entries, sampled flags)``: the
-    entries of a run are bound once and applied once per flag."""
-    y0, y1 = y
-    for (a, b, c, d), flags in runs:
+    for (a, b, c, d), flags in units:
         for sampled in flags:
             y0, y1 = a * y0 + b * y1, c * y0 + d * y1
             if sampled:
@@ -329,19 +318,16 @@ def _walk2(runs, y, rows: list):
     return y0, y1
 
 
-def _walk3(runs, y, rows: list):
+def _walk3(units, y, rows: list):
     """:func:`_walk2` for 3x3 step matrices."""
     y0, y1, y2 = y
-    for (a, b, c, d, e, f, g, h, i), flags in runs:
+    for (a, b, c, d, e, f, g, h, i), flags in units:
         for sampled in flags:
             y0, y1, y2 = (a * y0 + b * y1 + c * y2, d * y0 + e * y1 + f * y2,
                           g * y0 + h * y1 + i * y2)
             if sampled:
                 rows.append((y0, y1, y2))
     return y0, y1, y2
-
-
-_ADVANCE = {2: (_advance2, _walk2), 3: (_advance3, _walk3)}
 
 
 def _chain(model, t0: float, h: float, n_steps: int):
@@ -461,10 +447,10 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
     end, so a rectangular edge never falls inside a step; between supports
     the free propagator ``exp(-i h0 s)`` is applied exactly.  An ``h0`` at
     an exceptional point has no eigenbasis for it, and the whole span is
-    then one support.  The state passes through the chain of links in time
-    order; the links of a run of equal steps share one matrix, and the links
-    between two samples of a gaussian window are multiplied into one (see
-    the module docstring).  An ``h`` above ``min_tau / 20`` triggers an
+    then one support.  The state passes through the chain in time order, one
+    unit at a time: a run of equal links shares one matrix, applied once
+    per link, and the links between two samples of a gaussian window are
+    multiplied into one matrix, applied once (see the module docstring).  An ``h`` above ``min_tau / 20`` triggers an
     accuracy warning (not an error).
 
     Raises
@@ -510,7 +496,7 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
     slots = np.minimum(np.searchsorted(times, ends), len(times) - 1)
     sampled = times[slots] == ends
     slots = slots[sampled]
-    advance, walk = _ADVANCE[model.dimension]
+    walk = _walk2 if model.dimension == 2 else _walk3
     y = y.tolist()
     done = 0  # sample slots filled by RK4 links
     # windows of equal size: a window's fixed numpy cost is paid whatever
@@ -532,34 +518,35 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
             cuts = [k - b0 for k, _, _, _ in flights[f:f1]]
             mats, heads = _step_matrices(model, starts[b0:stop], dts[b0:stop], cuts)
             flags = sampled[b0:stop]
-            if heads is None and sample_every > 1:
-                # only the sampled states are kept: one product per segment,
-                # which ends at a sampled link, before a free flight and at
-                # the window's end
-                seg_ends = sorted({*(np.flatnonzero(flags) + 1).tolist(),
-                                   *cuts, len(flags)} - {0})
-                mats = _segment_products(mats, seg_ends)
-                flags = flags[np.array(seg_ends) - 1]
-                cuts = [bisect_right(seg_ends, c) for c in cuts]
-            entries = mats.reshape(model.dimension ** 2, -1).tolist()
-            flags = flags.tolist()
-            if heads is None:
-                step, units = advance, zip(*entries, flags)
-            else:
+            if heads is not None:
+                # a run's matrix applies once per link of the run
                 heads = heads.tolist()
-                step = walk
-                units = zip(zip(*entries), (flags[i:j] for i, j
-                                            in zip(heads, heads[1:] + [len(flags)])))
-                cuts = [bisect_left(heads, c) for c in cuts]
-            at = 0  # links, runs or segments walked so far
+                flags = flags.tolist()
+                groups = (flags[i:j] for i, j in zip(heads, heads[1:] + [len(flags)]))
+            else:
+                if sample_every > 1:
+                    # only the sampled states are kept: one product per
+                    # segment, which ends at a sampled link, before a free
+                    # flight and at the window's end
+                    seg_ends = sorted({*(np.flatnonzero(flags) + 1).tolist(),
+                                       *cuts, len(flags)} - {0})
+                    mats = _segment_products(mats, seg_ends)
+                    flags = flags[np.array(seg_ends) - 1]
+                    heads = [0, *seg_ends[:-1]]
+                else:
+                    heads = range(len(flags))
+                groups = zip(flags.tolist())
+            units = zip(zip(*mats.reshape(model.dimension ** 2, -1).tolist()), groups)
+            cuts = [bisect_left(heads, c) for c in cuts]
+            at = 0  # units walked so far
             rows: list = []  # the window's sampled states
             # each free flight follows the first u units of the window
             for u, (_, i0, i1, phases) in zip(cuts, flights[f:f1]):
-                y = step(islice(units, u - at), y, rows)
+                y = walk(islice(units, u - at), y, rows)
                 y = _free_flight(model, y, i0, i1, phases, states)
                 at = u
             f = f1
-            y = step(units, y, rows)
+            y = walk(units, y, rows)
             if rows:
                 states[slots[done:done + len(rows)]] = np.array(rows, dtype=complex)
                 done += len(rows)

@@ -1,22 +1,27 @@
 """Tests for the experiment catalog: configs, datasets, runners."""
 from __future__ import annotations
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import stat
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, given, settings
+from hypothesis import Phase, event, given, settings
 from hypothesis import strategies as st
 
 from kickedqubit import (
     EXPERIMENT_IDS,
     ConfigError,
     ExperimentConfig,
+    IntegrationDivergedError,
     KickSequence,
     PulseSpec,
     ResultDataset,
@@ -439,6 +444,36 @@ def test_a_run_of_too_many_samples_is_rejected_before_it_runs():
     assert experiments.MAX_SAMPLES == 1_000_000
 
 
+def test_a_run_of_too_many_rk4_links_is_rejected_before_it_runs():
+    # a few samples, but the gaussian's 12-unit support at dt = 1e-8 is
+    # 1.2e9 RK4 links, which the chain would lay out as whole arrays.  The
+    # config is rejected; this test never runs it.
+    raw = {"experiment": "custom", "dt": 1e-8, "sample_every": 10000,
+           "pulses": [{"shape": "gaussian", "axis": "x", "alpha": 0.5, "t_k": 10.0,
+                       "tau": 1.0}]}
+    with pytest.raises(ConfigError, match="1.2e[+]09 RK4 steps") as err:
+        ExperimentConfig.from_dict(raw)
+    assert err.value.path == "dt"
+    # free flight takes no links: the same dt on a narrow pulse is accepted,
+    # though the run is as long
+    ExperimentConfig.from_dict({**raw, "pulses": [{**raw["pulses"][0], "tau": 1e-4}]})
+    # the links are counted per ordering, over the merged supports clipped
+    # to the run.  Forward, the run ends 0.8 + 1 after the rectangle, at
+    # 12.8, and cuts the gaussian's support [4, 16] to 8.8 units: 8.8e5
+    # links.  Reversed, the gaussian sits in the later slot, its support
+    # [5, 17] holds the rectangle's and the run ends at 20: 1.2e6 links.
+    two = [{"shape": "gaussian", "axis": "x", "alpha": 0.5, "t_k": 10.0, "tau": 1.0},
+           {"shape": "rectangular", "axis": "y", "alpha": 0.5, "t_k": 11.0, "tau": 0.1}]
+    cut = {"experiment": "custom", "pulses": two, "dt": 1e-5, "sample_every": 100}
+    ExperimentConfig.from_dict(cut)
+    with pytest.raises(ConfigError, match="the reversed run would take 1.2e[+]06") as err:
+        ExperimentConfig.from_dict({**cut, "orderings": ["forward", "reversed"]})
+    assert err.value.path == "dt"
+    # a run that ends at 12 cuts the reversed support to 7 units
+    ExperimentConfig.from_dict({**cut, "orderings": ["forward", "reversed"], "t_end": 12.0})
+    assert experiments.MAX_LINKS == 1_000_000
+
+
 # ------------------------------------------------------------------ datasets
 
 def test_dataset_rejects_bad_tables():
@@ -718,6 +753,101 @@ def test_reruns_are_byte_identical(tmp_path, capsys):
         assert pa.read_bytes() == pb.read_bytes()
         ja, jb = pa.with_suffix(".json"), pb.with_suffix(".json")
         assert ja.read_bytes() == jb.read_bytes()
+
+
+@st.composite
+def custom_configs(draw) -> dict:
+    """A raw custom config over the schema: one to four pulses of both
+    shapes, on both systems and in both bases, with ``delta_e``, ``t_end``,
+    ``dt``, ``sample_every`` and the orderings drawn too.  Some draws break
+    a rule (a zero width, a hydrogen ``delta_e``, a qubit coupled basis, a
+    run that ends before it starts, a step far too fine for the run), so
+    that rejected configs are drawn as well.  Sizes stay small: at most a
+    few ten thousand samples and a few thousand RK4 steps per ordering."""
+    system = draw(st.sampled_from(("model-qubit", "hydrogen")))
+    # dimensionless times on the model qubit, ps on hydrogen
+    scale = 1.0 if system == "model-qubit" else 10.0
+    t_k = draw(st.floats(-3.0, 3.0)) * scale
+    pulses = []
+    for _ in range(draw(st.integers(1, 4))):
+        zero = draw(st.integers(0, 31)) == 0
+        pulses.append({"shape": draw(st.sampled_from(("gaussian", "rectangular"))),
+                       "axis": draw(st.sampled_from(("x", "y"))),
+                       "alpha": draw(st.floats(-1.5, 1.5)), "t_k": t_k,
+                       "tau": 0.0 if zero else draw(st.floats(0.05, 0.3)) * scale})
+        t_k += draw(st.floats(0.05, 2.0)) * scale
+    raw = {"experiment": "custom", "system": system, "pulses": pulses,
+           # only hydrogen has a coupled basis, so it is drawn rarely on the qubit
+           "basis": ("coupled" if draw(st.integers(0, 1 if system == "hydrogen" else 7)) == 0
+                     else "j"),
+           "sample_every": draw(st.sampled_from((1, 2, 5, 10, 10_000)))}
+    if system == "hydrogen":
+        raw["hydrogen"] = {**dict(zip(("delta_e_mhz", "e_fs_mhz", "gamma_mhz"),
+                                      DEFAULT_MHZ)),
+                           "convention": draw(st.sampled_from(("plain", "two_pi")))}
+    if system == "model-qubit" or draw(st.integers(0, 7)) == 0:
+        raw["delta_e"] = draw(st.sampled_from((1.0, 0.05, 5.0)))
+    t_end = draw(st.one_of(st.none(), st.floats(0.5, 8.0)))
+    if t_end is not None:
+        raw["t_end"] = t_end * scale
+    dt = draw(st.one_of(st.none(), st.floats(0.002, 0.05), st.just(1e-9)))
+    if dt is not None:
+        raw["dt"] = dt * scale
+    orderings = draw(st.sampled_from((None, ["forward"], ["reversed"],
+                                      ["forward", "reversed"])))
+    if orderings is not None:
+        raw["orderings"] = orderings
+    return raw
+
+
+def _assert_names_a_field(raw: dict, path: str) -> None:
+    """``path`` names a field of ``raw``: a config field (which ``raw`` may
+    leave at its default), or an entry of a pulse or hydrogen object in it."""
+    head, *keys = path.split(".")
+    name, _, index = head.partition("[")
+    assert name in {f.name for f in dataclasses.fields(ExperimentConfig)}, path
+    value = raw.get(name)
+    if index:
+        value = value[int(index.rstrip("]"))]
+    for key in keys:
+        assert key in value, path
+
+
+@settings(max_examples=100, deadline=None, print_blob=True)
+@given(custom_configs())
+def test_every_custom_config_runs_and_reads_back_or_names_its_field(raw):
+    # CI turns UserWarning into an error; coarse steps, overlaps and the
+    # hydrogen checks warn here by design
+    with warnings.catch_warnings(), tempfile.TemporaryDirectory() as tmp:
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            config = ExperimentConfig.from_dict(raw)
+        except ConfigError as err:
+            event(f"rejected at {err.path.partition('[')[0]}")
+            _assert_names_a_field(raw, err.path)
+            return
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                datasets, paths = run_experiment(config, out_dir=Path(tmp) / "a")
+        except IntegrationDivergedError:
+            event("diverged")
+            return
+        event("ran")
+        assert [d.name for d in datasets] == [f"custom_{o}" for o in config.orderings]
+        for ds, path in zip(datasets, paths):
+            back = read_dataset(path)
+            assert (back.name, back.columns) == (ds.name, ds.columns)
+            assert back.data.shape == ds.data.shape
+            assert back.data.tobytes() == ds.data.tobytes()
+            assert (back.config, back.meta) == (ds.config, ds.meta)
+        # the config a dataset echoes reproduces every file byte for byte
+        echoed = ExperimentConfig.from_dict(read_dataset(paths[0]).config)
+        with contextlib.redirect_stdout(io.StringIO()):
+            _, again = run_experiment(echoed, out_dir=Path(tmp) / "b")
+        assert [p.name for p in again] == [p.name for p in paths]
+        for pa, pb in zip(paths, again):
+            for suffix in (".csv", ".json"):
+                assert pa.with_suffix(suffix).read_bytes() == pb.with_suffix(suffix).read_bytes()
 
 
 # ------------------------------------------------------------------- runners
