@@ -10,16 +10,18 @@ hydrogen in both bases and the effective two-state surrogate, and
 :func:`integrate` lays the span out once as a chain of links: exact free
 flight up to each merged pulse support, that support's RK4 steps, and the
 free flight after the last one.  The chain is walked in windows of links.
-The field of only the pulses that meet a window is evaluated once at all
-three stage times of its links.  Where none of them is a gaussian, the
-field is piecewise constant, and each link whose ``dt`` and stage fields
-equal the previous link's repeats its step matrix: the window is cut into
-runs of equal links, and only the first link of each run gets a matrix.
-The matrices are built in vectorised passes, each matrix product a sum of
-outer products over contiguous time rows and the stages combined in place.
-Every link's matrix equals, value for value, that of the plain RK4 formula
-over the field summed from every pulse, so the cost per step does not grow
-with the pulse count.  A gaussian window that keeps only every
+The field of only the pulses that meet a window is evaluated once: a
+rectangle at the midpoint of each link (every edge is a node, so a link
+lies wholly inside or outside it), a gaussian at all three stage times.
+Where none of them is a gaussian, the field is piecewise constant, and
+each link whose ``dt`` and field equal the previous link's repeats its
+step matrix: the window is cut into runs of equal links, and only the
+first link of each run gets a matrix.  The matrices are built in
+vectorised passes, each matrix product a sum of outer products over
+contiguous time rows and the stages combined in place.  Every link's
+matrix equals, value for value, that of the plain RK4 formula over the
+field summed from every pulse, so the cost per step does not grow with
+the pulse count.  A gaussian window that keeps only every
 ``sample_every``-th state (``sample_every > 1``) first multiplies the
 links between two kept states, or up to a free flight, into one matrix per
 segment, all segments at once.  Every window then hands one stream of
@@ -96,17 +98,14 @@ class LinearDriveModel:
         # -1j (h0 + v_x a_x + v_y a_y) exactly
         self._g0, self._gx, self._gy = ((-1j * m).reshape(-1, 1)
                                         for m in (self.h0, self.a_x, self.a_y))
-        # the supports sorted by start, once, for picking the pulses of a
-        # block.  A gaussian is nonzero wherever |(t - t_k) / tau| <= 6
+        # the supports, and the padded supports that pick a window's
+        # pulses: a gaussian is nonzero wherever |(t - t_k) / tau| <= 6
         # (GAUSSIAN_SUPPORT) rounds true, which can hold an ulp outside its
-        # support, so each support is padded by a relative margin.
-        supports = [p.support() for p in seq.pulses]
-        self._ends = np.array(supports)
-        self._padded = sorted(
-            (lo - 1e-9 * (abs(lo) + abs(hi)), hi + 1e-9 * (abs(lo) + abs(hi)), k)
-            for k, (lo, hi) in enumerate(supports))
-        self._lo = [lo for lo, _, _ in self._padded]
-        self._max_hi = list(accumulate((hi for _, hi, _ in self._padded), max))
+        # support, so each support is padded by a relative margin
+        self._ends = np.array([p.support() for p in seq.pulses])
+        lo, hi = self._ends.T
+        pad = 1e-9 * (np.abs(lo) + np.abs(hi))
+        self._lo, self._hi = lo - pad, hi + pad
 
     def _free_eigenbasis(self):
         """``(lam, V, V^-1)`` with ``h0 = V diag(lam) V^-1`` for the exact free
@@ -131,30 +130,28 @@ class LinearDriveModel:
         ``starts, dts``, each ``(3, n)`` (start, middle, end) or None for an
         axis that nothing drives there, and whether a gaussian is part of it.
 
-        The stage at the start of a step sees rectangular edges from just
-        after ``t``, the stage at its end from just before ``t + dt``.  Only
-        the pulses whose padded support meets the stages are evaluated, in
-        sequence order: every other one would add exactly 0.0 to the sum of
-        all pulses.
+        Every support end is a node of the chain, so a step lies wholly
+        inside or wholly outside each rectangle: a rectangle is read once,
+        at the step's midpoint, for all three stages.  A gaussian is read at
+        each stage time.  Only the pulses whose padded support meets the
+        steps are evaluated, in sequence order: every other one would add
+        exactly 0.0 to the sum of all pulses.
         """
         n = len(starts)
-        side = 1e-6 * dts
-        times = np.concatenate((starts, starts + 0.5 * dts, starts + dts))
-        sides = np.concatenate((side, np.zeros(n), -side))
-        nudge = side.max()
-        first, last = times.min() - nudge, times.max() + nudge
-        # the sorted supports before j end before first, those from i on
-        # start after last
-        j = bisect_left(self._max_hi, first)
-        i = bisect_right(self._lo, last)
-        pulses = [self.seq.pulses[k]
-                  for k in sorted(k for _, hi, k in self._padded[j:i] if hi >= first)]
-        smooth = any(p.shape != "rectangular" for p in pulses)
+        mid = starts + 0.5 * dts
+        meets = (self._hi >= starts.min()) & (self._lo <= (starts + dts).max())
+        times = None  # the stage times, built for the first gaussian
         v = {"x": None, "y": None}
-        for p in pulses:
-            f = p.value(times, sides).reshape(3, n)
+        for k in np.flatnonzero(meets).tolist():
+            p = self.seq.pulses[k]
+            if p.shape == "rectangular":
+                f = np.broadcast_to(p.value(mid), (3, n))
+            else:
+                if times is None:
+                    times = np.concatenate((starts, mid, starts + dts))
+                f = p.value(times).reshape(3, n)
             v[p.axis] = f if v[p.axis] is None else v[p.axis] + f
-        return v["x"], v["y"], smooth
+        return v["x"], v["y"], times is not None
 
     def _generators(self, vx, vy, n: int) -> np.ndarray:
         """``-1j H`` for the field ``(vx, vy)`` at ``n`` times (one stage row
@@ -252,23 +249,24 @@ def _step_matrices(model, starts: np.ndarray, dts: np.ndarray, cuts=()):
     every link is a run of its own.
 
     The field is evaluated once for all three stages of every link (see
-    :meth:`LinearDriveModel._fields`).  Where it meets no gaussian, it is
-    piecewise constant, and a link whose ``dt`` and field
-    bits at all three stages equal those of the link before it repeats
-    that link's M bit for bit; only the first link of each run, and each
-    link in ``cuts``, gets a matrix built.  A gaussian field differs at
-    every link, so it is not compared.  The matrices are built at most
+    :meth:`LinearDriveModel._fields`).  Where it meets no gaussian, each
+    link reads one field at all three stages, and a link whose ``dt`` and
+    field bits equal those of the link before it repeats that link's M
+    bit for bit; only the first link of each run, and each link in
+    ``cuts``, gets a matrix built.  A gaussian field differs at every
+    link, so it is not compared.  The matrices are built at most
     ``_BLOCK`` at a time.
     """
     *fields, smooth = model._fields(starts, dts)
     heads = None
     if not smooth:
-        # compared as bits, so that 0.0 and -0.0 stay apart
+        # compared as bits, so that 0.0 and -0.0 stay apart; the three
+        # stage rows are one
         same = dts[1:] == dts[:-1]
         for v in fields:
             if v is not None:
-                bits = v.view(np.int64)
-                same &= (bits[:, 1:] == bits[:, :-1]).all(axis=0)
+                bits = v[0].view(np.int64)
+                same &= bits[1:] == bits[:-1]
         same[[c - 1 for c in cuts if c > 0]] = False
         heads = np.flatnonzero(np.concatenate(([True], ~same)))
         fields = [None if v is None else v[:, heads] for v in fields]
@@ -450,8 +448,9 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
     then one support.  The state passes through the chain in time order, one
     unit at a time: a run of equal links shares one matrix, applied once
     per link, and the links between two samples of a gaussian window are
-    multiplied into one matrix, applied once (see the module docstring).  An ``h`` above ``min_tau / 20`` triggers an
-    accuracy warning (not an error).
+    multiplied into one matrix, applied once (see the module docstring).  An
+    ``h`` above ``min_tau / 20`` triggers an accuracy warning (not an
+    error).
 
     Raises
     ------

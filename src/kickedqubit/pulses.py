@@ -11,8 +11,8 @@ profiles share the same area normalisation:
   erfc(6) = 2.2e-17 of ``alpha``,
 * ``rectangular``  -- ``alpha / tau`` on ``[t_k - tau/2, t_k + tau/2)``.
 
-:meth:`PulseSpec.value` is the one field definition the integrator samples;
-it takes scalar or array times.
+:meth:`PulseSpec.value` is the one field definition; it takes scalar or
+array times.
 """
 from __future__ import annotations
 
@@ -74,16 +74,11 @@ class PulseSpec:
         elif self.tau <= 0.0:
             raise ValueError(f"a {self.shape} pulse needs tau > 0, got {self.tau}")
 
-    def value(self, t, side: float = 0.0):
+    def value(self, t):
         """Field of this pulse alone at time(s) ``t`` (0 for an ideal kick).
 
         ``t`` is a scalar (a float comes back) or an array (an array of the
-        same shape comes back).  ``side`` is a signed nudge that only decides
-        on which side of a rectangular edge a time falls; the profile is
-        still evaluated at ``t``.  RK4 passes ``+side`` for the stage at the
-        start of a step and ``-side`` for the stage at its end, so each step
-        sees the field from its own interior and an edge on the grid never
-        leaks into the neighbouring step.
+        same shape comes back).
         """
         t = np.asarray(t, dtype=float)
         if self.shape == "gaussian":
@@ -92,8 +87,7 @@ class PulseSpec:
                          self.alpha / (math.sqrt(math.pi) * self.tau) * np.exp(-u * u),
                          0.0)
         elif self.shape == "rectangular":
-            ts = t + side
-            inside = (self.t_k - 0.5 * self.tau <= ts) & (ts < self.t_k + 0.5 * self.tau)
+            inside = (self.t_k - 0.5 * self.tau <= t) & (t < self.t_k + 0.5 * self.tau)
             v = np.where(inside, self.alpha / self.tau, 0.0)
         else:
             v = np.zeros_like(t)

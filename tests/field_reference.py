@@ -19,43 +19,59 @@ def pulse_area(pulse) -> float:
     return pulse.alpha
 
 
-def field_at(seq, t, side: float = 0.0):
-    """Total drive at time(s) ``t``, reported per axis as ``(v_x, v_y)``.
-
-    Scalar ``t`` gives two floats, array ``t`` two arrays; ``side`` is passed
-    on to ``PulseSpec.value``.
-    """
-    t = np.asarray(t, dtype=float)
+def _summed(seq, t, t_rect):
+    """``(v_x, v_y)``: every pulse of ``seq`` summed per axis in sequence
+    order, a rectangle read at ``t_rect`` and any other pulse at ``t``."""
     vx = np.zeros_like(t)
     vy = np.zeros_like(t)
     for p in seq.pulses:
+        f = p.value(t_rect if p.shape == "rectangular" else t)
         if p.axis == "x":
-            vx = vx + p.value(t, side)
+            vx = vx + f
         else:
-            vy = vy + p.value(t, side)
+            vy = vy + f
+    return vx, vy
+
+
+def field_at(seq, t):
+    """Total drive at time(s) ``t``, reported per axis as ``(v_x, v_y)``.
+
+    Scalar ``t`` gives two floats, array ``t`` two arrays.
+    """
+    t = np.asarray(t, dtype=float)
+    vx, vy = _summed(seq, t, t)
     return (vx, vy) if t.ndim else (float(vx), float(vy))
 
 
-def hamiltonians(model, times: np.ndarray, side=0.0) -> np.ndarray:
-    """H of ``model`` at ``times``, time-last ``(d, d, n)``; ``side``, one
-    value or one per time, picks the side of rectangular edges."""
-    vx, vy = field_at(model.seq, times, side)
+def _hamiltonian(model, vx, vy) -> np.ndarray:
     return (model.h0[:, :, None] + vx * model.a_x[:, :, None]
             + vy * model.a_y[:, :, None])
 
 
-def rk4_step(model, state: np.ndarray, t: float, dt: float) -> np.ndarray:
-    """One classical Runge-Kutta step of ``i dy/dt = H(t) y``.
+def hamiltonians(model, times: np.ndarray) -> np.ndarray:
+    """H of ``model`` at ``times``, time-last ``(d, d, n)``."""
+    return _hamiltonian(model, *field_at(model.seq, times))
 
-    Like the step matrices of ``integrate``, it takes rectangular edges
-    from inside the step: from just after ``t`` at its start stage and from
-    just before ``t + dt`` at its end.
+
+def stage_hamiltonians(model, starts: np.ndarray, dts: np.ndarray) -> list:
+    """H of ``model`` at the start, the midpoint and the end of each step
+    ``starts, dts``: three time-last ``(d, d, n)`` stacks.
+
+    Like the step matrices of ``integrate``, it reads a rectangle at the
+    step's midpoint for all three: ``integrate`` makes every rectangular
+    edge a step end, so a step lies wholly inside or outside a rectangle.
     """
+    mid = starts + 0.5 * dts
+    return [_hamiltonian(model, *_summed(model.seq, t, mid))
+            for t in (starts, mid, starts + dts)]
+
+
+def rk4_step(model, state: np.ndarray, t: float, dt: float) -> np.ndarray:
+    """One classical Runge-Kutta step of ``i dy/dt = H(t) y``, with the
+    Hamiltonians of :func:`stage_hamiltonians`."""
     y = np.asarray(state, dtype=complex)
-    side = 1e-6 * dt
-    h = hamiltonians(model, np.array([t, t + 0.5 * dt, t + dt]),
-                     np.array([side, 0.0, -side]))
-    h_a, h_mid, h_b = h.transpose(2, 0, 1)
+    h_a, h_mid, h_b = (h[:, :, 0] for h in
+                       stage_hamiltonians(model, np.array([t]), np.array([dt])))
     k1 = -1j * (h_a @ y)
     k2 = -1j * (h_mid @ (y + 0.5 * dt * k1))
     k3 = -1j * (h_mid @ (y + 0.5 * dt * k2))

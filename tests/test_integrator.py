@@ -37,7 +37,7 @@ from kickedqubit.integrator import (
     _step_matrices,
 )
 
-from field_reference import hamiltonians, rk4_step
+from field_reference import hamiltonians, rk4_step, stage_hamiltonians
 
 
 def _constant_model(h, t1):
@@ -124,6 +124,24 @@ def test_rk4_step_takes_rectangular_edges_from_inside_the_step():
     for k in range(100):
         y = rk4_step(model, y, k * 0.01, 0.01)
     assert np.max(np.abs(y - traj.states[-1])) < 1e-12
+
+
+def test_a_rectangle_does_not_leak_into_the_link_before_its_start():
+    # B starts 1e-12 after A ends, both inside C, so the link between them
+    # is about 1e-12 long: a nudge of 1e-6 dt off its end, to read the
+    # field from inside the link, is below half an ulp and lands on B
+    a = PulseSpec(shape="rectangular", axis="x", alpha=0.3, t_k=0.8, tau=0.3)
+    a_end = a.support()[1]
+    b = PulseSpec(shape="rectangular", axis="x", alpha=0.6, t_k=a_end + 1e-12 + 0.15, tau=0.3)
+    c = PulseSpec(shape="rectangular", axis="y", alpha=0.5, t_k=1.0, tau=1.0)
+    model = TwoStatePulseModel(KickSequence(pulses=(a, c, b), delta_e=1.3))
+    n_steps = round(2.0 / 0.0123)
+    starts, ends, dts, _ = _chain(model, 0.0, 2.0 / n_steps, n_steps)
+    i = int(np.argmin(dts))
+    assert (starts[i], ends[i]) == (a_end, b.support()[0])
+    vx, vy, _ = model._fields(starts[i:i + 1], dts[i:i + 1])
+    assert vx is None or not vx.any()
+    assert np.array_equal(vy, np.full((3, 1), 0.5))
 
 
 def test_integrate_validates_inputs():
@@ -424,12 +442,9 @@ def test_sample_every_1_advances_link_by_link(kind):
 
 
 def _reference_step_matrices(model, starts, dts):
-    """The RK4 step matrices as three ``hamiltonians`` calls and out-of-place
+    """The RK4 step matrices from ``stage_hamiltonians`` and out-of-place
     arithmetic, the formula that :func:`_step_matrices` reproduces exactly."""
-    side = 1e-6 * dts
-    a1 = -1j * hamiltonians(model, starts, side)
-    a2 = -1j * hamiltonians(model, starts + 0.5 * dts)
-    a3 = -1j * hamiltonians(model, starts + dts, -side)
+    a1, a2, a3 = (-1j * h for h in stage_hamiltonians(model, starts, dts))
     eye = np.eye(model.dimension)[:, :, None]
     k2 = _matmul(a2, eye + 0.5 * dts * a1)
     k3 = _matmul(a2, eye + 0.5 * dts * k2)
@@ -642,9 +657,9 @@ def test_field_evaluations_grow_linearly_with_the_pulse_count(monkeypatch):
     value = PulseSpec.value
     calls = []
 
-    def counted(self, t, side=0.0):
+    def counted(self, t):
         calls.append(self)
-        return value(self, t, side)
+        return value(self, t)
 
     monkeypatch.setattr(PulseSpec, "value", counted)
     counts = []

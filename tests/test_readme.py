@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-BLOCKS = re.findall(r"^```python\n(.*?)^```$", (ROOT / "README.md").read_text(),
-                    flags=re.M | re.S)
+README = (ROOT / "README.md").read_text()
+BLOCKS = re.findall(r"^```python\n(.*?)^```$", README, flags=re.M | re.S)
 
 
 def test_the_readme_has_a_python_example():
@@ -28,3 +28,12 @@ def test_a_readme_python_block_runs_clean(code):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
+
+
+def test_the_readme_states_the_line_count_of_src():
+    # the lines of every module, counted as `wc -l src/kickedqubit/*.py` does
+    stated = re.search(r"The package is ([\d,]+) lines of Python in `src/`", README)
+    assert stated
+    lines = sum(p.read_bytes().count(b"\n")
+                for p in (ROOT / "src" / "kickedqubit").glob("*.py"))
+    assert int(stated.group(1).replace(",", "")) == lines
