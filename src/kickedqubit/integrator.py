@@ -9,16 +9,17 @@ hydrogen in both bases and the effective two-state surrogate, and
 
 :func:`integrate` lays the span out once as a chain of links: exact free
 flight up to each merged pulse support, that support's RK4 steps, and the
-free flight after the last one.  The chain is walked in windows of links.
-The field of only the pulses that meet a window is evaluated once: a
-rectangle at the midpoint of each link (every edge is a node, so a link
-lies wholly inside or outside it), a gaussian at all three stage times.
-Where none of them is a gaussian, the field is piecewise constant, and
-each link whose ``dt`` and field equal the previous link's repeats its
-step matrix: the window is cut into runs of equal links, and only the
-first link of each run gets a matrix.  The matrices are built in
-vectorised passes, each matrix product a sum of outer products over
-contiguous time rows and the stages combined in place.  Every link's
+free flight after the last one.  The chain flags the links that start a
+run: a link from a support end, where alone a rectangle's field can
+change, or where ``dt`` changes.  It is walked in windows, each building
+at most ``_BLOCK`` matrices.  The field of only the pulses that meet a
+window is evaluated once: a rectangle at the midpoint of a link (every
+edge is a node, so a link lies wholly inside or outside it), a gaussian at
+all three stage times of every link.  Where none of them is a gaussian,
+every link of a run has the same ``dt`` and field, so the field is read
+and a matrix built at the first link of each run only.  The matrices are
+built in one vectorised pass, each matrix product a sum of outer products
+over contiguous time rows and the stages combined in place.  Every link's
 matrix equals, value for value, that of the plain RK4 formula over the
 field summed from every pulse, so the cost per step does not grow with
 the pulse count.  A gaussian window that keeps only every
@@ -47,16 +48,10 @@ from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z
 #: the one integration path, recorded in dataset provenance
 BACKEND = "numpy"
 
-# most RK4 matrices built in one vectorised pass, and most links of a
-# window of a chain with gaussian pulses, whose links all differ; small, so
-# each (d, d, n) stage stack stays below 128 KiB, yet large enough to spread
+# most RK4 matrices a window builds, in one vectorised pass: small, so each
+# (d, d, n) stage stack stays below 128 KiB, yet large enough to spread
 # numpy's per-call cost thin
 _BLOCK = 512
-
-# most links of a window of a chain of rectangular pulses only: its field is
-# piecewise constant, so the window needs few matrices, and a longer window
-# spreads the cost of its field pass and comparison thinner
-_RUN_WINDOW = 4096
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -125,33 +120,39 @@ class LinearDriveModel:
         within ``min_tau / 20``, where :func:`integrate` starts to warn."""
         return span / math.ceil(span / (self.min_tau / 20.0))
 
-    def _fields(self, starts: np.ndarray, dts: np.ndarray):
-        """The field ``(v_x, v_y)`` at the three RK4 stages of the steps
+    def _fields(self, starts: np.ndarray, dts: np.ndarray, runs: np.ndarray):
+        """The field ``(v_x, v_y)`` at the three RK4 stages of the links
         ``starts, dts``, each ``(3, n)`` (start, middle, end) or None for an
-        axis that nothing drives there, and whether a gaussian is part of it.
+        axis that nothing drives there, and the indices of the links read:
+        None for every link where a gaussian is met, else the links that
+        ``runs`` flags as the first of a run (see :func:`_chain`).
 
-        Every support end is a node of the chain, so a step lies wholly
+        Every support end is a node of the chain, so a link lies wholly
         inside or wholly outside each rectangle: a rectangle is read once,
-        at the step's midpoint, for all three stages.  A gaussian is read at
-        each stage time.  Only the pulses whose padded support meets the
-        steps are evaluated, in sequence order: every other one would add
-        exactly 0.0 to the sum of all pulses.
+        at the link's midpoint, for all three stages, and every link of a
+        run reads the same value.  A gaussian is read at each stage time of
+        every link.  Only the pulses whose padded support meets the links
+        are evaluated, in sequence order: every other one would add exactly
+        0.0 to the sum of all pulses.
         """
+        meets = (self._hi >= starts.min()) & (self._lo <= (starts + dts).max())
+        pulses = [self.seq.pulses[k] for k in np.flatnonzero(meets).tolist()]
+        heads = None
+        if all(p.shape == "rectangular" for p in pulses):
+            heads = np.flatnonzero(runs)
+            starts, dts = starts[heads], dts[heads]
         n = len(starts)
         mid = starts + 0.5 * dts
-        meets = (self._hi >= starts.min()) & (self._lo <= (starts + dts).max())
-        times = None  # the stage times, built for the first gaussian
+        if heads is None:
+            times = np.concatenate((starts, mid, starts + dts))
         v = {"x": None, "y": None}
-        for k in np.flatnonzero(meets).tolist():
-            p = self.seq.pulses[k]
+        for p in pulses:
             if p.shape == "rectangular":
                 f = np.broadcast_to(p.value(mid), (3, n))
             else:
-                if times is None:
-                    times = np.concatenate((starts, mid, starts + dts))
                 f = p.value(times).reshape(3, n)
             v[p.axis] = f if v[p.axis] is None else v[p.axis] + f
-        return v["x"], v["y"], times is not None
+        return v["x"], v["y"], heads
 
     def _generators(self, vx, vy, n: int) -> np.ndarray:
         """``-1j H`` for the field ``(vx, vy)`` at ``n`` times (one stage row
@@ -242,39 +243,20 @@ def _rk4_matrices(model, vx, vy, dts: np.ndarray) -> np.ndarray:
     return _plus_eye(k2)
 
 
-def _step_matrices(model, starts: np.ndarray, dts: np.ndarray, cuts=()):
+def _step_matrices(model, starts: np.ndarray, dts: np.ndarray, runs: np.ndarray):
     """RK4 matrices M with ``y(t + dt) = M y(t)`` of the links ``starts, dts``:
-    ``(mats, heads)``, one time-last ``(d, d, m)`` matrix per run of equal
-    links and the index of each run's first link.  ``heads`` is None when
-    every link is a run of its own.
+    ``(mats, heads)``, one time-last ``(d, d, m)`` matrix per run and the
+    index of each run's first link.  ``heads`` is None when every link is a
+    run of its own.
 
-    The field is evaluated once for all three stages of every link (see
-    :meth:`LinearDriveModel._fields`).  Where it meets no gaussian, each
-    link reads one field at all three stages, and a link whose ``dt`` and
-    field bits equal those of the link before it repeats that link's M
-    bit for bit; only the first link of each run, and each link in
-    ``cuts``, gets a matrix built.  A gaussian field differs at every
-    link, so it is not compared.  The matrices are built at most
-    ``_BLOCK`` at a time.
+    ``runs`` flags the links that start a run, the first link among them.
+    Where the links meet no gaussian, every link of a run repeats the M of
+    its first link bit for bit, and only that one is built; a gaussian
+    field differs at every link, so every link gets a matrix (see
+    :meth:`LinearDriveModel._fields`).  All are built in one pass.
     """
-    *fields, smooth = model._fields(starts, dts)
-    heads = None
-    if not smooth:
-        # compared as bits, so that 0.0 and -0.0 stay apart; the three
-        # stage rows are one
-        same = dts[1:] == dts[:-1]
-        for v in fields:
-            if v is not None:
-                bits = v[0].view(np.int64)
-                same &= bits[1:] == bits[:-1]
-        same[[c - 1 for c in cuts if c > 0]] = False
-        heads = np.flatnonzero(np.concatenate(([True], ~same)))
-        fields = [None if v is None else v[:, heads] for v in fields]
-        dts = dts[heads]
-    mats = [_rk4_matrices(model, *(None if v is None else v[:, c:c + _BLOCK]
-                                   for v in fields), dts[c:c + _BLOCK])
-            for c in range(0, len(dts), _BLOCK)]
-    return (mats[0] if len(mats) == 1 else np.concatenate(mats, axis=2)), heads
+    vx, vy, heads = model._fields(starts, dts, runs)
+    return _rk4_matrices(model, vx, vy, dts if heads is None else dts[heads]), heads
 
 
 def _segment_products(mats: np.ndarray, ends: list) -> np.ndarray:
@@ -336,14 +318,18 @@ def _chain(model, t0: float, h: float, n_steps: int):
     support inside it.  Ends within ``1e-9 h`` of a grid point are moved
     onto it, so that no step between an end and a grid point is shorter
     than that.  The RK4 links are the steps between the nodes of each
-    support, returned as the arrays ``starts, ends, dts``.  The grid points
-    of all supports form one array, and one search places every end after
-    the grid points below it.  A step between two grid points is ``h``, so
-    a support with no end inside a step repeats the full-span grid
+    support, returned as the arrays ``starts, ends, dts`` and ``runs``,
+    which flags each link that starts a run of equal links: a link from a
+    support end, the only node where a rectangle's field can change, or
+    whose ``dt`` differs from the link's before it.  The grid points of all
+    supports form one array, and one search places every end after the
+    grid points below it.  A step between two grid points is ``h``, so a
+    support with no end inside a step repeats the full-span grid
     arithmetic.  The free links, up to each support and after the last
-    one, are returned as a list of ``(k, a, b)``: the flight from ``a`` to
-    ``b`` after the first ``k`` RK4 links.  An ``h0`` without an exact free
-    propagator (at an exceptional point) adds the span as one more support.
+    one, are returned last, as a list of ``(k, a, b)``: the flight from
+    ``a`` to ``b`` after the first ``k`` RK4 links.  An ``h0`` without an
+    exact free propagator (at an exceptional point) adds the span as one
+    more support.
     """
     t_end = t0 + n_steps * h
     ends = model._ends
@@ -396,10 +382,16 @@ def _chain(model, t0: float, h: float, n_steps: int):
     nodes[place] = edges
     on_grid[place] = [e not in off for e in edges]
     dts = np.where(on_grid[:-1] & on_grid[1:], h, nodes[1:] - nodes[:-1])
+    runs = np.ones(len(nodes), dtype=bool)
+    runs[1:-1] = dts[1:] != dts[:-1]
+    # the nodes are strictly increasing, so one search finds every support end
+    at = np.searchsorted(nodes, ends)
+    runs[at[np.append(nodes, np.inf)[at] == ends]] = True
     # no link from a support's end to the next one's start
     is_link = np.ones(len(dts), dtype=bool)
     is_link[place[last[:-1]]] = False
-    return nodes[:-1][is_link], nodes[1:][is_link], dts[is_link], flights
+    return (nodes[:-1][is_link], nodes[1:][is_link], dts[is_link], runs[:-1][is_link],
+            flights)
 
 
 def _free_links(model, flights, times):
@@ -446,9 +438,10 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
     the free propagator ``exp(-i h0 s)`` is applied exactly.  An ``h0`` at
     an exceptional point has no eigenbasis for it, and the whole span is
     then one support.  The state passes through the chain in time order, one
-    unit at a time: a run of equal links shares one matrix, applied once
-    per link, and the links between two samples of a gaussian window are
-    multiplied into one matrix, applied once (see the module docstring).  An
+    unit at a time: a run of equal links, from a support end or a change of
+    step to the next, shares one matrix, applied once per link, and the
+    links between two samples of a gaussian window are multiplied into one
+    matrix, applied once (see the module docstring).  An
     ``h`` above ``min_tau / 20`` triggers an accuracy warning (not an
     error).
 
@@ -489,7 +482,7 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
     times = t0 + ks * h
     states = np.empty((len(times), model.dimension), dtype=complex)
     states[0] = y
-    starts, ends, dts, flights = _chain(model, t0, h, n_steps)
+    starts, ends, dts, runs, flights = _chain(model, t0, h, n_steps)
     flights = _free_links(model, flights, times)
     # the RK4 links that end on a sample time, and their sample slots
     slots = np.minimum(np.searchsorted(times, ends), len(times) - 1)
@@ -498,24 +491,24 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
     walk = _walk2 if model.dimension == 2 else _walk3
     y = y.tolist()
     done = 0  # sample slots filled by RK4 links
-    # windows of equal size: a window's fixed numpy cost is paid whatever
-    # its length, so no short last window.  Without a gaussian the chain
-    # needs few matrices, and longer windows spread that cost thinner.
-    cap = _RUN_WINDOW if model._rectangular else _BLOCK
-    n_windows = math.ceil(len(starts) / cap)
-    size = math.ceil(len(starts) / n_windows) if n_windows else 1
+    # each window builds at most _BLOCK matrices: one per link where a
+    # gaussian can be met, one per run in a chain of rectangles.  Windows
+    # are of equal size, since a window's fixed numpy cost is paid whatever
+    # its length: no short last window.
+    firsts = np.flatnonzero(runs).tolist() if model._rectangular else range(len(starts))
+    n_windows = max(1, math.ceil(len(firsts) / _BLOCK))
+    bounds = [*firsts[::math.ceil(len(firsts) / n_windows) or 1], len(starts)]
+    runs[bounds[:-1]] = True  # a window's first link starts a run
     f = 0  # the next free flight
     # a blow-up shows in the samples, checked once at the end, so the
     # intermediate overflow warnings carry no extra information
     with np.errstate(over="ignore", invalid="ignore"):
-        for b0 in range(0, len(starts), size):
-            stop = min(b0 + size, len(starts))
+        for b0, stop in zip(bounds, bounds[1:]):
             f1 = f  # the free flights of the window, each after its k-th link
             while f1 < len(flights) and flights[f1][0] < stop:
                 f1 += 1
-            # a run may not carry the state across a free flight
             cuts = [k - b0 for k, _, _, _ in flights[f:f1]]
-            mats, heads = _step_matrices(model, starts[b0:stop], dts[b0:stop], cuts)
+            mats, heads = _step_matrices(model, starts[b0:stop], dts[b0:stop], runs[b0:stop])
             flags = sampled[b0:stop]
             if heads is not None:
                 # a run's matrix applies once per link of the run

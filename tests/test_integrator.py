@@ -27,9 +27,9 @@ from kickedqubit import (
     norm_drift,
     rectangular_exact,
 )
+from kickedqubit import integrator as integrator_module
 from kickedqubit.integrator import (
     _BLOCK,
-    _RUN_WINDOW,
     _chain,
     _free_flight,
     _free_links,
@@ -136,10 +136,10 @@ def test_a_rectangle_does_not_leak_into_the_link_before_its_start():
     c = PulseSpec(shape="rectangular", axis="y", alpha=0.5, t_k=1.0, tau=1.0)
     model = TwoStatePulseModel(KickSequence(pulses=(a, c, b), delta_e=1.3))
     n_steps = round(2.0 / 0.0123)
-    starts, ends, dts, _ = _chain(model, 0.0, 2.0 / n_steps, n_steps)
+    starts, ends, dts, _, _ = _chain(model, 0.0, 2.0 / n_steps, n_steps)
     i = int(np.argmin(dts))
     assert (starts[i], ends[i]) == (a_end, b.support()[0])
-    vx, vy, _ = model._fields(starts[i:i + 1], dts[i:i + 1])
+    vx, vy, _ = model._fields(starts[i:i + 1], dts[i:i + 1], np.ones(1, dtype=bool))
     assert vx is None or not vx.any()
     assert np.array_equal(vy, np.full((3, 1), 0.5))
 
@@ -390,7 +390,7 @@ def test_segment_products_equal_the_per_link_advance(kind, half):
     # per-link advance of sample_every = 1, up to the rounding of the products
     model, t1, n_steps = _gaussian_windows(kind, half), _WINDOWS_T1, _WINDOWS_STEPS
     h = t1 / n_steps
-    _, _, _, flights = _chain(model, 0.0, h, n_steps)
+    *_, flights = _chain(model, 0.0, h, n_steps)
     links = [k for k, _, _ in flights]
     if half == 256:
         assert links == [0, _BLOCK, 2 * _BLOCK, 3 * _BLOCK]
@@ -412,7 +412,7 @@ def _per_link_states(model, y, t1, n_steps):
     between supports: the advance that ``sample_every = 1`` runs."""
     h = t1 / n_steps
     times = np.arange(n_steps + 1) * h
-    starts, ends, dts, flights = _chain(model, 0.0, h, n_steps)
+    starts, ends, dts, _, flights = _chain(model, 0.0, h, n_steps)
     mats = _every_link(model, starts, dts).transpose(2, 0, 1).tolist()
     flights = {k: flight for k, *flight in _free_links(model, flights, times)}
     states = np.empty((len(times), model.dimension), dtype=complex)
@@ -497,9 +497,12 @@ def _pin_models(train=_PIN_TRAIN):
             effective_two_state_model(p, train))
 
 
-def _every_link(model, starts, dts, cuts=()):
-    """The step matrix of every link, each run's matrix repeated over it."""
-    mats, heads = _step_matrices(model, starts, dts, cuts)
+def _every_link(model, starts, dts, runs=None):
+    """The step matrix of every link, each run's matrix repeated over it;
+    without ``runs``, every link is a run of its own."""
+    if runs is None:
+        runs = np.ones(len(starts), dtype=bool)
+    mats, heads = _step_matrices(model, starts, dts, runs)
     if heads is None:
         return mats
     return np.repeat(mats, np.diff(np.append(heads, len(starts))), axis=2)
@@ -507,11 +510,11 @@ def _every_link(model, starts, dts, cuts=()):
 
 @pytest.mark.parametrize("model", _pin_models(), ids=["qubit", "j", "coupled", "effective"])
 def test_step_matrices_equal_the_reference_formula(model):
-    # the one field pass over the block's pulses, the runs of equal links
-    # and the in-place arithmetic change no value of any step matrix
+    # the one field pass over the block's pulses and the in-place
+    # arithmetic change no value of any step matrix
     blocks = list(_pin_blocks())
     for starts, dts in blocks:
-        assert np.array_equal(_every_link(model, starts, dts, cuts=(len(starts) // 2,)),
+        assert np.array_equal(_every_link(model, starts, dts),
                               _reference_step_matrices(model, starts, dts)), (starts, dts)
     # the blocks do probe a gaussian outside its support where it is nonzero
     lo, hi = _PIN_TRAIN.pulses[0].support()
@@ -535,25 +538,29 @@ _PIN_RECTANGLES = KickSequence(pulses=(
 @pytest.mark.parametrize("model", _pin_models(_PIN_RECTANGLES),
                          ids=["qubit", "j", "coupled", "effective"])
 def test_rectangular_step_matrices_equal_the_reference_formula(model):
-    # on rectangular pulses only the runs of equal links change no value of
-    # any matrix, where pulses follow one another and where they overlap
+    # on rectangular pulses only, each rectangle read once per link at its
+    # midpoint changes no value of any matrix, where pulses follow one
+    # another and where they overlap
     for starts, dts in _pin_blocks(_PIN_RECTANGLES):
-        assert np.array_equal(_every_link(model, starts, dts, cuts=(len(starts) // 2,)),
+        assert np.array_equal(_every_link(model, starts, dts),
                               _reference_step_matrices(model, starts, dts)), (starts, dts)
 
 
 def test_a_block_inside_one_plateau_builds_few_matrices():
     # on a rectangular plateau every full step has the same field and dt, so
-    # the block is one run: its matrix is built once, and every link's
+    # the chain flags only its first link: a block of its links that starts
+    # with a run is one run, its matrix is built once, and every link's
     # matrix is still the reference formula's
     model = TwoStatePulseModel(KickSequence(pulses=(
         PulseSpec(shape="rectangular", axis="x", alpha=0.4, t_k=1.0, tau=1.0),),
         delta_e=1.3))
-    h = 1e-3
-    starts, dts = 0.6 + h * np.arange(_BLOCK), np.full(_BLOCK, h)
-    mats, heads = _step_matrices(model, starts, dts)
-    assert mats.shape[2] <= 3 and len(heads) == mats.shape[2]
-    assert np.array_equal(_every_link(model, starts, dts),
+    starts, _, dts, runs, _ = _chain(model, 0.0, 1e-3, 2000)
+    assert np.flatnonzero(runs).tolist() == [0]
+    starts, dts, runs = starts[100:100 + _BLOCK], dts[100:100 + _BLOCK], runs[100:100 + _BLOCK]
+    runs[0] = True
+    mats, heads = _step_matrices(model, starts, dts, runs)
+    assert mats.shape[2] == 1 and heads.tolist() == [0]
+    assert np.array_equal(_every_link(model, starts, dts, runs),
                           _reference_step_matrices(model, starts, dts))
 
 
@@ -566,11 +573,13 @@ def test_runs_break_at_a_free_flight():
         PulseSpec(shape="rectangular", axis="x", alpha=0.3, t_k=1.0, tau=0.2)),
         delta_e=1.3))
     n_steps, t1 = 150, 1.5
-    starts, _, dts, flights = _chain(model, 0.0, t1 / n_steps, n_steps)
+    starts, _, dts, runs, flights = _chain(model, 0.0, t1 / n_steps, n_steps)
     (k, a, b), = [f for f in flights if 0 < f[0] < len(starts)]
     assert (a, b) == pytest.approx((0.6, 0.9))
-    _, heads = _step_matrices(model, starts, dts)
-    assert k not in heads  # without the cut, one run would span the flight
+    # the link after the flight starts at a support end, so it starts a run
+    assert runs[k] and not runs[k - 1] and not runs[k + 1]
+    _, heads = _step_matrices(model, starts, dts, runs)
+    assert k in heads
     y = np.array([1.0, 0.0], dtype=complex)
     traj = integrate(model, y, 0.0, t1, t1 / n_steps, sample_every=3)
     expected = _segmented_reference(model, y, t1, n_steps, 3)
@@ -588,15 +597,40 @@ def _rk4_loop(model, y, t1, n_steps, sample_every):
     return np.array(out)
 
 
-def test_constant_hamiltonian_runs_match_rk4_step_loop():
-    # one run per window, over more than two windows
+def _recorded_windows(monkeypatch):
+    """The ``(starts, heads)`` of every window that ``integrate`` builds
+    step matrices for, recorded as it runs."""
+    windows = []
+    step_matrices = integrator_module._step_matrices
+
+    def recorded(model, starts, dts, runs):
+        mats, heads = step_matrices(model, starts, dts, runs)
+        windows.append((starts, heads))
+        return mats, heads
+
+    monkeypatch.setattr(integrator_module, "_step_matrices", recorded)
+    return windows
+
+
+def _sampled(states, n_steps, sample_every):
+    """The rows of per-grid-point ``states`` that ``sample_every`` keeps."""
+    return states[np.append(np.arange(0, n_steps, sample_every), n_steps)]
+
+
+def test_constant_hamiltonian_runs_match_rk4_step_loop(monkeypatch):
+    # a plateau is one run however long: 8,269 links are one window and one
+    # matrix, bit for bit the per-link advance
     rng = np.random.default_rng(62)
     a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
     model = _constant_model(0.5 * (a + a.conj().T), 3.0)
-    n_steps, sample_every = 2 * _RUN_WINDOW + 77, 7
+    n_steps, sample_every = 8_269, 7
     y = np.array([1.0, 0.0, 0.0], dtype=complex)
+    windows = _recorded_windows(monkeypatch)
     traj = integrate(model, y, 0.0, 3.0, 3.0 / n_steps, sample_every=sample_every)
     assert traj.rk4_steps == n_steps
+    assert [heads.tolist() for _, heads in windows] == [[0]]
+    assert np.array_equal(traj.states, _sampled(
+        _per_link_states(model, y, 3.0, n_steps), n_steps, sample_every))
     expected = _rk4_loop(model, y, 3.0, n_steps, sample_every)
     assert np.max(np.abs(traj.states - expected)) < 1e-12
 
@@ -628,16 +662,43 @@ def test_exceptional_point_runs_match_rk4_step_loop():
     assert abs(traj.probabilities[-1, 1]) > 1e-3  # the drive acted
 
 
-def test_rectangular_chain_across_run_windows_matches_rk4_step_loop():
-    # more links than two run windows hold, with free flights inside them
+def test_rectangular_chain_across_windows_matches_the_per_link_advance(monkeypatch):
+    # off-grid edges start about three runs a pulse (at the edge, and where
+    # dt changes before and after it), so 200 pulses are more runs than one
+    # window builds matrices for: the chain spans windows of at most _BLOCK
+    # runs, with free flights inside them
     model = TwoStatePulseModel(KickSequence(pulses=tuple(
-        PulseSpec(shape="rectangular", axis="xy"[i % 2], alpha=0.3 - 0.1 * i,
-                  t_k=0.4 + 0.6 * i + 0.000371, tau=0.5) for i in range(4)),
+        PulseSpec(shape="rectangular", axis="xy"[i % 2], alpha=0.2 + 0.001 * i,
+                  t_k=0.1 + 0.04 * i + 0.000371, tau=0.02) for i in range(200)),
         delta_e=1.3))
-    n_steps, sample_every, t1 = 12_000, 7, 2.5
+    n_steps, sample_every, t1 = 8200, 7, 8.2
     y = np.array([1.0, 0.0], dtype=complex)
+    windows = _recorded_windows(monkeypatch)
     traj = integrate(model, y, 0.0, t1, t1 / n_steps, sample_every=sample_every)
-    assert traj.rk4_steps > 2 * _RUN_WINDOW
+    runs = [len(heads) for _, heads in windows]
+    assert len(runs) > 1 and sum(runs) > _BLOCK and max(runs) <= _BLOCK
+    assert np.array_equal(traj.states, _sampled(
+        _per_link_states(model, y, t1, n_steps), n_steps, sample_every))
+    assert abs(traj.probabilities[-1, 0] - 1.0) > 1e-2  # the drive acted
+
+
+def test_a_window_inside_a_plateau_of_a_mixed_chain(monkeypatch):
+    # a gaussian puts the chain on windows of at most _BLOCK links, so a
+    # window can start inside a rectangular plateau, where the chain flags
+    # no link; meeting no gaussian, it reads the field once per run, so
+    # its first link must start one
+    model = TwoStatePulseModel(KickSequence(pulses=(
+        PulseSpec(shape="gaussian", axis="y", alpha=0.3, t_k=0.3, tau=0.02),
+        PulseSpec(shape="rectangular", axis="x", alpha=0.8, t_k=1.5, tau=2.0)),
+        delta_e=1.3))
+    n_steps, sample_every, t1 = 3000, 7, 3.0
+    starts, _, _, runs, _ = _chain(model, 0.0, t1 / n_steps, n_steps)
+    y = np.array([1.0, 0.0], dtype=complex)
+    windows = _recorded_windows(monkeypatch)
+    traj = integrate(model, y, 0.0, t1, t1 / n_steps, sample_every=sample_every)
+    inside = [heads for s, heads in windows
+              if heads is not None and not runs[np.searchsorted(starts, s[0])]]
+    assert inside and all(heads[0] == 0 for heads in inside)
     expected = _segmented_reference(model, y, t1, n_steps, sample_every)
     assert np.max(np.abs(traj.states - expected)) < 1e-12
     assert abs(traj.probabilities[-1, 0] - 1.0) > 1e-2  # the drive acted

@@ -7,7 +7,8 @@ rectangular trains also drive a decaying ``h0`` at an exceptional point,
 which has no exact free propagator.  The
 chain layout of ``integrate`` is also checked on its own against a plain
 reference, over supports that touch, overlap, sit on or near the grid, or
-reach past the span.
+reach past the span, and each link it does not flag as the start of a run
+against the link before it.
 """
 from __future__ import annotations
 
@@ -237,8 +238,27 @@ def _reference_chain(model, t0, h, n_steps):
 @settings(max_examples=300, deadline=None)
 @given(chain_layouts())
 def test_chain_matches_the_reference_layout(layout):
-    *got, flights = _chain(*layout)
+    starts, ends, dts, _, flights = _chain(*layout)
     *expected, expected_flights = _reference_chain(*layout)
-    for a, b in zip(got, expected):
+    for a, b in zip((starts, ends, dts), expected, strict=True):
         assert np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
     assert flights == expected_flights
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_layouts())
+def test_a_link_the_chain_does_not_flag_repeats_the_link_before_it(layout):
+    # a link that starts no run follows the link before it without a free
+    # flight between them, with its dt and its rectangle field at the
+    # midpoint: its step matrix is that link's, bit for bit
+    model = layout[0]
+    starts, ends, dts, runs, _ = _chain(*layout)
+    assert runs[:1].all()
+    same = np.flatnonzero(~runs)
+    assert np.array_equal(starts[same], ends[same - 1])
+    assert np.array_equal(dts[same], dts[same - 1])
+    rectangles = tuple(p for p in model.seq.pulses if p.shape == "rectangular")
+    if rectangles:
+        mid = starts + 0.5 * dts
+        for v in field_at(KickSequence(pulses=rectangles, delta_e=1.0), mid):
+            assert v[same].tobytes() == v[same - 1].tobytes()
