@@ -122,10 +122,12 @@ class LinearDriveModel:
 
     def _fields(self, starts: np.ndarray, dts: np.ndarray, runs: np.ndarray):
         """The field ``(v_x, v_y)`` at the three RK4 stages of the links
-        ``starts, dts``, each ``(3, n)`` (start, middle, end) or None for an
-        axis that nothing drives there, and the indices of the links read:
-        None for every link where a gaussian is met, else the links that
-        ``runs`` flags as the first of a run (see :func:`_chain`).
+        ``starts, dts``, each ``(3, n)`` (start, middle, end), ``(1, n)``
+        where only rectangles drive the axis (one row for all three stages)
+        or None for an axis that nothing drives there, and the indices of
+        the links read: None for every link where a gaussian is met, else
+        the links that ``runs`` flags as the first of a run (see
+        :func:`_chain`).
 
         Every support end is a node of the chain, so a link lies wholly
         inside or wholly outside each rectangle: a rectangle is read once,
@@ -148,7 +150,7 @@ class LinearDriveModel:
         v = {"x": None, "y": None}
         for p in pulses:
             if p.shape == "rectangular":
-                f = np.broadcast_to(p.value(mid), (3, n))
+                f = p.value(mid).reshape(1, n)
             else:
                 f = p.value(times).reshape(3, n)
             v[p.axis] = f if v[p.axis] is None else v[p.axis] + f
@@ -191,9 +193,13 @@ class Trajectory:
     def from_states(cls, times: np.ndarray, states: np.ndarray,
                     dt: float | None = None, rk4_steps: int = 0) -> "Trajectory":
         probs = np.abs(states) ** 2
+        # the columns added left to right, as probs.sum(axis=1) adds them,
+        # bit for bit, without a reduction along a short row
+        norms = probs[:, 0].copy()
+        for column in probs.T[1:]:
+            norms += column
         return cls(times=np.asarray(times, dtype=float), states=states,
-                   probabilities=probs, norms=probs.sum(axis=1),
-                   dt=dt, rk4_steps=rk4_steps)
+                   probabilities=probs, norms=norms, dt=dt, rk4_steps=rk4_steps)
 
 
 def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -215,27 +221,34 @@ def _plus_eye(m: np.ndarray) -> np.ndarray:
 def _rk4_matrices(model, vx, vy, dts: np.ndarray) -> np.ndarray:
     """RK4 matrices M, time-last ``(d, d, n)``, of the steps ``dts`` whose
     field ``(vx, vy)`` is given as ``(3, n)`` rows: at the starts, the
-    midpoints, then the ends of the steps.
+    midpoints, then the ends of the steps.  A field of one ``(1, n)`` row
+    serves all three stages, and where no field has more, as in a window of
+    rectangles, the three stages share one stack of generators.
 
-    Each stage's generators are a ``(d, d, n)`` stack of their own, and
-    ``a3`` is built only once ``a1`` and ``a2`` are let go: the fewer stacks
-    are alive at once, the less the heap grows and is trimmed back per
-    window (one ``(d, d, 3n)`` stack passed glibc's 128 KiB mmap threshold
-    at ``d = 3``).  The stages are combined in place in the order of
-    ``I + dt/6 (a1 + 2 k2 + 2 k3 + k4)``.
+    Otherwise each stage's generators are a ``(d, d, n)`` stack of their
+    own, and ``a3`` is built only once ``a1`` and ``a2`` are let go: the
+    fewer stacks are alive at once, the less the heap grows and is trimmed
+    back per window (one ``(d, d, 3n)`` stack passed glibc's 128 KiB mmap
+    threshold at ``d = 3``).  The stages are combined in place in the order
+    of ``I + dt/6 (a1 + 2 k2 + 2 k3 + k4)``.
     """
     n = len(dts)
-    stages = [(None if vx is None else vx[s], None if vy is None else vy[s], n)
-              for s in range(3)]
-    a1 = model._generators(*stages[0])
-    a2 = model._generators(*stages[1])
+
+    def stage(s):
+        return model._generators(None if vx is None else vx[s % len(vx)],
+                                 None if vy is None else vy[s % len(vy)], n)
+
+    one = (vx is None or len(vx) == 1) and (vy is None or len(vy) == 1)
+    a1 = stage(0)
+    a2 = a1 if one else stage(1)
     half = 0.5 * dts
     k2 = _matmul(a2, _plus_eye(half * a1))
     k3 = _matmul(a2, _plus_eye(half * k2))
     k2 *= 2.0
     k2 += a1
+    a3 = a1 if one else None  # else built once a1 and a2 are let go
     del a1, a2
-    k4 = _matmul(model._generators(*stages[2]), _plus_eye(dts * k3))
+    k4 = _matmul(stage(2) if a3 is None else a3, _plus_eye(dts * k3))
     k3 *= 2.0
     k2 += k3
     k2 += k4
@@ -265,48 +278,58 @@ def _segment_products(mats: np.ndarray, ends: list) -> np.ndarray:
     ``ends`` (the last is ``n``), time-last ``(d, d, len(ends))``.
 
     One scatter pads each segment at its front with identities to the
-    power of two ``size`` at or above the longest one.  Neighbouring
-    positions are then multiplied pairwise, over all segments at once, in
-    ``log2(size)`` rounds: a long segment (one sample per window, say)
-    costs a few numpy calls, not one per link.
+    length of the longest one.  Neighbouring positions are then multiplied
+    pairwise, over all segments at once, in ``ceil(log2(longest))`` rounds:
+    a long segment (one sample per window, say) costs a few numpy calls, not
+    one per link.  Pairs are taken from the end, and on an odd count the
+    first position passes through a round, so each segment is multiplied in
+    the same tree as when padded to a power of two, without the products
+    with identities.
     """
     d, _, n = mats.shape
     ends = np.array(ends)
     lengths = np.diff(ends, prepend=0)
-    size = 1 << (int(lengths.max()) - 1).bit_length()
+    size = int(lengths.max())
     stack = np.zeros((d, d, size, len(ends)), dtype=complex)
     stack.reshape(d * d, size, -1)[::d + 1] = 1.0
     # link i of the segment ending at e sits at position size - (e - i)
     stack[:, :, np.arange(n) + size - np.repeat(ends, lengths),
           np.repeat(np.arange(len(ends)), lengths)] = mats
-    while stack.shape[2] > 1:
-        stack = _matmul(stack[:, :, 1::2], stack[:, :, 0::2])
+    while (count := stack.shape[2]) > 1:
+        odd = count % 2  # the first position passes through
+        paired = _matmul(stack[:, :, odd + 1::2], stack[:, :, odd::2])
+        stack = np.concatenate((stack[:, :, :1], paired), axis=2) if odd else paired
     return stack[:, :, 0]
 
 
 def _walk2(units, y, rows: list):
     """Apply the 2x2 step matrices of ``units`` to ``y`` in order.  A unit
     is ``(matrix entries, sampled flags)``: its entries are bound once and
-    applied once per flag, and the state after each flagged application is
-    appended to ``rows``."""
+    applied once per flag, and the entries of the state after each flagged
+    application are appended to the flat list ``rows``."""
+    add = rows.append
     y0, y1 = y
     for (a, b, c, d), flags in units:
         for sampled in flags:
             y0, y1 = a * y0 + b * y1, c * y0 + d * y1
             if sampled:
-                rows.append((y0, y1))
+                add(y0)
+                add(y1)
     return y0, y1
 
 
 def _walk3(units, y, rows: list):
     """:func:`_walk2` for 3x3 step matrices."""
+    add = rows.append
     y0, y1, y2 = y
     for (a, b, c, d, e, f, g, h, i), flags in units:
         for sampled in flags:
             y0, y1, y2 = (a * y0 + b * y1 + c * y2, d * y0 + e * y1 + f * y2,
                           g * y0 + h * y1 + i * y2)
             if sampled:
-                rows.append((y0, y1, y2))
+                add(y0)
+                add(y1)
+                add(y2)
     return y0, y1, y2
 
 
@@ -407,7 +430,8 @@ def _free_links(model, flights, times):
     # each flight's sample times, then its end
     t = np.concatenate([x for lo, hi, e in zip(i0, i1, b) for x in (times[lo:hi], (e,))])
     m = [hi - lo + 1 for lo, hi in zip(i0, i1)]
-    phases = np.exp(-1j * ((t - np.repeat(a, m))[:, None] * model._free[0]))
+    # formed (d, N), so each inner loop runs over the N times, not the d levels
+    phases = np.exp(-1j * (model._free[0][:, None] * (t - np.repeat(a, m)))).T
     first = list(accumulate(m, initial=0))
     return [(k, lo, hi, phases[f:f + n]) for k, lo, hi, f, n in zip(ks, i0, i1, first, m)]
 
@@ -531,7 +555,7 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
             units = zip(zip(*mats.reshape(model.dimension ** 2, -1).tolist()), groups)
             cuts = [bisect_left(heads, c) for c in cuts]
             at = 0  # units walked so far
-            rows: list = []  # the window's sampled states
+            rows: list = []  # the window's sampled states, entry by entry
             # each free flight follows the first u units of the window
             for u, (_, i0, i1, phases) in zip(cuts, flights[f:f1]):
                 y = walk(islice(units, u - at), y, rows)
@@ -540,12 +564,13 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
             f = f1
             y = walk(units, y, rows)
             if rows:
-                states[slots[done:done + len(rows)]] = np.array(rows, dtype=complex)
-                done += len(rows)
+                kept = np.array(rows, dtype=complex).reshape(-1, model.dimension)
+                states[slots[done:done + len(kept)]] = kept
+                done += len(kept)
         for _, i0, i1, phases in flights[f:]:
             y = _free_flight(model, y, i0, i1, phases, states)
-    finite = np.isfinite(states.view(float)).all(axis=1)
-    if not finite.all():
+    if not np.isfinite(states.view(float)).all():
+        finite = np.isfinite(states.view(float)).all(axis=1)
         raise IntegrationDivergedError(
             f"state went non-finite near t = {times[finite.argmin()]:g}")
     return Trajectory.from_states(times, states, dt=h, rk4_steps=len(starts))

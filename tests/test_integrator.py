@@ -3,10 +3,13 @@ flight between them, diagnostics."""
 from __future__ import annotations
 
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from kickedqubit import (
@@ -34,6 +37,7 @@ from kickedqubit.integrator import (
     _free_flight,
     _free_links,
     _matmul,
+    _segment_products,
     _step_matrices,
 )
 
@@ -141,7 +145,8 @@ def test_a_rectangle_does_not_leak_into_the_link_before_its_start():
     assert (starts[i], ends[i]) == (a_end, b.support()[0])
     vx, vy, _ = model._fields(starts[i:i + 1], dts[i:i + 1], np.ones(1, dtype=bool))
     assert vx is None or not vx.any()
-    assert np.array_equal(vy, np.full((3, 1), 0.5))
+    # one row: a rectangle's field serves all three stages of a link
+    assert np.array_equal(vy, np.full((1, 1), 0.5))
 
 
 def test_integrate_validates_inputs():
@@ -234,6 +239,21 @@ def test_trajectory_from_states():
     traj = Trajectory.from_states(times, states)
     assert traj.probabilities[1] == pytest.approx([0.36, 0.64])
     assert traj.norms[1] == pytest.approx(1.0)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_trajectory_norms_add_the_levels_as_a_row_sum_does(d):
+    # the norms add the probability columns left to right, bit for bit as
+    # probabilities.sum(axis=1) does; probabilities from 1e-150 to 1e2 mixed
+    # within each row make the order of the additions show in the rounding
+    rng = np.random.default_rng(d)
+    amplitudes = 10.0 ** rng.uniform(-75.0, 1.0, (4000, d))
+    states = amplitudes * np.exp(2j * np.pi * rng.random((4000, d)))
+    traj = Trajectory.from_states(np.arange(4000.0), states)
+    probs = traj.probabilities
+    assert np.array_equal(traj.norms.view(np.int64), probs.sum(axis=1).view(np.int64))
+    if d == 3:  # the other order rounds differently on these rows
+        assert not np.array_equal(traj.norms, probs[:, 0] + (probs[:, 1] + probs[:, 2]))
 
 
 def _smooth_model(kind):
@@ -404,6 +424,48 @@ def test_segment_products_equal_the_per_link_advance(kind, half):
         assert np.array_equal(traj.times, every.times[ks])
         assert np.max(np.abs(traj.states - every.states[ks])) < 1e-13
     assert abs(every.probabilities[-1, 0] - 1.0) > 1e-2  # the drive acted
+
+
+def _power_of_two_segment_products(mats, ends):
+    """The segment products of :func:`_segment_products` as formed with
+    every segment padded at its front with identities to the power of two at
+    or above the longest one, neighbouring positions multiplied pairwise
+    from the front of that padded length: the reference it must equal bit
+    for bit."""
+    d, _, n = mats.shape
+    ends = np.array(ends)
+    lengths = np.diff(ends, prepend=0)
+    size = 1 << (int(lengths.max()) - 1).bit_length()
+    stack = np.zeros((d, d, size, len(ends)), dtype=complex)
+    stack.reshape(d * d, size, -1)[::d + 1] = 1.0
+    stack[:, :, np.arange(n) + size - np.repeat(ends, lengths),
+          np.repeat(np.arange(len(ends)), lengths)] = mats
+    while stack.shape[2] > 1:
+        stack = _matmul(stack[:, :, 1::2], stack[:, :, 0::2])
+    return stack[:, :, 0]
+
+
+@settings(max_examples=150, deadline=None)
+@given(d=st.sampled_from([2, 3]),
+       lengths=st.lists(st.integers(1, 17), min_size=1, max_size=9),
+       seed=st.integers(0, 2**32 - 1))
+@example(d=2, lengths=[1], seed=0)  # one single-link segment
+@example(d=2, lengths=[3], seed=1)  # an odd count: the first link passes a round
+@example(d=3, lengths=[10, 1, 7, 4], seed=2)  # the longest is no power of two
+@example(d=3, lengths=[17, 16, 1, 2, 9], seed=3)
+def test_segment_products_equal_power_of_two_padding(d, lengths, seed):
+    # padding to the longest segment and pairing from its end forms every
+    # product in the same tree, and so bit for bit, as the power-of-two
+    # padding did, without the products with identities
+    rng = np.random.default_rng(seed)
+    n = sum(lengths)
+    mats = rng.standard_normal((d, d, n)) + 1j * rng.standard_normal((d, d, n))
+    ends = np.cumsum(lengths).tolist()
+    got = _segment_products(mats, ends)
+    want = _power_of_two_segment_products(mats, ends)
+    assert got.shape == want.shape == (d, d, len(lengths))
+    assert np.array_equal(np.ascontiguousarray(got).view(np.int64),
+                          np.ascontiguousarray(want).view(np.int64))
 
 
 def _per_link_states(model, y, t1, n_steps):
@@ -788,6 +850,38 @@ def test_divergence_names_the_first_non_finite_sample(kind, late, t_bad):
     y[0] = 1.0
     with pytest.raises(IntegrationDivergedError, match=rf"near t = {t_bad}$"):
         integrate(model, y, 0.0, 20.0 if late else 6.0, 0.01, sample_every=7)
+
+
+def _diverging_gaussians(kind):
+    """A weak gaussian pulse, then a strong one far beyond the RK4
+    stability limit at dt = 0.01 (h |V| about 38 at its peak), each 360
+    links long: the state overflows in the second window of the chain."""
+    pulses = (PulseSpec(shape="gaussian", axis="x", alpha=0.3, t_k=2.0, tau=0.3),
+              PulseSpec(shape="gaussian", axis="y", alpha=2000.0, t_k=8.0, tau=0.3))
+    if kind == "qubit":
+        return TwoStatePulseModel(KickSequence(pulses=pulses, delta_e=1.3))
+    p = default_params()
+    return HydrogenModel(p, KickSequence(pulses=pulses, delta_e=p.delta_e), basis="coupled")
+
+
+@pytest.mark.parametrize("kind", ["qubit", "coupled"])
+def test_gaussian_divergence_names_the_first_non_finite_kept_sample(kind):
+    # at sample_every = 7 a gaussian window applies one product per segment
+    # of links; the sample it names is the first it keeps at or after the
+    # one the link-by-link advance of sample_every = 1 names
+    model = _diverging_gaussians(kind)
+    y = np.zeros(model.dimension, dtype=complex)
+    y[0] = 1.0
+    h, n_steps = 0.01, 1200
+    starts, *_ = _chain(model, 0.0, h, n_steps)
+    assert len(starts) > _BLOCK  # two windows
+    with pytest.raises(IntegrationDivergedError) as every:
+        integrate(model, y, 0.0, n_steps * h, h)
+    k = round(float(str(every.value).rsplit(" ", 1)[1]) / h)
+    assert 7.0 < k * h < 9.0 and k % 7  # inside the strong pulse, between kept samples
+    kept = f"{(k + 7 - k % 7) * h:g}"
+    with pytest.raises(IntegrationDivergedError, match=rf"near t = {re.escape(kept)}$"):
+        integrate(model, y, 0.0, n_steps * h, h, sample_every=7)
 
 
 def test_kernel_resolves_rectangular_pulse_against_closed_form():

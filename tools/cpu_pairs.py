@@ -1,0 +1,126 @@
+#!/usr/bin/env python3
+"""Compare the CPU time of a base commit and the working tree in one process.
+
+    python3 tools/cpu_pairs.py --base <rev> [--workload sweep_sparse] [--seed 301]
+                               [--configs 60] [--rounds 21]
+
+The package of ``--base`` is taken from a ``git archive`` of that revision
+and imported under another name (``kickedqubit_base``) beside the working
+tree's ``kickedqubit``, so both run in the same interpreter, on the same
+CPU and under the same drift of the machine's speed.  The first
+``--configs`` operations of the sweep workload (from the working tree's
+``perfbench/``) at ``--seed`` are run once in each tree, and every dataset's
+name, data bytes and meta must be the same in both, or the script stops
+with exit code 1: a timing of two trees that compute different things
+compares nothing.  Then, for ``--rounds`` rounds, each tree runs all the
+configs once, the base first in even rounds and second in odd ones, timed
+with ``time.process_time``.  It prints each round and, at the end, the
+median and quartiles of the change/base CPU ratio over the rounds.  Run it
+from the root of a checkout.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import importlib.util
+import io
+import json
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+import warnings
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
+
+import numpy as np  # noqa: E402
+
+import kickedqubit  # noqa: E402
+from workloads import SweepWorkload  # noqa: E402
+
+
+def import_base(rev: str, dest: Path):
+    """The package of ``rev``, extracted to ``dest`` and imported as
+    ``kickedqubit_base`` (its modules import each other relatively)."""
+    archive = subprocess.run(["git", "archive", rev, "src/kickedqubit"], cwd=ROOT,
+                             check=True, stdout=subprocess.PIPE).stdout
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive, check=True)
+    package = dest / "src" / "kickedqubit"
+    spec = importlib.util.spec_from_file_location(
+        "kickedqubit_base", package / "__init__.py", submodule_search_locations=[str(package)])
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def run_all(package, raws: list[dict]) -> list:
+    """The datasets of every config, run quietly: no print, no warning."""
+    out = []
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("ignore")
+        for raw in raws:
+            datasets, _ = package.run_experiment(package.ExperimentConfig.from_dict(raw))
+            out.extend(datasets)
+    return out
+
+
+def fingerprint(ds) -> tuple:
+    return (ds.name, np.ascontiguousarray(ds.data).tobytes(),
+            json.dumps(ds.meta, sort_keys=True))
+
+
+def cpu_seconds(package, raws: list[dict]) -> float:
+    start = time.process_time()
+    run_all(package, raws)
+    return time.process_time() - start
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, help="git revision to compare against")
+    parser.add_argument("--workload", choices=["sweep_sparse", "sweep_dense"],
+                        default="sweep_sparse")
+    parser.add_argument("--seed", type=int, default=301)
+    parser.add_argument("--configs", type=int, default=60)
+    parser.add_argument("--rounds", type=int, default=21)
+    args = parser.parse_args(argv)
+
+    workload = SweepWorkload(args.workload, args.seed, args.workload == "sweep_dense")
+    raws = [workload.next_op()["raw"] for _ in range(args.configs)]
+    with tempfile.TemporaryDirectory(prefix="cpu-pairs-") as tmp:
+        base = import_base(args.base, Path(tmp))
+        trees = {"base": base, "change": kickedqubit}
+        # also the warm-up of both trees
+        prints = {side: [fingerprint(ds) for ds in run_all(package, raws)]
+                  for side, package in trees.items()}
+        differ = [b[0] for b, c in zip(prints["base"], prints["change"]) if b != c]
+        if len(prints["base"]) != len(prints["change"]) or differ:
+            print(f"the trees' datasets differ ({len(differ)} of {len(prints['base'])}, "
+                  f"first {differ[:3]}); no timing", file=sys.stderr)
+            return 1
+        print(f"{args.workload} seed {args.seed}: {args.configs} configs, "
+              f"{len(prints['base'])} datasets, the same bytes in both trees", flush=True)
+        seconds = {"base": [], "change": []}
+        ratios = []
+        for r in range(args.rounds):
+            order = ["base", "change"] if r % 2 == 0 else ["change", "base"]
+            for side in order:
+                seconds[side].append(cpu_seconds(trees[side], raws))
+            ratios.append(seconds["change"][-1] / seconds["base"][-1])
+            print(f"round {r + 1}: base {seconds['base'][-1]:.4f} s, "
+                  f"change {seconds['change'][-1]:.4f} s, change/base {ratios[-1]:.4f}",
+                  flush=True)
+    q = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
+    print(f"change/base CPU over {len(ratios)} rounds: median {statistics.median(ratios):.4f} "
+          f"[q1 {q[0]:.4f}, q3 {q[2]:.4f}]; median CPU per pass base "
+          f"{statistics.median(seconds['base']):.4f} s, change "
+          f"{statistics.median(seconds['change']):.4f} s")
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())
