@@ -1,7 +1,8 @@
 """Command-line driver: ``simulate <experiment-id> [--config ...] [--out ...]``.
 
 Exit codes: 0 on success, 2 on a config problem (unknown experiment, bad or
-missing fields, malformed JSON), 3 when the integration diverges.
+missing fields, malformed JSON), 3 when the integration diverges, 4 when the
+datasets cannot be written.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .integrator import IntegrationDivergedError
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
+EXIT_WRITE = 4
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -93,6 +95,9 @@ def main(argv: list[str] | None = None) -> int:
     except IntegrationDivergedError as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
+    except OSError as exc:  # from the write: its message names the path
+        print(f"cannot write the datasets: {exc}", file=sys.stderr)
+        return EXIT_WRITE
     for path in paths:
         print(f"wrote {path}")
     return EXIT_OK

@@ -223,6 +223,7 @@ class ExperimentConfig:
 
         if run == "trajectories":
             dt = self.dt if self.dt is not None else min(p["tau"] for p in pulses) / 20.0
+            runs = {}
             for o in self.orderings:
                 seq = config_sequence(self, o)
                 end = _run_end(self, seq)
@@ -245,10 +246,12 @@ class ExperimentConfig:
                         "dt", f"the {o} run would take {links:.3g} RK4 steps inside "
                         f"its pulse supports (dt = {dt:g}), above the limit of "
                         f"{MAX_LINKS:,}; set a larger dt")
+                runs[o] = seq, end
+            put("_runs", runs)  # not a field: no part of ==, repr or to_dict
 
     def to_dict(self) -> dict:
         """Every field as JSON values: tuples become lists, dicts are copied."""
-        return {f.name: _plain(getattr(self, f.name)) for f in fields(self)}
+        return {name: _plain(getattr(self, name)) for name in _CONFIG_KEYS}
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -266,11 +269,10 @@ _HYDROGEN_KEYS = ("delta_e_mhz", "e_fs_mhz", "gamma_mhz", "convention")
 
 
 def _plain(value):
-    if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
+    # construction leaves every dict of a field holding JSON scalars
     if isinstance(value, tuple):
         return [_plain(v) for v in value]
-    return value
+    return dict(value) if isinstance(value, dict) else value
 
 
 def _need_object(value, path: str, keys, required, what: str) -> dict:
@@ -392,11 +394,10 @@ class ResultDataset:
         if data.ndim != 2 or data.shape[1] != len(self.columns):
             raise ValueError(
                 f"data shape {data.shape} does not match {len(self.columns)} columns")
-        if not np.all(np.isfinite(data)):
+        if not np.isfinite(data).all():
             raise ValueError(f"dataset {self.name!r} contains non-finite values")
-        if self.columns and self.columns[0] == "t" and data.shape[0] > 1:
-            if not np.all(np.diff(data[:, 0]) > 0):
-                raise ValueError(f"dataset {self.name!r} times are not increasing")
+        if self.columns[0] == "t" and not (data[1:, 0] > data[:-1, 0]).all():
+            raise ValueError(f"dataset {self.name!r} times are not increasing")
 
     def write(self, out_dir) -> Path:
         """Write <name>.csv and its JSON sidecar atomically; return the CSV path."""
@@ -537,7 +538,7 @@ def config_sequence(config: ExperimentConfig, ordering: str = "forward",
     """
     _need_choice(ordering, "orderings", ORDERINGS, "ordering")
     payloads = config.pulses[::-1] if ordering == "reversed" else config.pulses
-    pulses = tuple(PulseSpec(**{**p, "t_k": slot["t_k"]})
+    pulses = tuple(PulseSpec(p["shape"], p["axis"], p["alpha"], slot["t_k"], p["tau"])
                    for p, slot in zip(payloads, config.pulses))
     return KickSequence(pulses=pulses, delta_e=config.delta_e
                         if delta_e is None else delta_e)
@@ -585,18 +586,17 @@ def _run_end(config: ExperimentConfig, seq: KickSequence) -> float:
 def _ideal_twin(seq: KickSequence) -> KickSequence:
     """``seq`` with every pulse replaced by an ideal kick of the same axis,
     area and center."""
-    return replace(seq, pulses=tuple(replace(p, shape="ideal", tau=0.0)
-                                     for p in seq.pulses))
+    return KickSequence(tuple(PulseSpec("ideal", p.axis, p.alpha, p.t_k) for p in seq.pulses),
+                        seq.delta_e)
 
 
 def _trajectory_dataset(config: ExperimentConfig, ordering: str) -> ResultDataset:
-    params = (HydrogenParams.from_mhz(**config.hydrogen)
-              if config.system == "hydrogen" else None)
-    seq = config_sequence(config, ordering,
-                          delta_e=None if params is None else params.delta_e)
+    seq, t_end = config._runs[ordering]
+    if config.system == "hydrogen":
+        params = HydrogenParams.from_mhz(**config.hydrogen)
+        seq = KickSequence(seq.pulses, params.delta_e)
     validate_sequence(seq)
-    t_end = _run_end(config, seq)
-    if params is not None:
+    if config.system == "hydrogen":
         traj = run_pulse_sequence(
             params, seq, dt=config.dt, sample_every=config.sample_every,
             basis=config.basis, t_end=t_end)

@@ -170,7 +170,7 @@ class HydrogenModel(LinearDriveModel):
             return super()._free_eigenbasis()
         # R h0 R^T is the diagonal j-basis h0, so R^T holds the eigenvectors
         r = coupling_rotation()
-        return np.diag(_j_matrix(self.params, 0.0)), r.T, r
+        return -1j * np.diag(_j_matrix(self.params, 0.0)), r.T, r
 
 
 def p_target(traj: Trajectory) -> np.ndarray:

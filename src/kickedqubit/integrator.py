@@ -91,29 +91,29 @@ class LinearDriveModel:
         # -1j times each matrix, flattened to a column: -1j only swaps and
         # negates the parts, so g0 + v_x g_x + v_y g_y equals
         # -1j (h0 + v_x a_x + v_y a_y) exactly
-        self._g0, self._gx, self._gy = ((-1j * m).reshape(-1, 1)
-                                        for m in (self.h0, self.a_x, self.a_y))
+        self._g0, self._gx, self._gy = -1j * np.array(
+            (self.h0, self.a_x, self.a_y)).reshape(3, -1, 1)
         # the supports, and the padded supports that pick a window's
         # pulses: a gaussian is nonzero wherever |(t - t_k) / tau| <= 6
         # (GAUSSIAN_SUPPORT) rounds true, which can hold an ulp outside its
         # support, so each support is padded by a relative margin
-        self._ends = np.array([p.support() for p in seq.pulses])
-        lo, hi = self._ends.T
-        pad = 1e-9 * (np.abs(lo) + np.abs(hi))
-        self._lo, self._hi = lo - pad, hi + pad
+        self._ends = [e for p in seq.pulses for e in p.support()]
+        lo, hi = self._ends[::2], self._ends[1::2]
+        pad = [1e-9 * (abs(a) + abs(b)) for a, b in zip(lo, hi)]
+        self._lo, self._hi = np.subtract(lo, pad), np.add(hi, pad)
 
     def _free_eigenbasis(self):
-        """``(lam, V, V^-1)`` with ``h0 = V diag(lam) V^-1`` for the exact free
-        propagator; ``V`` is None for a diagonal ``h0``, which needs no LAPACK
-        call.  None when ``h0`` is (nearly) defective, as at an exceptional
+        """``(w, V, V^-1)`` with ``-1j h0 = V diag(w) V^-1``, the free propagator
+        ``V exp(w s) V^-1``; ``V`` is None for a diagonal ``h0`` (no LAPACK
+        call).  None when ``h0`` is (nearly) defective, as at an exceptional
         point: the span is then one more support (see :func:`_chain`)."""
-        lam = np.diag(self.h0).copy()
-        if np.array_equal(self.h0, np.diag(lam)):
-            return lam, None, None
+        lam = np.diag(self.h0)
+        if np.count_nonzero(self.h0) == np.count_nonzero(lam):  # nothing off the diagonal
+            return -1j * lam, None, None
         lam, v = np.linalg.eig(self.h0)
         if np.linalg.cond(v) > 1e6:
             return None
-        return lam, v, np.linalg.inv(v)
+        return -1j * lam, v, np.linalg.inv(v)
 
     def default_dt(self, span: float) -> float:
         """The largest step that divides ``span`` into whole steps and stays
@@ -137,11 +137,11 @@ class LinearDriveModel:
         are evaluated, in sequence order: every other one would add exactly
         0.0 to the sum of all pulses.
         """
-        meets = (self._hi >= starts.min()) & (self._lo <= (starts + dts).max())
-        pulses = [self.seq.pulses[k] for k in np.flatnonzero(meets).tolist()]
+        meets = (self._hi >= starts[0]) & (self._lo <= (starts + dts).max())
+        pulses = [self.seq.pulses[k] for k in meets.nonzero()[0].tolist()]
         heads = None
         if all(p.shape == "rectangular" for p in pulses):
-            heads = np.flatnonzero(runs)
+            heads = runs.nonzero()[0]
             starts, dts = starts[heads], dts[heads]
         n = len(starts)
         mid = starts + 0.5 * dts
@@ -159,7 +159,7 @@ class LinearDriveModel:
     def _generators(self, vx, vy, n: int) -> np.ndarray:
         """``-1j H`` for the field ``(vx, vy)`` at ``n`` times (one stage row
         of :meth:`_fields`, or None), time-last ``(d, d, n)``."""
-        a = np.repeat(self._g0, n, axis=1)
+        a = self._g0.repeat(n, axis=1)
         # an axis without a pulse here adds exact zeros: its term is left out
         for v, g in ((vx, self._gx), (vy, self._gy)):
             if v is not None:
@@ -272,12 +272,12 @@ def _step_matrices(model, starts: np.ndarray, dts: np.ndarray, runs: np.ndarray)
     return _rk4_matrices(model, vx, vy, dts if heads is None else dts[heads]), heads
 
 
-def _segment_products(mats: np.ndarray, ends: list) -> np.ndarray:
+def _segment_products(mats: np.ndarray, ends: np.ndarray) -> np.ndarray:
     """The product ``M[e - 1] ... M[s]`` of each segment ``[s, e)`` of the
-    time-last ``(d, d, n)`` stack ``mats``, for the sorted segment ends
-    ``ends`` (the last is ``n``), time-last ``(d, d, len(ends))``.
+    time-last ``(d, d, n)`` stack ``mats``, for the increasing integer segment
+    ends ``ends`` (the last is ``n``), time-last ``(d, d, len(ends))``.
 
-    One scatter pads each segment at its front with identities to the
+    One gather pads each segment at its front with identities to the
     length of the longest one.  Neighbouring positions are then multiplied
     pairwise, over all segments at once, in ``ceil(log2(longest))`` rounds:
     a long segment (one sample per window, say) costs a few numpy calls, not
@@ -287,14 +287,13 @@ def _segment_products(mats: np.ndarray, ends: list) -> np.ndarray:
     with identities.
     """
     d, _, n = mats.shape
-    ends = np.array(ends)
-    lengths = np.diff(ends, prepend=0)
-    size = int(lengths.max())
-    stack = np.zeros((d, d, size, len(ends)), dtype=complex)
-    stack.reshape(d * d, size, -1)[::d + 1] = 1.0
-    # link i of the segment ending at e sits at position size - (e - i)
-    stack[:, :, np.arange(n) + size - np.repeat(ends, lengths),
-          np.repeat(np.arange(len(ends)), lengths)] = mats
+    heads = np.concatenate(([0], ends[:-1]))
+    size = int((ends - heads).max())
+    # position p of the segment ending at e holds link e - size + p, or the
+    # identity, appended as link n, where that comes before the segment
+    index = np.arange(-size, 0)[:, None] + ends
+    index[index < heads] = n
+    stack = np.concatenate((mats, np.eye(d)[:, :, None]), axis=2).take(index, axis=2)
     while (count := stack.shape[2]) > 1:
         odd = count % 2  # the first position passes through
         paired = _matmul(stack[:, :, odd + 1::2], stack[:, :, odd::2])
@@ -355,16 +354,15 @@ def _chain(model, t0: float, h: float, n_steps: int):
     more support.
     """
     t_end = t0 + n_steps * h
-    ends = model._ends
-    if model._free is None:
-        ends = np.concatenate(([[t0, t_end]], ends))
-    grid = t0 + np.minimum(np.maximum(np.rint((ends - t0) / h), 0), n_steps) * h
-    ends = np.minimum(np.maximum(
-        np.where(np.abs(ends - grid) <= 1e-9 * h, grid, ends), t0), t_end)
-    off = set(ends[ends != grid].tolist())
+    ends = model._ends if model._free is not None else [t0, t_end, *model._ends]
+    # a few ends: Python floats cost less than numpy calls, with the same bits
+    grid = [t0 + round(min(max((e - t0) / h, 0.0), n_steps)) * h for e in ends]
+    ends = [min(max(g if abs(e - g) <= 1e-9 * h else e, t0), t_end)
+            for e, g in zip(ends, grid)]
+    off = {e for e, g in zip(ends, grid) if e != g}
     # Python sorts: numpy's first sort or unique call maps in 0.4-1.7 MB of code
     merged: list[list[float]] = []
-    for lo, hi in sorted(ends.tolist()):
+    for lo, hi in sorted(zip(ends[::2], ends[1::2])):
         if lo >= hi:
             continue
         if merged and lo <= merged[-1][1]:
@@ -372,8 +370,8 @@ def _chain(model, t0: float, h: float, n_steps: int):
         else:
             merged.append([lo, hi])
     inner = sorted(off)
-    edges, last, flights, shift, counts = [], [], [], [], []
-    links, n_grid, at = 0, 0, t0
+    edges, last, flights, grids = [], [], [], []
+    links, at = 0, t0
     for lo, hi in merged:
         if lo > at:
             flights.append((links, at, lo))
@@ -388,16 +386,13 @@ def _chain(model, t0: float, h: float, n_steps: int):
         inside = inner[bisect_right(inner, lo):bisect_left(inner, hi)]
         edges += [lo, *inside, hi]
         last.append(len(edges) - 1)
-        # the grid points of all supports form one arange, shifted per support
-        shift.append(first - n_grid)
-        counts.append(count)
-        n_grid += count
+        grids.append(np.arange(first, first + count, dtype=float))
         links += count + len(inside) + 1
     if at < t_end:
         flights.append((links, at, t_end))
-    points = t0 + (np.arange(n_grid) + np.repeat(shift, counts)) * h
+    points = t0 + np.concatenate(([], *grids)) * h  # []: a chain may have no support
     # each end goes after the grid points below it
-    place = np.searchsorted(points, edges) + np.arange(len(edges))
+    place = points.searchsorted(edges) + np.arange(len(edges))
     on_grid = np.ones(len(points) + len(edges), dtype=bool)
     on_grid[place] = False
     nodes = np.empty(len(on_grid))
@@ -408,8 +403,8 @@ def _chain(model, t0: float, h: float, n_steps: int):
     runs = np.ones(len(nodes), dtype=bool)
     runs[1:-1] = dts[1:] != dts[:-1]
     # the nodes are strictly increasing, so one search finds every support end
-    at = np.searchsorted(nodes, ends)
-    runs[at[np.append(nodes, np.inf)[at] == ends]] = True
+    at = nodes.searchsorted(ends)
+    runs[at[np.concatenate((nodes, [np.inf]))[at] == ends]] = True
     # no link from a support's end to the next one's start
     is_link = np.ones(len(dts), dtype=bool)
     is_link[place[last[:-1]]] = False
@@ -420,32 +415,38 @@ def _chain(model, t0: float, h: float, n_steps: int):
 def _free_links(model, flights, times):
     """The free flights ``(k, a, b)`` as ``(k, i0, i1, phases)``: the flight
     after the first ``k`` RK4 links fills the samples ``times[i0:i1]`` in
-    ``(a, b]``, and ``phases`` holds ``exp(-i lam (t - a))`` at those times
-    and at ``b``.  One ``np.exp`` serves every flight."""
+    ``(a, b]``, and ``phases`` holds ``exp(w (t - a))`` (see
+    :meth:`LinearDriveModel._free_eigenbasis`) at those times and at ``b``.
+    One ``np.exp`` serves every flight."""
     if not flights:
         return []
     ks, a, b = zip(*flights)
-    i = np.searchsorted(times, a + b, side="right").tolist()
+    i = times.searchsorted(a + b, side="right").tolist()
     i0, i1 = i[:len(a)], i[len(a):]
-    # each flight's sample times, then its end
-    t = np.concatenate([x for lo, hi, e in zip(i0, i1, b) for x in (times[lo:hi], (e,))])
-    m = [hi - lo + 1 for lo, hi in zip(i0, i1)]
-    # formed (d, N), so each inner loop runs over the N times, not the d levels
-    phases = np.exp(-1j * (model._free[0][:, None] * (t - np.repeat(a, m)))).T
-    first = list(accumulate(m, initial=0))
-    return [(k, lo, hi, phases[f:f + n]) for k, lo, hi, f, n in zip(ks, i0, i1, first, m)]
+    # each flight's sample times, then its end, less its start
+    s = np.concatenate([x for lo, hi, t, e in zip(i0, i1, a, b)
+                        for x in (times[lo:hi] - t, (e - t,))])
+    w = model._free[0]
+    if len(w) == 2 and w[1] == w[0].conjugate():
+        # the qubit's: libm's sine is odd, so exp(conj z) = conj(exp z) exactly
+        half = np.exp(w[0] * s)
+        phases = np.array((half, half.conj())).T
+    else:
+        # formed (d, N), so each inner loop runs over the N times, not the d levels
+        phases = np.exp(w[:, None] * s).T
+    first = list(accumulate((hi - lo + 1 for lo, hi in zip(i0, i1)), initial=0))
+    return [(k, lo, hi, phases[f:g]) for k, lo, hi, f, g in zip(ks, i0, i1, first, first[1:])]
 
 
 def _free_flight(model, y, i0: int, i1: int, phases, states) -> list:
-    """Exact free evolution ``y(t) = V exp(-i lam (t - a)) V^-1 y(a)`` of
+    """Exact free evolution ``y(t) = V exp(w (t - a)) V^-1 y(a)`` of
     :func:`_free_links`: fills ``states[i0:i1]`` and returns the state at
     the flight's end."""
     _, v, v_inv = model._free
     out = phases * (y if v is None else v_inv @ y)
     if v is not None:
         out = out @ v.T
-    if i1 > i0:
-        states[i0:i1] = out[:-1]
+    states[i0:i1] = out[:-1]
     return out[-1].tolist()
 
 
@@ -474,8 +475,8 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
     ValueError
         Non-positive ``dt``/``sample_every`` or an empty span.
     IntegrationDivergedError
-        A sampled state stopped being finite; the message names the first
-        such sample.
+        The norm of a sampled state is not finite: the state is not, or
+        ``|y|^2`` overflows.  The message names the first such sample.
     """
     if dt <= 0:
         raise ValueError(f"dt must be positive, got {dt}")
@@ -502,14 +503,14 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
 
     ks = np.arange(0, n_steps + 1, sample_every)
     if ks[-1] != n_steps:
-        ks = np.append(ks, n_steps)
+        ks = np.concatenate((ks, [n_steps]))
     times = t0 + ks * h
     states = np.empty((len(times), model.dimension), dtype=complex)
     states[0] = y
     starts, ends, dts, runs, flights = _chain(model, t0, h, n_steps)
     flights = _free_links(model, flights, times)
     # the RK4 links that end on a sample time, and their sample slots
-    slots = np.minimum(np.searchsorted(times, ends), len(times) - 1)
+    slots = np.minimum(times.searchsorted(ends), len(times) - 1)
     sampled = times[slots] == ends
     slots = slots[sampled]
     walk = _walk2 if model.dimension == 2 else _walk3
@@ -519,13 +520,13 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
     # gaussian can be met, one per run in a chain of rectangles.  Windows
     # are of equal size, since a window's fixed numpy cost is paid whatever
     # its length: no short last window.
-    firsts = np.flatnonzero(runs).tolist() if model._rectangular else range(len(starts))
+    firsts = runs.nonzero()[0].tolist() if model._rectangular else range(len(starts))
     n_windows = max(1, math.ceil(len(firsts) / _BLOCK))
     bounds = [*firsts[::math.ceil(len(firsts) / n_windows) or 1], len(starts)]
     runs[bounds[:-1]] = True  # a window's first link starts a run
     f = 0  # the next free flight
-    # a blow-up shows in the samples, checked once at the end, so the
-    # intermediate overflow warnings carry no extra information
+    # a blow-up shows in the norms of the samples, checked once at the end,
+    # so the intermediate overflow warnings carry no extra information
     with np.errstate(over="ignore", invalid="ignore"):
         for b0, stop in zip(bounds, bounds[1:]):
             f1 = f  # the free flights of the window, each after its k-th link
@@ -544,15 +545,17 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
                     # only the sampled states are kept: one product per
                     # segment, which ends at a sampled link, before a free
                     # flight and at the window's end
-                    seg_ends = sorted({*(np.flatnonzero(flags) + 1).tolist(),
-                                       *cuts, len(flags)} - {0})
+                    last = flags.copy()  # the last link of each segment
+                    last[[c - 1 for c in cuts]] = True
+                    last[-1] = True
+                    seg_ends = last.nonzero()[0] + 1
                     mats = _segment_products(mats, seg_ends)
-                    flags = flags[np.array(seg_ends) - 1]
-                    heads = [0, *seg_ends[:-1]]
+                    flags = flags[last]
+                    heads = [0, *seg_ends[:-1].tolist()]
                 else:
                     heads = range(len(flags))
                 groups = zip(flags.tolist())
-            units = zip(zip(*mats.reshape(model.dimension ** 2, -1).tolist()), groups)
+            units = zip(mats.reshape(model.dimension ** 2, -1).T.tolist(), groups)
             cuts = [bisect_left(heads, c) for c in cuts]
             at = 0  # units walked so far
             rows: list = []  # the window's sampled states, entry by entry
@@ -569,13 +572,14 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
                 done += len(kept)
         for _, i0, i1, phases in flights[f:]:
             y = _free_flight(model, y, i0, i1, phases, states)
-    if not np.isfinite(states.view(float)).all():
-        finite = np.isfinite(states.view(float)).all(axis=1)
-        raise IntegrationDivergedError(
-            f"state went non-finite near t = {times[finite.argmin()]:g}")
-    return Trajectory.from_states(times, states, dt=h, rk4_steps=len(starts))
+        traj = Trajectory.from_states(times, states, dt=h, rk4_steps=len(starts))
+    # a non-finite state and an overflowed |y|^2 both make a norm non-finite
+    finite = np.isfinite(traj.norms)
+    if not finite.all():
+        raise IntegrationDivergedError(f"norm went non-finite near t = {times[finite.argmin()]:g}")
+    return traj
 
 
 def norm_drift(traj: Trajectory) -> float:
     """Largest deviation of the total norm from its initial value."""
-    return float(np.max(np.abs(traj.norms - traj.norms[0])))
+    return float(abs(traj.norms - traj.norms[0]).max())

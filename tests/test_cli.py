@@ -9,7 +9,7 @@ import sys
 import pytest
 
 from kickedqubit import read_dataset
-from kickedqubit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, build_parser, main
+from kickedqubit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_WRITE, build_parser, main
 
 
 def _tiny_config(**overrides) -> dict:
@@ -199,6 +199,33 @@ def test_divergence_exits_with_its_own_code(tmp_path, capsys):
         code = main(["custom", "--config", config, "--out", str(tmp_path)])
     assert code == EXIT_DIVERGED
     assert "numeric divergence" in capsys.readouterr().err
+
+
+def test_an_overflowing_norm_exits_with_the_divergence_code(tmp_path, capsys):
+    # at gamma = 2e8 MHz the hydrogen states stay finite but |psi|^2
+    # overflows: a divergence, not a table with non-finite values
+    payload = {"experiment": "custom", "system": "hydrogen",
+               "hydrogen": {"delta_e_mhz": 1057.0, "e_fs_mhz": 10956.0, "gamma_mhz": 2e8},
+               "pulses": [{"shape": "gaussian", "axis": "x", "alpha": 0.5,
+                           "t_k": 20.0, "tau": 1.0}]}
+    config = _write(tmp_path, payload)
+    with pytest.warns(UserWarning, match="decay tail"):
+        code = main(["custom", "--config", config, "--out", str(tmp_path / "run")])
+    assert code == EXIT_DIVERGED
+    err = capsys.readouterr().err
+    assert "numeric divergence: norm went non-finite near t = " in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_an_unwritable_out_exits_with_the_write_code(tmp_path, capsys):
+    afile = tmp_path / "afile"
+    afile.write_text("a regular file\n")
+    out = afile / "sub"
+    assert main(["figure1", "--out", str(out)]) == EXIT_WRITE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert str(out) in err and "Not a directory" in err
+    assert afile.read_text() == "a regular file\n"
 
 
 def test_module_entry_point(tmp_path):

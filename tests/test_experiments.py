@@ -358,6 +358,45 @@ def test_replace_validates_like_from_dict():
     assert str(err.value) == str(parsed.value)
 
 
+def _hash_or_error(config) -> str:
+    try:
+        return str(hash(config))
+    except TypeError as exc:  # dict fields leave a config unhashable
+        return f"TypeError: {exc}"
+
+
+@pytest.mark.parametrize("source", [*(e for e in EXPERIMENT_IDS if e != "custom"), "hydrogen"])
+def test_the_runs_a_config_derives_stay_out_of_its_echo(source):
+    # each ordering's sequence and run end are derived once, on construction,
+    # beside the fields: the echo, ==, hash and repr see the fields alone
+    if source == "hydrogen":
+        config = ExperimentConfig.from_dict(_raw(
+            system="hydrogen", basis="coupled",
+            hydrogen=dict(zip(("delta_e_mhz", "e_fs_mhz", "gamma_mhz"), DEFAULT_MHZ)),
+            orderings=["forward", "reversed"]))
+    else:
+        config = default_config(source)
+    echo = config.to_dict()
+    assert list(echo) == ["experiment", "system", "delta_e", "hydrogen", "pulses", "orderings",
+                          "dt", "t_end", "sample_every", "basis", "grid", "taus", "out"]
+    assert [f.name for f in dataclasses.fields(ExperimentConfig)] == list(echo)
+    back = ExperimentConfig.from_dict(json.loads(json.dumps(echo)))
+    assert back == config
+    assert repr(back) == repr(config) and "_runs" not in repr(config)
+    assert _hash_or_error(back) == _hash_or_error(config)
+
+
+def test_each_dataset_echoes_a_config_of_its_own(capsys):
+    datasets, _ = run_experiment(default_config("figure3"))
+    capsys.readouterr()
+    first, second = (d.config for d in datasets)
+    assert first == second and first is not second
+    first["pulses"][0]["alpha"] = 99.0
+    first["orderings"].append("sideways")
+    first["dt"] = 1.0
+    assert second == default_config("figure3").to_dict()
+
+
 # ----------------------------------------------------------------- sequences
 
 def test_config_sequence_reverses_payloads_over_fixed_slots():

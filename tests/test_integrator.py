@@ -468,6 +468,21 @@ def test_segment_products_equal_power_of_two_padding(d, lengths, seed):
                           np.ascontiguousarray(want).view(np.int64))
 
 
+@pytest.mark.parametrize("delta_e", [1.0, 1.37, 1e-3, 250.0])
+def test_qubit_free_phases_equal_one_exponential_per_level(delta_e):
+    # the qubit's second level takes the conjugate of the first's phases;
+    # they must equal exp(w (t - a)) over both levels bit for bit
+    seq = KickSequence(pulses=(PulseSpec(shape="gaussian", axis="x", alpha=0.3,
+                                         t_k=5.0, tau=0.1),), delta_e=delta_e)
+    model = TwoStatePulseModel(seq)
+    times = np.linspace(0.0, 4000.0, 20_001)
+    flights = [(0, 0.0, 4.4), (240, 5.6, 4000.0)]
+    w = model._free[0]
+    for (_, a, b), (_, i0, i1, phases) in zip(flights, _free_links(model, flights, times)):
+        want = np.exp(w[:, None] * np.append(times[i0:i1] - a, b - a)).T
+        assert np.ascontiguousarray(phases).tobytes() == np.ascontiguousarray(want).tobytes()
+
+
 def _per_link_states(model, y, t1, n_steps):
     """The state at every grid point, advanced link by link on Python complex
     scalars, ``y <- M y`` one entry at a time, with the exact free flights
@@ -843,13 +858,21 @@ def _diverging_train(kind, late):
 @pytest.mark.parametrize("kind", ["qubit", "coupled"])
 @pytest.mark.parametrize("late, t_bad", [(True, "8.33"), (False, "2.31")])
 def test_divergence_names_the_first_non_finite_sample(kind, late, t_bad):
-    # the first sample (every 7 steps) that is not finite is named, as with
-    # a finite check after every step, and not a later free flight's end
+    # the first sample (every 7 steps) whose norm is not finite is named, as
+    # with a check after every step, and not a later free flight's end; its
+    # |y|^2 overflows before y does, at t_bad
     model = _diverging_train(kind, late)
     y = np.zeros(model.dimension, dtype=complex)
     y[0] = 1.0
-    with pytest.raises(IntegrationDivergedError, match=rf"near t = {t_bad}$"):
-        integrate(model, y, 0.0, 20.0 if late else 6.0, 0.01, sample_every=7)
+    t1 = 20.0 if late else 6.0
+    with np.errstate(all="ignore"):
+        kept = _per_link_states(model, y, t1, round(t1 / 0.01))[::7]
+        norms = Trajectory.from_states(np.zeros(len(kept)), kept).norms
+    assert f"{7 * int(np.isfinite(kept).all(axis=1).argmin()) * 0.01:g}" == t_bad
+    named = f"{7 * int(np.isfinite(norms).argmin()) * 0.01:g}"
+    assert float(named) < float(t_bad)
+    with pytest.raises(IntegrationDivergedError, match=rf"near t = {re.escape(named)}$"):
+        integrate(model, y, 0.0, t1, 0.01, sample_every=7)
 
 
 def _diverging_gaussians(kind):

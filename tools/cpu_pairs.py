@@ -25,6 +25,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -88,6 +89,8 @@ def main(argv=None) -> int:
     parser.add_argument("--configs", type=int, default=60)
     parser.add_argument("--rounds", type=int, default=21)
     args = parser.parse_args(argv)
+    # SIGTERM ends the run as SystemExit, so the temporary checkouts are removed
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
     workload = SweepWorkload(args.workload, args.seed, args.workload == "sweep_dense")
     raws = [workload.next_op()["raw"] for _ in range(args.configs)]
