@@ -88,14 +88,16 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)
-        _, paths = run_experiment(config, out_dir=args.out)
+        datasets, _ = run_experiment(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except IntegrationDivergedError as exc:
         print(f"numeric divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except OSError as exc:  # from the write: its message names the path
+    try:
+        paths = [d.write(args.out) for d in datasets] if args.out is not None else []
+    except OSError as exc:  # its message names the path
         print(f"cannot write the datasets: {exc}", file=sys.stderr)
         return EXIT_WRITE
     for path in paths:

@@ -97,10 +97,10 @@ class LinearDriveModel:
         # pulses: a gaussian is nonzero wherever |(t - t_k) / tau| <= 6
         # (GAUSSIAN_SUPPORT) rounds true, which can hold an ulp outside its
         # support, so each support is padded by a relative margin
-        self._ends = [e for p in seq.pulses for e in p.support()]
-        lo, hi = self._ends[::2], self._ends[1::2]
-        pad = [1e-9 * (abs(a) + abs(b)) for a, b in zip(lo, hi)]
-        self._lo, self._hi = np.subtract(lo, pad), np.add(hi, pad)
+        self._ends = np.array([p.support() for p in seq.pulses])
+        lo, hi = self._ends.T
+        pad = 1e-9 * (np.abs(lo) + np.abs(hi))
+        self._lo, self._hi = lo - pad, hi + pad
 
     def _free_eigenbasis(self):
         """``(w, V, V^-1)`` with ``-1j h0 = V diag(w) V^-1``, the free propagator
@@ -354,15 +354,16 @@ def _chain(model, t0: float, h: float, n_steps: int):
     more support.
     """
     t_end = t0 + n_steps * h
-    ends = model._ends if model._free is not None else [t0, t_end, *model._ends]
-    # a few ends: Python floats cost less than numpy calls, with the same bits
-    grid = [t0 + round(min(max((e - t0) / h, 0.0), n_steps)) * h for e in ends]
-    ends = [min(max(g if abs(e - g) <= 1e-9 * h else e, t0), t_end)
-            for e, g in zip(ends, grid)]
-    off = {e for e, g in zip(ends, grid) if e != g}
+    ends = model._ends
+    if model._free is None:
+        ends = np.concatenate(([[t0, t_end]], ends))
+    grid = t0 + np.minimum(np.maximum(np.rint((ends - t0) / h), 0), n_steps) * h
+    ends = np.minimum(np.maximum(
+        np.where(np.abs(ends - grid) <= 1e-9 * h, grid, ends), t0), t_end)
+    off = set(ends[ends != grid].tolist())
     # Python sorts: numpy's first sort or unique call maps in 0.4-1.7 MB of code
     merged: list[list[float]] = []
-    for lo, hi in sorted(zip(ends[::2], ends[1::2])):
+    for lo, hi in sorted(ends.tolist()):
         if lo >= hi:
             continue
         if merged and lo <= merged[-1][1]:
@@ -370,8 +371,8 @@ def _chain(model, t0: float, h: float, n_steps: int):
         else:
             merged.append([lo, hi])
     inner = sorted(off)
-    edges, last, flights, grids = [], [], [], []
-    links, at = 0, t0
+    edges, last, flights, shift, counts = [], [], [], [], []
+    links, n_grid, at = 0, 0, t0
     for lo, hi in merged:
         if lo > at:
             flights.append((links, at, lo))
@@ -386,11 +387,14 @@ def _chain(model, t0: float, h: float, n_steps: int):
         inside = inner[bisect_right(inner, lo):bisect_left(inner, hi)]
         edges += [lo, *inside, hi]
         last.append(len(edges) - 1)
-        grids.append(np.arange(first, first + count, dtype=float))
+        # the grid points of all supports form one arange, shifted per support
+        shift.append(first - n_grid)
+        counts.append(count)
+        n_grid += count
         links += count + len(inside) + 1
     if at < t_end:
         flights.append((links, at, t_end))
-    points = t0 + np.concatenate(([], *grids)) * h  # []: a chain may have no support
+    points = t0 + (np.arange(n_grid) + np.repeat(shift, counts)) * h
     # each end goes after the grid points below it
     place = points.searchsorted(edges) + np.arange(len(edges))
     on_grid = np.ones(len(points) + len(edges), dtype=bool)
@@ -423,19 +427,13 @@ def _free_links(model, flights, times):
     ks, a, b = zip(*flights)
     i = times.searchsorted(a + b, side="right").tolist()
     i0, i1 = i[:len(a)], i[len(a):]
-    # each flight's sample times, then its end, less its start
-    s = np.concatenate([x for lo, hi, t, e in zip(i0, i1, a, b)
-                        for x in (times[lo:hi] - t, (e - t,))])
-    w = model._free[0]
-    if len(w) == 2 and w[1] == w[0].conjugate():
-        # the qubit's: libm's sine is odd, so exp(conj z) = conj(exp z) exactly
-        half = np.exp(w[0] * s)
-        phases = np.array((half, half.conj())).T
-    else:
-        # formed (d, N), so each inner loop runs over the N times, not the d levels
-        phases = np.exp(w[:, None] * s).T
-    first = list(accumulate((hi - lo + 1 for lo, hi in zip(i0, i1)), initial=0))
-    return [(k, lo, hi, phases[f:g]) for k, lo, hi, f, g in zip(ks, i0, i1, first, first[1:])]
+    # each flight's sample times, then its end
+    t = np.concatenate([x for lo, hi, e in zip(i0, i1, b) for x in (times[lo:hi], (e,))])
+    m = [hi - lo + 1 for lo, hi in zip(i0, i1)]
+    # formed (d, N), so each inner loop runs over the N times, not the d levels
+    phases = np.exp(model._free[0][:, None] * (t - np.repeat(a, m))).T
+    first = list(accumulate(m, initial=0))
+    return [(k, lo, hi, phases[f:f + n]) for k, lo, hi, f, n in zip(ks, i0, i1, first, m)]
 
 
 def _free_flight(model, y, i0: int, i1: int, phases, states) -> list:
@@ -446,7 +444,8 @@ def _free_flight(model, y, i0: int, i1: int, phases, states) -> list:
     out = phases * (y if v is None else v_inv @ y)
     if v is not None:
         out = out @ v.T
-    states[i0:i1] = out[:-1]
+    if i1 > i0:
+        states[i0:i1] = out[:-1]
     return out[-1].tolist()
 
 

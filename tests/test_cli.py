@@ -228,6 +228,15 @@ def test_an_unwritable_out_exits_with_the_write_code(tmp_path, capsys):
     assert afile.read_text() == "a regular file\n"
 
 
+def test_an_os_error_before_the_write_is_not_a_write_failure(tmp_path, monkeypatch):
+    def fail(config):
+        raise FileNotFoundError("a file the run reads")
+    monkeypatch.setattr("kickedqubit.cli.run_experiment", fail)
+    with pytest.raises(FileNotFoundError):
+        main(["figure1", "--out", str(tmp_path)])
+    assert not any(tmp_path.iterdir())
+
+
 def test_module_entry_point(tmp_path):
     result = subprocess.run(
         [sys.executable, "-m", "kickedqubit.cli", "figure7",

@@ -468,21 +468,6 @@ def test_segment_products_equal_power_of_two_padding(d, lengths, seed):
                           np.ascontiguousarray(want).view(np.int64))
 
 
-@pytest.mark.parametrize("delta_e", [1.0, 1.37, 1e-3, 250.0])
-def test_qubit_free_phases_equal_one_exponential_per_level(delta_e):
-    # the qubit's second level takes the conjugate of the first's phases;
-    # they must equal exp(w (t - a)) over both levels bit for bit
-    seq = KickSequence(pulses=(PulseSpec(shape="gaussian", axis="x", alpha=0.3,
-                                         t_k=5.0, tau=0.1),), delta_e=delta_e)
-    model = TwoStatePulseModel(seq)
-    times = np.linspace(0.0, 4000.0, 20_001)
-    flights = [(0, 0.0, 4.4), (240, 5.6, 4000.0)]
-    w = model._free[0]
-    for (_, a, b), (_, i0, i1, phases) in zip(flights, _free_links(model, flights, times)):
-        want = np.exp(w[:, None] * np.append(times[i0:i1] - a, b - a)).T
-        assert np.ascontiguousarray(phases).tobytes() == np.ascontiguousarray(want).tobytes()
-
-
 def _per_link_states(model, y, t1, n_steps):
     """The state at every grid point, advanced link by link on Python complex
     scalars, ``y <- M y`` one entry at a time, with the exact free flights
