@@ -12,12 +12,13 @@ flight up to each merged pulse support, that support's RK4 steps, and the
 free flight after the last one.  The chain flags the links that start a
 run: a link from a support end, where alone a rectangle's field can
 change, or where ``dt`` changes.  It is walked in windows, each building
-at most ``_BLOCK`` matrices.  The field of only the pulses that meet a
-window is evaluated once: a rectangle at the midpoint of a link (every
-edge is a node, so a link lies wholly inside or outside it), a gaussian at
-all three stage times of every link.  Where none of them is a gaussian,
-every link of a run has the same ``dt`` and field, so the field is read
-and a matrix built at the first link of each run only.  The matrices are
+at most ``_BLOCK`` matrices in one work array that the call allocates.
+Each pulse is evaluated once per window, on the links that meet it only:
+a rectangle at the midpoint of a link (every edge is a node, so a link
+lies wholly inside or outside it), a gaussian at all three stage times of
+every link.  Where no pulse of the window is a gaussian, every link of a
+run has the same ``dt`` and field, so the field is read and a matrix
+built at the first link of each run only.  The matrices are
 built in one vectorised pass, each matrix product a sum of outer products
 over contiguous time rows and the stages combined in place.  Every link's
 matrix equals, value for value, that of the plain RK4 formula over the
@@ -25,12 +26,12 @@ field summed from every pulse, so the cost per step does not grow with
 the pulse count.  A gaussian window that keeps only every
 ``sample_every``-th state (``sample_every > 1``) first multiplies the
 links between two kept states, or up to a free flight, into one matrix per
-segment, all segments at once.  Every window then hands one stream of
-units to one scalar loop on Python complex scalars, unrolled for ``d = 2``
-and ``d = 3``.  A unit is a matrix's entries and the sampled flags of its
-applications: a run carries one flag per link and is applied once per
-link; a segment product, or a gaussian link at ``sample_every = 1``, is
-applied once.
+segment, all segments at once; a window ends between segments.  Every
+window then hands one stream of units to one scalar loop on Python complex
+scalars, unrolled for ``d = 2`` and ``d = 3``.  A unit is a matrix's
+entries and the sampled flags of its applications: a run carries one flag
+per link and is applied once per link; a segment product, or a gaussian
+link at ``sample_every = 1``, is applied once.
 """
 from __future__ import annotations
 
@@ -42,16 +43,15 @@ from itertools import accumulate, islice
 
 import numpy as np
 
-from .pulses import KickSequence
+from .pulses import KickSequence, rectangle
 from .su2 import SIGMA_X, SIGMA_Y, SIGMA_Z
 
 #: the one integration path, recorded in dataset provenance
 BACKEND = "numpy"
 
-# most RK4 matrices a window builds, in one vectorised pass: small, so each
-# (d, d, n) stage stack stays below 128 KiB, yet large enough to spread
-# numpy's per-call cost thin
-_BLOCK = 512
+# most RK4 matrices a window builds, in one vectorised pass: enough to
+# spread numpy's per-call cost thin, in a work array the call reuses
+_BLOCK = 4096
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -88,16 +88,18 @@ class LinearDriveModel:
         # every pulse is rectangular, so the field is piecewise constant
         self._rectangular = all(p.shape == "rectangular" for p in seq.pulses)
         self._free = self._free_eigenbasis()
-        # -1j times each matrix, flattened to a column: -1j only swaps and
+        # -1j times each matrix, a (d, d, 1) stack: -1j only swaps and
         # negates the parts, so g0 + v_x g_x + v_y g_y equals
         # -1j (h0 + v_x a_x + v_y a_y) exactly
-        self._g0, self._gx, self._gy = -1j * np.array(
-            (self.h0, self.a_x, self.a_y)).reshape(3, -1, 1)
+        self._g0, self._gx, self._gy = -1j * np.array((self.h0, self.a_x, self.a_y))[..., None]
         # the supports, and the padded supports that pick a window's
         # pulses: a gaussian is nonzero wherever |(t - t_k) / tau| <= 6
         # (GAUSSIAN_SUPPORT) rounds true, which can hold an ulp outside its
         # support, so each support is padded by a relative margin
         self._ends = np.array([p.support() for p in seq.pulses])
+        # a rectangle's support and height, and each pulse's axis as a row
+        self._rect = np.column_stack((self._ends, [p.alpha / p.tau for p in seq.pulses]))
+        self._row = np.array(["xy".index(p.axis) for p in seq.pulses])
         lo, hi = self._ends.T
         pad = 1e-9 * (np.abs(lo) + np.abs(hi))
         self._lo, self._hi = lo - pad, hi + pad
@@ -123,48 +125,56 @@ class LinearDriveModel:
     def _fields(self, starts: np.ndarray, dts: np.ndarray, runs: np.ndarray):
         """The field ``(v_x, v_y)`` at the three RK4 stages of the links
         ``starts, dts``, each ``(3, n)`` (start, middle, end), ``(1, n)``
-        where only rectangles drive the axis (one row for all three stages)
-        or None for an axis that nothing drives there, and the indices of
-        the links read: None for every link where a gaussian is met, else
-        the links that ``runs`` flags as the first of a run (see
-        :func:`_chain`).
+        where no gaussian is met (one row for all three stages) or None for
+        an axis that nothing drives there, and the indices of the links
+        read: None where a gaussian is met, else the links that ``runs``
+        flags as the first of a run (see :func:`_chain`).
 
-        Every support end is a node of the chain, so a link lies wholly
-        inside or wholly outside each rectangle: a rectangle is read once,
-        at the link's midpoint, for all three stages, and every link of a
-        run reads the same value.  A gaussian is read at each stage time of
-        every link.  Only the pulses whose padded support meets the links
-        are evaluated, in sequence order: every other one would add exactly
-        0.0 to the sum of all pulses.
+        Every support end is a node of the chain, so a rectangle is read
+        once per run, at a link's midpoint, for all three stages; a gaussian
+        at each stage time of every link.  A pulse is read only on the links
+        that meet its padded support, and added into rows of zeros in
+        sequence order: anywhere else it would add exactly 0.0.
         """
-        meets = (self._hi >= starts[0]) & (self._lo <= (starts + dts).max())
-        pulses = [self.seq.pulses[k] for k in meets.nonzero()[0].tolist()]
-        heads = None
+        # the links [i0, i1) end at or after a padded support's start and
+        # start at or before its end
+        ends = starts + dts
+        i0 = ends.searchsorted(self._lo)
+        i1 = starts.searchsorted(self._hi, side="right")
+        meets = (i0 < i1).nonzero()[0]
+        pulses = [self.seq.pulses[k] for k in meets.tolist()]
+        axes = {p.axis for p in pulses}
         if all(p.shape == "rectangular" for p in pulses):
+            # every rectangle at the midpoints of its own runs in one pass;
+            # np.add.at adds element by element, in sequence order
             heads = runs.nonzero()[0]
-            starts, dts = starts[heads], dts[heads]
-        n = len(starts)
-        mid = starts + 0.5 * dts
-        if heads is None:
-            times = np.concatenate((starts, mid, starts + dts))
-        v = {"x": None, "y": None}
-        for p in pulses:
-            if p.shape == "rectangular":
-                f = p.value(mid).reshape(1, n)
-            else:
-                f = p.value(times).reshape(3, n)
-            v[p.axis] = f if v[p.axis] is None else v[p.axis] + f
-        return v["x"], v["y"], heads
+            mid = starts[heads] + 0.5 * dts[heads]
+            i0 = mid.searchsorted(self._lo[meets])
+            count = mid.searchsorted(self._hi[meets], side="right") - i0
+            owner = meets.repeat(count)
+            at = np.arange(len(owner)) + (i0 + count - count.cumsum()).repeat(count)
+            rows = np.zeros((2, 1, len(mid)))
+            np.add.at(rows, (self._row[owner], 0, at), rectangle(*self._rect[owner].T, mid[at]))
+            v = {axis: rows["xy".index(axis)] for axis in axes}
+        else:
+            heads = None
+            times = np.stack((starts, starts + 0.5 * dts, ends))
+            v = {axis: np.zeros((3, len(starts))) for axis in axes}
+            for p, lo, hi in zip(pulses, i0[meets].tolist(), i1[meets].tolist()):
+                at = v[p.axis][:, lo:hi]
+                at += p.value(times[:, lo:hi] if p.shape == "gaussian" else times[1, lo:hi])
+        return v.get("x"), v.get("y"), heads
 
-    def _generators(self, vx, vy, n: int) -> np.ndarray:
+    def _generators(self, vx, vy, out: np.ndarray, term: np.ndarray) -> np.ndarray:
         """``-1j H`` for the field ``(vx, vy)`` at ``n`` times (one stage row
-        of :meth:`_fields`, or None), time-last ``(d, d, n)``."""
-        a = self._g0.repeat(n, axis=1)
+        of :meth:`_fields`, or None), written into the time-last
+        ``(d, d, n)`` stack ``out``, each term formed in ``term``."""
+        out[...] = self._g0
         # an axis without a pulse here adds exact zeros: its term is left out
         for v, g in ((vx, self._gx), (vy, self._gy)):
             if v is not None:
-                a += v * g
-        return a.reshape(self.dimension, self.dimension, -1)
+                out += np.multiply(v, g, out=term)
+        return out
 
 
 class TwoStatePulseModel(LinearDriveModel):
@@ -202,13 +212,13 @@ class Trajectory:
                    probabilities=probs, norms=norms, dt=dt, rk4_steps=rk4_steps)
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products ``a[..., t] @ b[..., t]`` of time-last ``(d, d, n)`` stacks,
-    summed as outer products of contiguous length-``n`` rows; ``(d, d, ...)``
-    stacks of more trailing axes multiply the same way."""
-    out = a[:, 0, None] * b[0]
+def _matmul(a: np.ndarray, b: np.ndarray, term: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Products ``a[..., t] @ b[..., t]`` of time-last ``(d, d, n)`` stacks
+    into ``out``, sums of outer products of contiguous length-``n`` rows each
+    formed in ``term``; ``(d, d, ...)`` stacks multiply the same way."""
+    np.multiply(a[:, 0, None], b[0], out=out)
     for k in range(1, len(a)):
-        out += a[:, k, None] * b[k]
+        out += np.multiply(a[:, k, None], b[k], out=term)
     return out
 
 
@@ -218,86 +228,87 @@ def _plus_eye(m: np.ndarray) -> np.ndarray:
     return m
 
 
-def _rk4_matrices(model, vx, vy, dts: np.ndarray) -> np.ndarray:
-    """RK4 matrices M, time-last ``(d, d, n)``, of the steps ``dts`` whose
-    field ``(vx, vy)`` is given as ``(3, n)`` rows: at the starts, the
-    midpoints, then the ends of the steps.  A field of one ``(1, n)`` row
-    serves all three stages, and where no field has more, as in a window of
-    rectangles, the three stages share one stack of generators.
-
-    Otherwise each stage's generators are a ``(d, d, n)`` stack of their
-    own, and ``a3`` is built only once ``a1`` and ``a2`` are let go: the
-    fewer stacks are alive at once, the less the heap grows and is trimmed
-    back per window (one ``(d, d, 3n)`` stack passed glibc's 128 KiB mmap
-    threshold at ``d = 3``).  The stages are combined in place in the order
-    of ``I + dt/6 (a1 + 2 k2 + 2 k3 + k4)``.
-    """
-    n = len(dts)
-
-    def stage(s):
-        return model._generators(None if vx is None else vx[s % len(vx)],
-                                 None if vy is None else vy[s % len(vy)], n)
-
-    one = (vx is None or len(vx) == 1) and (vy is None or len(vy) == 1)
-    a1 = stage(0)
-    a2 = a1 if one else stage(1)
-    half = 0.5 * dts
-    k2 = _matmul(a2, _plus_eye(half * a1))
-    k3 = _matmul(a2, _plus_eye(half * k2))
-    k2 *= 2.0
-    k2 += a1
-    a3 = a1 if one else None  # else built once a1 and a2 are let go
-    del a1, a2
-    k4 = _matmul(stage(2) if a3 is None else a3, _plus_eye(dts * k3))
-    k3 *= 2.0
-    k2 += k3
-    k2 += k4
-    k2 *= dts / 6.0
-    return _plus_eye(k2)
-
-
-def _step_matrices(model, starts: np.ndarray, dts: np.ndarray, runs: np.ndarray):
+def _step_matrices(model, starts: np.ndarray, dts: np.ndarray, runs: np.ndarray,
+                   work: np.ndarray):
     """RK4 matrices M with ``y(t + dt) = M y(t)`` of the links ``starts, dts``:
     ``(mats, heads)``, one time-last ``(d, d, m)`` matrix per run and the
-    index of each run's first link.  ``heads`` is None when every link is a
-    run of its own.
+    index of each run's first link, None when every link is a run of its own.
 
     ``runs`` flags the links that start a run, the first link among them.
     Where the links meet no gaussian, every link of a run repeats the M of
     its first link bit for bit, and only that one is built; a gaussian
     field differs at every link, so every link gets a matrix (see
-    :meth:`LinearDriveModel._fields`).  All are built in one pass.
+    :meth:`LinearDriveModel._fields`).  A field of one row serves all three
+    stages, and where no field has more, as in a window of rectangles, the
+    three stages share one stack of generators.  All are built in one pass,
+    in the first five ``(d, d, m)`` stacks of the flat array ``work``, so a
+    window allocates none: the result, then four reused as the stages go,
+    for the generators, ``I + c k`` and the terms of each product.  The
+    stages are combined in place in the order of
+    ``I + dt/6 (a1 + 2 k2 + 2 k3 + k4)``.
     """
     vx, vy, heads = model._fields(starts, dts, runs)
-    return _rk4_matrices(model, vx, vy, dts if heads is None else dts[heads]), heads
+    dts = dts if heads is None else dts[heads]
+    d, n = model.dimension, len(dts)
+    k2, first, second, t, term = work[:5 * d * d * n].reshape(5, d, d, n)
+
+    def stage(s, at):
+        return model._generators(None if vx is None else vx[s % len(vx)],
+                                 None if vy is None else vy[s % len(vy)], at, term)
+
+    one = (vx is None or len(vx) == 1) and (vy is None or len(vy) == 1)
+    a1, a2 = (stage(0, second),) * 2 if one else (stage(0, first), stage(1, second))
+    half = 0.5 * dts
+    _matmul(a2, _plus_eye(np.multiply(half, a1, out=t)), term, k2)
+    _plus_eye(np.multiply(half, k2, out=t))
+    k2 *= 2.0
+    k2 += a1
+    k3 = _matmul(a2, t, term, first)  # over a1, now spent
+    a3 = a2 if one else stage(2, second)  # over a2, now spent
+    _plus_eye(np.multiply(dts, k3, out=t))
+    k3 *= 2.0
+    k2 += k3
+    k2 += _matmul(a3, t, term, first)  # k4, over k3
+    k2 *= dts / 6.0
+    return _plus_eye(k2), heads
 
 
-def _segment_products(mats: np.ndarray, ends: np.ndarray) -> np.ndarray:
+def _segment_products(mats: np.ndarray, ends: np.ndarray, work: np.ndarray) -> np.ndarray:
     """The product ``M[e - 1] ... M[s]`` of each segment ``[s, e)`` of the
-    time-last ``(d, d, n)`` stack ``mats``, for the increasing integer segment
-    ends ``ends`` (the last is ``n``), time-last ``(d, d, len(ends))``.
+    time-last ``(d, d, n)`` stack ``mats``, for the increasing integer
+    segment ends ``ends`` (the last is ``n``), time-last
+    ``(d, d, len(ends))``.
 
     One gather pads each segment at its front with identities to the
     length of the longest one.  Neighbouring positions are then multiplied
     pairwise, over all segments at once, in ``ceil(log2(longest))`` rounds:
-    a long segment (one sample per window, say) costs a few numpy calls, not
+    a long segment (one sample per support, say) costs a few numpy calls, not
     one per link.  Pairs are taken from the end, and on an odd count the
     first position passes through a round, so each segment is multiplied in
     the same tree as when padded to a power of two, without the products
-    with identities.
+    with identities.  The gather and the rounds alternate between two
+    halves of the flat array ``work``, or of a new one if they do not fit.
     """
-    d, _, n = mats.shape
+    d = len(mats)
     heads = np.concatenate(([0], ends[:-1]))
     size = int((ends - heads).max())
     # position p of the segment ending at e holds link e - size + p, or the
-    # identity, appended as link n, where that comes before the segment
+    # identity where that comes before the segment
     index = np.arange(-size, 0)[:, None] + ends
-    index[index < heads] = n
-    stack = np.concatenate((mats, np.eye(d)[:, :, None]), axis=2).take(index, axis=2)
+    g = d * d * size * len(ends)
+    work = work if 2 * g <= len(work) else np.empty(2 * g, dtype=complex)
+    regions = work[:2 * g].reshape(2, g)
+    stack = mats.take(index, axis=2, mode="clip", out=regions[0].reshape(d, d, size, -1))
+    stack[:, :, index < heads] = np.eye(d)[:, :, None]
     while (count := stack.shape[2]) > 1:
-        odd = count % 2  # the first position passes through
-        paired = _matmul(stack[:, :, odd + 1::2], stack[:, :, odd::2])
-        stack = np.concatenate((stack[:, :, :1], paired), axis=2) if odd else paired
+        odd, pairs = count % 2, count // 2  # the first position passes through
+        out = regions[1][:d * d * (pairs + odd) * len(ends)].reshape(d, d, pairs + odd, -1)
+        term = regions[1][out.size:out.size + d * d * pairs * len(ends)]
+        _matmul(stack[:, :, odd + 1::2], stack[:, :, odd::2],
+                term.reshape(d, d, pairs, -1), out[:, :, odd:])
+        if odd:
+            out[:, :, 0] = stack[:, :, 0]
+        stack, regions = out, regions[::-1]
     return stack[:, :, 0]
 
 
@@ -521,8 +532,24 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
     # its length: no short last window.
     firsts = runs.nonzero()[0].tolist() if model._rectangular else range(len(starts))
     n_windows = max(1, math.ceil(len(firsts) / _BLOCK))
-    bounds = [*firsts[::math.ceil(len(firsts) / n_windows) or 1], len(starts)]
+    step = math.ceil(len(firsts) / n_windows) or 1
+    bounds = [*firsts[::step], len(starts)]
+    if sample_every > 1 and not model._rectangular:
+        # a gaussian window multiplies each segment, which ends at a sampled
+        # link and before a free flight, into one matrix: each inner bound
+        # moves on to the next segment start, by at most _BLOCK links
+        last = sampled.copy()  # the last link of each segment
+        last[[k - 1 for k, _, _, _ in flights if k]] = True
+        last[-1:] = True
+        seg_ends = last.nonzero()[0] + 1
+        inner = np.array(bounds[1:-1], dtype=int)
+        moved = np.minimum(seg_ends[seg_ends.searchsorted(inner)], inner + _BLOCK)
+        bounds = list(dict.fromkeys([0, *moved.tolist(), len(starts)]))
+        last[[b - 1 for b in bounds[1:]]] = True
     runs[bounds[:-1]] = True  # a window's first link starts a run
+    # one work array for every window's matrices: five stacks of the widest
+    width = step if model._rectangular else max(np.diff(bounds), default=0)
+    work = np.empty(5 * model.dimension ** 2 * width, dtype=complex)
     f = 0  # the next free flight
     # a blow-up shows in the norms of the samples, checked once at the end,
     # so the intermediate overflow warnings carry no extra information
@@ -532,7 +559,8 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
             while f1 < len(flights) and flights[f1][0] < stop:
                 f1 += 1
             cuts = [k - b0 for k, _, _, _ in flights[f:f1]]
-            mats, heads = _step_matrices(model, starts[b0:stop], dts[b0:stop], runs[b0:stop])
+            mats, heads = _step_matrices(model, starts[b0:stop], dts[b0:stop],
+                                         runs[b0:stop], work)
             flags = sampled[b0:stop]
             if heads is not None:
                 # a run's matrix applies once per link of the run
@@ -541,15 +569,10 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
                 groups = (flags[i:j] for i, j in zip(heads, heads[1:] + [len(flags)]))
             else:
                 if sample_every > 1:
-                    # only the sampled states are kept: one product per
-                    # segment, which ends at a sampled link, before a free
-                    # flight and at the window's end
-                    last = flags.copy()  # the last link of each segment
-                    last[[c - 1 for c in cuts]] = True
-                    last[-1] = True
-                    seg_ends = last.nonzero()[0] + 1
-                    mats = _segment_products(mats, seg_ends)
-                    flags = flags[last]
+                    ends_here = last[b0:stop]
+                    seg_ends = ends_here.nonzero()[0] + 1
+                    mats = _segment_products(mats, seg_ends, work[mats.size:])
+                    flags = flags[ends_here]
                     heads = [0, *seg_ends[:-1].tolist()]
                 else:
                     heads = range(len(flags))

@@ -31,6 +31,12 @@ SHAPES = ("ideal", "gaussian", "rectangular")
 AXES = ("x", "y")
 
 
+def rectangle(lo, hi, height, t):
+    """``height`` on ``[lo, hi)``, else 0, element by element: the profile of
+    one rectangular pulse, or of one per element of ``t``."""
+    return np.where((lo <= t) & (t < hi), height, 0.0)
+
+
 def _need_finite(name: str, value: float) -> None:
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
@@ -87,8 +93,7 @@ class PulseSpec:
                          self.alpha / (math.sqrt(math.pi) * self.tau) * np.exp(-u * u),
                          0.0)
         elif self.shape == "rectangular":
-            inside = (self.t_k - 0.5 * self.tau <= t) & (t < self.t_k + 0.5 * self.tau)
-            v = np.where(inside, self.alpha / self.tau, 0.0)
+            v = rectangle(*self.support(), self.alpha / self.tau, t)
         else:
             v = np.zeros_like(t)
         return v if v.ndim else float(v)

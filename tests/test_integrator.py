@@ -2,6 +2,8 @@
 flight between them, diagnostics."""
 from __future__ import annotations
 
+import itertools
+import json
 import math
 import re
 import warnings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from kickedqubit import (
+    ExperimentConfig,
     HydrogenModel,
     IntegrationDivergedError,
     KickSequence,
@@ -29,6 +32,7 @@ from kickedqubit import (
     integrate,
     norm_drift,
     rectangular_exact,
+    run_experiment,
 )
 from kickedqubit import integrator as integrator_module
 from kickedqubit.integrator import (
@@ -350,17 +354,18 @@ def _rectangular_train(kind):
 
 
 @pytest.mark.parametrize("kind", ["qubit", "coupled"])
-def test_chain_of_rectangular_pulses_matches_rk4_step_loop(kind):
+def test_chain_of_rectangular_pulses_matches_rk4_step_loop(kind, monkeypatch):
     # a window of the chain holds several supports and free links; every
     # support end is a node and the state passes from RK4 links to free
     # links and back inside a window (more than two run windows:
-    # test_rectangular_chain_across_run_windows_matches_rk4_step_loop)
+    # test_rectangular_chain_across_windows_matches_the_per_link_advance)
     model, t1, dt = _rectangular_train(kind)
     n_steps, sample_every = round(t1 / dt), 7
     y = np.zeros(model.dimension, dtype=complex)
     y[0] = 1.0
+    windows = _recorded_windows(monkeypatch)
     traj = integrate(model, y, 0.0, t1, dt, sample_every=sample_every)
-    assert traj.rk4_steps > 2 * _BLOCK
+    assert len(windows) == 1  # all eleven supports
     assert traj.rk4_steps == 11 * (round(model.min_tau / dt) + 1)
     expected = _segmented_reference(model, y, t1, n_steps, sample_every)
     assert len(traj.states) == len(expected)
@@ -370,15 +375,17 @@ def test_chain_of_rectangular_pulses_matches_rk4_step_loop(kind):
 
 @pytest.mark.parametrize("t_k, rk4_steps", [(1.0, 2 * _BLOCK), (5.0, 0)])
 def test_last_free_flight_after_whole_blocks(t_k, rk4_steps):
-    # h = 2^-10: the support [0.5, 1.5] is exactly 2 * _BLOCK steps, whole
-    # windows, so the last free flight follows the last window; at t_k = 5
-    # the support lies past the span and the run is one free flight
+    # h = 1 / (2 _BLOCK), a power of two: the support [0.5, 1.5] is exactly
+    # 2 * _BLOCK steps, whole windows, so the last free flight follows the
+    # last window; at t_k = 5 the support lies past the span and the run is
+    # one free flight
+    assert _BLOCK & (_BLOCK - 1) == 0
     seq = KickSequence(pulses=(
         PulseSpec(shape="rectangular", axis="x", alpha=0.4, t_k=t_k, tau=1.0),),
         delta_e=1.3)
     model = TwoStatePulseModel(seq)
     y = np.array([1.0, 0.0], dtype=complex)
-    n_steps, sample_every = 2048, 7
+    n_steps, sample_every = 4 * _BLOCK, 7
     traj = integrate(model, y, 0.0, 2.0, 2.0 / n_steps, sample_every=sample_every)
     assert traj.rk4_steps == rk4_steps
     expected = _segmented_reference(model, y, 2.0, n_steps, sample_every)
@@ -392,8 +399,8 @@ _WINDOWS_T1, _WINDOWS_STEPS = 4.0, 4096
 def _gaussian_windows(kind, half):
     """Three gaussian pulses whose ``6 tau`` supports are ``2 half`` steps of
     ``h = 2^-10`` each, ends on the grid.  With ``half = 256`` the chain is
-    three windows of 512 links, and each free flight between supports
-    starts exactly at a window boundary."""
+    1,536 links, and in windows of 512 links each free flight between
+    supports starts exactly at a window boundary."""
     pulses = tuple(PulseSpec(shape="gaussian", axis="xy"[i % 2], alpha=0.4 - 0.1 * i,
                              t_k=1.0 + i, tau=half * 2.0 ** -10 / 6.0) for i in range(3))
     if kind == "qubit":
@@ -404,26 +411,35 @@ def _gaussian_windows(kind, half):
 
 @pytest.mark.parametrize("half", [256, 150])
 @pytest.mark.parametrize("kind", ["qubit", "j", "coupled"])
-def test_segment_products_equal_the_per_link_advance(kind, half):
+def test_segment_products_equal_the_per_link_advance(kind, half, monkeypatch):
     # with sample_every > 1 a gaussian window applies one product per segment
     # of links between samples; the samples it keeps are those of the
-    # per-link advance of sample_every = 1, up to the rounding of the products
+    # per-link advance of sample_every = 1, up to the rounding of the
+    # products, in windows of 512 links (at half = 256 every free flight at
+    # a window bound) and in one window of _BLOCK
     model, t1, n_steps = _gaussian_windows(kind, half), _WINDOWS_T1, _WINDOWS_STEPS
     h = t1 / n_steps
     *_, flights = _chain(model, 0.0, h, n_steps)
     links = [k for k, _, _ in flights]
     if half == 256:
-        assert links == [0, _BLOCK, 2 * _BLOCK, 3 * _BLOCK]
+        assert links == [0, 512, 1024, 1536]
     y = np.zeros(model.dimension, dtype=complex)
     y[0] = 1.0
     every = integrate(model, y, 0.0, t1, h)
     assert every.rk4_steps == 6 * half
-    for sample_every in (5, 10):
+    for block, sample_every in itertools.product((512, _BLOCK), (5, 10)):
+        monkeypatch.setattr(integrator_module, "_BLOCK", block)
         traj = integrate(model, y, 0.0, t1, h, sample_every=sample_every)
         ks = np.append(np.arange(0, n_steps, sample_every), n_steps)
         assert np.array_equal(traj.times, every.times[ks])
         assert np.max(np.abs(traj.states - every.states[ks])) < 1e-13
     assert abs(every.probabilities[-1, 0] - 1.0) > 1e-2  # the drive acted
+
+
+def _product(a, b):
+    """:func:`_matmul` of ``a`` and ``b`` into a new stack."""
+    shape = (len(a), len(a), *a.shape[2:])
+    return _matmul(a, b, np.empty(shape, dtype=complex), np.empty(shape, dtype=complex))
 
 
 def _power_of_two_segment_products(mats, ends):
@@ -441,7 +457,7 @@ def _power_of_two_segment_products(mats, ends):
     stack[:, :, np.arange(n) + size - np.repeat(ends, lengths),
           np.repeat(np.arange(len(ends)), lengths)] = mats
     while stack.shape[2] > 1:
-        stack = _matmul(stack[:, :, 1::2], stack[:, :, 0::2])
+        stack = _product(stack[:, :, 1::2], stack[:, :, 0::2])
     return stack[:, :, 0]
 
 
@@ -460,12 +476,15 @@ def test_segment_products_equal_power_of_two_padding(d, lengths, seed):
     rng = np.random.default_rng(seed)
     n = sum(lengths)
     mats = rng.standard_normal((d, d, n)) + 1j * rng.standard_normal((d, d, n))
-    ends = np.cumsum(lengths).tolist()
-    got = _segment_products(mats, ends)
+    ends = np.cumsum(lengths)
     want = _power_of_two_segment_products(mats, ends)
-    assert got.shape == want.shape == (d, d, len(lengths))
-    assert np.array_equal(np.ascontiguousarray(got).view(np.int64),
-                          np.ascontiguousarray(want).view(np.int64))
+    # a work array the gather and its rounds fit in, and one they do not
+    for work in (np.empty(2 * d * d * max(lengths) * len(lengths), dtype=complex),
+                 np.empty(0, dtype=complex)):
+        got = _segment_products(mats, ends, work)
+        assert got.shape == want.shape == (d, d, len(lengths))
+        assert np.array_equal(np.ascontiguousarray(got).view(np.int64),
+                              np.ascontiguousarray(want).view(np.int64))
 
 
 def _per_link_states(model, y, t1, n_steps):
@@ -508,9 +527,9 @@ def _reference_step_matrices(model, starts, dts):
     arithmetic, the formula that :func:`_step_matrices` reproduces exactly."""
     a1, a2, a3 = (-1j * h for h in stage_hamiltonians(model, starts, dts))
     eye = np.eye(model.dimension)[:, :, None]
-    k2 = _matmul(a2, eye + 0.5 * dts * a1)
-    k3 = _matmul(a2, eye + 0.5 * dts * k2)
-    k4 = _matmul(a3, eye + dts * k3)
+    k2 = _product(a2, eye + 0.5 * dts * a1)
+    k3 = _product(a2, eye + 0.5 * dts * k2)
+    k4 = _product(a3, eye + dts * k3)
     return eye + (dts / 6.0) * (a1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
@@ -559,12 +578,18 @@ def _pin_models(train=_PIN_TRAIN):
             effective_two_state_model(p, train))
 
 
+def _work(model, n):
+    """The work array of :func:`_step_matrices` for ``n`` links: five
+    ``(d, d, n)`` stacks."""
+    return np.empty(5 * model.dimension ** 2 * n, dtype=complex)
+
+
 def _every_link(model, starts, dts, runs=None):
     """The step matrix of every link, each run's matrix repeated over it;
     without ``runs``, every link is a run of its own."""
     if runs is None:
         runs = np.ones(len(starts), dtype=bool)
-    mats, heads = _step_matrices(model, starts, dts, runs)
+    mats, heads = _step_matrices(model, starts, dts, runs, _work(model, len(starts)))
     if heads is None:
         return mats
     return np.repeat(mats, np.diff(np.append(heads, len(starts))), axis=2)
@@ -620,7 +645,7 @@ def test_a_block_inside_one_plateau_builds_few_matrices():
     assert np.flatnonzero(runs).tolist() == [0]
     starts, dts, runs = starts[100:100 + _BLOCK], dts[100:100 + _BLOCK], runs[100:100 + _BLOCK]
     runs[0] = True
-    mats, heads = _step_matrices(model, starts, dts, runs)
+    mats, heads = _step_matrices(model, starts, dts, runs, _work(model, len(starts)))
     assert mats.shape[2] == 1 and heads.tolist() == [0]
     assert np.array_equal(_every_link(model, starts, dts, runs),
                           _reference_step_matrices(model, starts, dts))
@@ -640,7 +665,7 @@ def test_runs_break_at_a_free_flight():
     assert (a, b) == pytest.approx((0.6, 0.9))
     # the link after the flight starts at a support end, so it starts a run
     assert runs[k] and not runs[k - 1] and not runs[k + 1]
-    _, heads = _step_matrices(model, starts, dts, runs)
+    _, heads = _step_matrices(model, starts, dts, runs, _work(model, len(starts)))
     assert k in heads
     y = np.array([1.0, 0.0], dtype=complex)
     traj = integrate(model, y, 0.0, t1, t1 / n_steps, sample_every=3)
@@ -665,8 +690,8 @@ def _recorded_windows(monkeypatch):
     windows = []
     step_matrices = integrator_module._step_matrices
 
-    def recorded(model, starts, dts, runs):
-        mats, heads = step_matrices(model, starts, dts, runs)
+    def recorded(model, starts, dts, runs, work):
+        mats, heads = step_matrices(model, starts, dts, runs, work)
         windows.append((starts, heads))
         return mats, heads
 
@@ -727,8 +752,9 @@ def test_exceptional_point_runs_match_rk4_step_loop():
 def test_rectangular_chain_across_windows_matches_the_per_link_advance(monkeypatch):
     # off-grid edges start about three runs a pulse (at the edge, and where
     # dt changes before and after it), so 200 pulses are more runs than one
-    # window builds matrices for: the chain spans windows of at most _BLOCK
-    # runs, with free flights inside them
+    # window of 512 builds matrices for: the chain spans windows of at most
+    # _BLOCK runs, with free flights inside them
+    monkeypatch.setattr(integrator_module, "_BLOCK", 512)
     model = TwoStatePulseModel(KickSequence(pulses=tuple(
         PulseSpec(shape="rectangular", axis="xy"[i % 2], alpha=0.2 + 0.001 * i,
                   t_k=0.1 + 0.04 * i + 0.000371, tau=0.02) for i in range(200)),
@@ -738,17 +764,18 @@ def test_rectangular_chain_across_windows_matches_the_per_link_advance(monkeypat
     windows = _recorded_windows(monkeypatch)
     traj = integrate(model, y, 0.0, t1, t1 / n_steps, sample_every=sample_every)
     runs = [len(heads) for _, heads in windows]
-    assert len(runs) > 1 and sum(runs) > _BLOCK and max(runs) <= _BLOCK
+    assert len(runs) > 1 and sum(runs) > 512 and max(runs) <= 512
     assert np.array_equal(traj.states, _sampled(
         _per_link_states(model, y, t1, n_steps), n_steps, sample_every))
     assert abs(traj.probabilities[-1, 0] - 1.0) > 1e-2  # the drive acted
 
 
 def test_a_window_inside_a_plateau_of_a_mixed_chain(monkeypatch):
-    # a gaussian puts the chain on windows of at most _BLOCK links, so a
-    # window can start inside a rectangular plateau, where the chain flags
-    # no link; meeting no gaussian, it reads the field once per run, so
-    # its first link must start one
+    # a gaussian puts the chain on windows of at most _BLOCK links, here
+    # 512, so a window can start inside a rectangular plateau, where the
+    # chain flags no link; meeting no gaussian, it reads the field once per
+    # run, so its first link must start one
+    monkeypatch.setattr(integrator_module, "_BLOCK", 512)
     model = TwoStatePulseModel(KickSequence(pulses=(
         PulseSpec(shape="gaussian", axis="y", alpha=0.3, t_k=0.3, tau=0.02),
         PulseSpec(shape="rectangular", axis="x", alpha=0.8, t_k=1.5, tau=2.0)),
@@ -764,6 +791,35 @@ def test_a_window_inside_a_plateau_of_a_mixed_chain(monkeypatch):
     expected = _segmented_reference(model, y, t1, n_steps, sample_every)
     assert np.max(np.abs(traj.states - expected)) < 1e-12
     assert abs(traj.probabilities[-1, 0] - 1.0) > 1e-2  # the drive acted
+
+
+def _window_train(shape):
+    """Twenty-four pulses a time unit apart, with free flights between their
+    supports, off-grid support ends and every 7th state kept: as gaussians,
+    about 20,500 RK4 links; as rectangles, about 70 runs."""
+    return ExperimentConfig.from_dict({
+        "experiment": "custom", "dt": 7e-4, "sample_every": 7,
+        "pulses": [{"shape": shape, "axis": "xy"[i % 2], "alpha": 0.3 + 0.01 * i,
+                    "t_k": 1.0 + i + 0.00037 * (i % 5), "tau": 0.05} for i in range(24)]})
+
+
+@pytest.mark.parametrize("shape", ["gaussian", "rectangular"])
+def test_datasets_do_not_depend_on_the_window_size(shape, monkeypatch):
+    # a gaussian segment ends at a sampled link or before a free flight,
+    # never at a window end, and a window of rectangles applies each run's
+    # matrix link by link: the datasets are the same bytes for any window
+    # size, over several windows of each
+    config = _window_train(shape)
+    prints = []
+    for block in (64, 512, _BLOCK):
+        monkeypatch.setattr(integrator_module, "_BLOCK", block)
+        windows = _recorded_windows(monkeypatch)
+        datasets, _ = run_experiment(config)
+        if shape == "gaussian" or block == 64:
+            assert len(windows) > 1
+        prints.append([(ds.name, ds.data.tobytes(), json.dumps(ds.meta, sort_keys=True))
+                       for ds in datasets])
+    assert prints[0] == prints[1] == prints[2]
 
 
 def _gaussian_train(n):
@@ -813,7 +869,7 @@ def test_a_200_pulse_rectangular_train_matches_the_exact_product():
     for a, c in zip(areas, centres):
         u = rectangular_exact(a, 0.5 * tau * de, c, de) @ u
     exact = free_phase(de, -t_end) @ u @ y0
-    assert traj.rk4_steps > 4 * _BLOCK
+    assert traj.rk4_steps > 20 * len(areas)  # tau / dt = 20 steps a pulse
     assert np.max(np.abs(traj.states[-1] - exact)) < 2e-8
 
 
@@ -863,7 +919,7 @@ def test_divergence_names_the_first_non_finite_sample(kind, late, t_bad):
 def _diverging_gaussians(kind):
     """A weak gaussian pulse, then a strong one far beyond the RK4
     stability limit at dt = 0.01 (h |V| about 38 at its peak), each 360
-    links long: the state overflows in the second window of the chain."""
+    links long: the state overflows in the second window of 512 links."""
     pulses = (PulseSpec(shape="gaussian", axis="x", alpha=0.3, t_k=2.0, tau=0.3),
               PulseSpec(shape="gaussian", axis="y", alpha=2000.0, t_k=8.0, tau=0.3))
     if kind == "qubit":
@@ -873,16 +929,17 @@ def _diverging_gaussians(kind):
 
 
 @pytest.mark.parametrize("kind", ["qubit", "coupled"])
-def test_gaussian_divergence_names_the_first_non_finite_kept_sample(kind):
+def test_gaussian_divergence_names_the_first_non_finite_kept_sample(kind, monkeypatch):
     # at sample_every = 7 a gaussian window applies one product per segment
     # of links; the sample it names is the first it keeps at or after the
     # one the link-by-link advance of sample_every = 1 names
+    monkeypatch.setattr(integrator_module, "_BLOCK", 512)
     model = _diverging_gaussians(kind)
     y = np.zeros(model.dimension, dtype=complex)
     y[0] = 1.0
     h, n_steps = 0.01, 1200
     starts, *_ = _chain(model, 0.0, h, n_steps)
-    assert len(starts) > _BLOCK  # two windows
+    assert len(starts) > 512  # two windows
     with pytest.raises(IntegrationDivergedError) as every:
         integrate(model, y, 0.0, n_steps * h, h)
     k = round(float(str(every.value).rsplit(" ", 1)[1]) / h)

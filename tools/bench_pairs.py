@@ -75,6 +75,20 @@ def summarise(pairs: list[dict], better: dict) -> dict:
     return out
 
 
+def recorded_command(argv: list[str]) -> str:
+    """The command line of a run, as run from the root of a checkout, with
+    ``--out`` by its file name only: a record carries no path of the
+    machine it was written on."""
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--out":
+            arg = Path(arg).name
+        elif arg.startswith("--out="):
+            arg = "--out=" + Path(arg[len("--out="):]).name
+        out.append(arg)
+    return " ".join(["tools/bench_pairs.py", *out])
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
@@ -83,6 +97,7 @@ def main(argv=None) -> int:
                         default=["cli_catalog", "sweep_sparse", "sweep_dense", "dataset_io"])
     parser.add_argument("--seconds", type=float, default=20.0)
     parser.add_argument("--out", type=Path, required=True)
+    argv = sys.argv[1:] if argv is None else argv
     args = parser.parse_args(argv)
     # SIGTERM ends the run as SystemExit, so the temporary checkouts are removed
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
@@ -100,7 +115,7 @@ def main(argv=None) -> int:
         subprocess.run(["tar", "-x", "-C", str(base)], input=archive, check=True)
         copy_worktree(change)
         report = {
-            "command": " ".join([Path(sys.argv[0]).as_posix(), *sys.argv[1:]]),
+            "command": recorded_command(argv),
             "base": rev, "change": "working tree",
             "host": {"python": platform.python_version(), "machine": platform.machine(),
                      "nproc": os.cpu_count()},

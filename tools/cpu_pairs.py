@@ -2,15 +2,19 @@
 """Compare the CPU time of a base commit and the working tree in one process.
 
     python3 tools/cpu_pairs.py --base <rev> [--workload sweep_sparse] [--seed 301]
-                               [--configs 60] [--rounds 21]
+                               [--configs 60] [--rounds 21] [--tolerance 0]
 
 The package of ``--base`` is taken from a ``git archive`` of that revision
 and imported under another name (``kickedqubit_base``) beside the working
 tree's ``kickedqubit``, so both run in the same interpreter, on the same
 CPU and under the same drift of the machine's speed.  The first
 ``--configs`` operations of the sweep workload (from the working tree's
-``perfbench/``) at ``--seed`` are run once in each tree, and every dataset's
-name, data bytes and meta must be the same in both, or the script stops
+``perfbench/``) at ``--seed`` are run once in each tree, and the largest
+move of a value between the trees, in the data or among the numbers of the
+meta, is reported.  With the default ``--tolerance 0`` every dataset's
+name, data bytes and meta must be the same in both; a tolerance above 0
+accepts values that moved by at most that much.  Anything else (another
+name, shape or non-number in the meta, or a larger move) stops the script
 with exit code 1: a timing of two trees that compute different things
 compares nothing.  Then, for ``--rounds`` rounds, each tree runs all the
 configs once, the base first in even rounds and second in odd ones, timed
@@ -25,6 +29,7 @@ import contextlib
 import importlib.util
 import io
 import json
+import math
 import signal
 import statistics
 import subprocess
@@ -74,6 +79,46 @@ def fingerprint(ds) -> tuple:
             json.dumps(ds.meta, sort_keys=True))
 
 
+def split(ds) -> tuple:
+    """``(name, shape and meta without its numbers, values)``: the values
+    are the data and the float numbers of the meta, in one flat array."""
+    numbers = []
+
+    def strip(value):
+        if isinstance(value, float):
+            numbers.append(value)
+            return 0.0
+        if isinstance(value, dict):
+            return {k: strip(v) for k, v in value.items()}
+        if isinstance(value, list):
+            return [strip(v) for v in value]
+        return value
+
+    rest = (ds.data.shape, json.dumps(strip(ds.meta), sort_keys=True))
+    return ds.name, rest, np.concatenate((np.ravel(ds.data), numbers))
+
+
+def largest_move(base: list, change: list) -> float:
+    """The largest move of a value between two lists of datasets: 0.0 when
+    every dataset is the same bytes in both, inf when they differ in
+    anything but their values.  A move of a sign of zero alone counts as
+    the smallest float above 0, so that only the same bytes read 0.0."""
+    if len(base) != len(change):
+        return math.inf
+    move = 0.0
+    for b, c in zip(base, change):
+        if fingerprint(b) == fingerprint(c):
+            continue
+        (name_b, rest_b, values_b), (name_c, rest_c, values_c) = split(b), split(c)
+        if name_b != name_c or rest_b != rest_c:
+            return math.inf
+        moved = np.abs(values_b - values_c)
+        if not np.isfinite(moved).all():
+            return math.inf
+        move = max(move, float(moved.max()), math.ulp(0.0))
+    return move
+
+
 def cpu_seconds(package, raws: list[dict]) -> float:
     start = time.process_time()
     run_all(package, raws)
@@ -88,6 +133,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=301)
     parser.add_argument("--configs", type=int, default=60)
     parser.add_argument("--rounds", type=int, default=21)
+    parser.add_argument("--tolerance", type=float, default=0.0,
+                        help="largest move of a value accepted between the trees")
     args = parser.parse_args(argv)
     # SIGTERM ends the run as SystemExit, so the temporary checkouts are removed
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
@@ -98,15 +145,18 @@ def main(argv=None) -> int:
         base = import_base(args.base, Path(tmp))
         trees = {"base": base, "change": kickedqubit}
         # also the warm-up of both trees
-        prints = {side: [fingerprint(ds) for ds in run_all(package, raws)]
-                  for side, package in trees.items()}
-        differ = [b[0] for b, c in zip(prints["base"], prints["change"]) if b != c]
-        if len(prints["base"]) != len(prints["change"]) or differ:
-            print(f"the trees' datasets differ ({len(differ)} of {len(prints['base'])}, "
-                  f"first {differ[:3]}); no timing", file=sys.stderr)
+        outs = {side: run_all(package, raws) for side, package in trees.items()}
+        move = largest_move(outs["base"], outs["change"])
+        differ = [b.name for b, c in zip(outs["base"], outs["change"])
+                  if fingerprint(b) != fingerprint(c)]
+        same = ("the same bytes in both trees" if move == 0.0 else
+                f"{len(differ)} differ, largest move {move:.3g} (first {differ[:3]})")
+        if move > args.tolerance:
+            print(f"the trees' datasets differ beyond --tolerance {args.tolerance:g}: "
+                  f"{len(outs['base'])} datasets, {same}; no timing", file=sys.stderr)
             return 1
         print(f"{args.workload} seed {args.seed}: {args.configs} configs, "
-              f"{len(prints['base'])} datasets, the same bytes in both trees", flush=True)
+              f"{len(outs['base'])} datasets, {same}", flush=True)
         seconds = {"base": [], "change": []}
         ratios = []
         for r in range(args.rounds):
