@@ -1,8 +1,11 @@
 """Command-line driver: ``simulate <experiment-id> [--config ...] [--out ...]``.
 
+``simulate all`` runs every catalog id in catalog order, in one process.
+
 Exit codes: 0 on success, 2 on a config problem (unknown experiment, bad or
 missing fields, malformed JSON), 3 when the integration diverges, 4 when the
-datasets cannot be written.
+datasets cannot be written; ``all`` stops at the first id that fails and
+exits with its code.
 """
 from __future__ import annotations
 
@@ -25,6 +28,8 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_DIVERGED = 3
 EXIT_WRITE = 4
+#: the ids ``simulate all`` runs, in catalog order
+CATALOG_IDS = tuple(e for e in EXPERIMENT_IDS if e != "custom")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -32,7 +37,8 @@ def build_parser() -> argparse.ArgumentParser:
         prog="simulate",
         description="Run a kicked-qubit experiment and write CSV datasets.")
     parser.add_argument("experiment", metavar="experiment-id",
-                        help=f"one of: {', '.join(EXPERIMENT_IDS)}")
+                        help=f"one of: {', '.join(EXPERIMENT_IDS)}, or all "
+                             f"(every id but custom)")
     parser.add_argument("--config", metavar="FILE",
                         help="JSON config file (required for 'custom'; "
                              "otherwise overrides the catalog defaults)")
@@ -46,10 +52,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_config(args: argparse.Namespace) -> ExperimentConfig:
+def _load_config(args: argparse.Namespace, experiment: str) -> ExperimentConfig:
+    if args.experiment == "all":
+        for option in ("config", "dt"):
+            if getattr(args, option) is not None:
+                raise ConfigError(f"--{option}", "simulate all runs the catalog defaults")
+        # the convention enters the hydrogen ids' configs only
+        return default_config(experiment, convention=args.convention or "plain")
     if args.config is None:
-        config = default_config(args.experiment,
-                                convention=args.convention or "plain")
+        config = default_config(experiment, convention=args.convention or "plain")
     else:
         try:
             with open(args.config) as handle:
@@ -62,12 +73,12 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
             raise ConfigError("--config", "top level must be a JSON object")
         stated = raw.get("experiment")
         if stated is None:
-            raw["experiment"] = args.experiment
-        elif stated != args.experiment:
+            raw["experiment"] = experiment
+        elif stated != experiment:
             raise ConfigError(
                 "experiment",
                 f"config file says {stated!r} but the command line says "
-                f"{args.experiment!r}")
+                f"{experiment!r}")
         config = ExperimentConfig.from_dict(raw)
 
     if args.dt is not None:
@@ -84,10 +95,17 @@ def _load_config(args: argparse.Namespace) -> ExperimentConfig:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    for experiment in CATALOG_IDS if args.experiment == "all" else (args.experiment,):
+        code = _simulate(args, experiment)
+        if code != EXIT_OK:
+            return code
+    return EXIT_OK
+
+
+def _simulate(args: argparse.Namespace, experiment: str) -> int:
     try:
-        config = _load_config(args)
+        config = _load_config(args, experiment)
         datasets, _ = run_experiment(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -106,9 +106,11 @@ class ExperimentConfig:
     Construction validates every field and fills the defaults that depend on
     others (``orderings``: ``("forward",)`` for ``custom``, ``figure7`` and
     ``convergence``, else both), or raises a ``ConfigError`` naming the
-    first bad field.
+    first bad field.  A config is unhashable, since its dict fields are:
+    ``hash()`` raises ``TypeError: unhashable type: 'ExperimentConfig'``.
     """
 
+    __hash__ = None  # the dict fields are unhashable
     experiment: str
     system: str = "model-qubit"
     delta_e: float = MODEL_DELTA_E
@@ -223,9 +225,15 @@ class ExperimentConfig:
 
         if run == "trajectories":
             dt = self.dt if self.dt is not None else min(p["tau"] for p in pulses) / 20.0
+            params = None
+            if system == "hydrogen":
+                try:
+                    params = HydrogenParams.from_mhz(**self.hydrogen)
+                except ValueError as exc:  # a quoted value that underflows
+                    raise ConfigError("hydrogen", str(exc)) from None
             runs = {}
             for o in self.orderings:
-                seq = config_sequence(self, o)
+                seq = config_sequence(self, o, None if params is None else params.delta_e)
                 end = _run_end(self, seq)
                 # every run ends after its last pulse center, so only a
                 # default end can come before t = 0, where the run starts
@@ -247,7 +255,8 @@ class ExperimentConfig:
                         f"its pulse supports (dt = {dt:g}), above the limit of "
                         f"{MAX_LINKS:,}; set a larger dt")
                 runs[o] = seq, end
-            put("_runs", runs)  # not a field: no part of ==, repr or to_dict
+            put("_runs", runs)  # not fields: no part of ==, repr or to_dict
+            put("_params", params)
 
     def to_dict(self) -> dict:
         """Every field as JSON values: tuples become lists, dicts are copied."""
@@ -591,14 +600,11 @@ def _ideal_twin(seq: KickSequence) -> KickSequence:
 
 
 def _trajectory_dataset(config: ExperimentConfig, ordering: str) -> ResultDataset:
-    seq, t_end = config._runs[ordering]
-    if config.system == "hydrogen":
-        params = HydrogenParams.from_mhz(**config.hydrogen)
-        seq = KickSequence(seq.pulses, params.delta_e)
+    seq, t_end = config._runs[ordering]  # on hydrogen, at its delta_e
     validate_sequence(seq)
     if config.system == "hydrogen":
         traj = run_pulse_sequence(
-            params, seq, dt=config.dt, sample_every=config.sample_every,
+            config._params, seq, dt=config.dt, sample_every=config.sample_every,
             basis=config.basis, t_end=t_end)
         system_meta = {"unit_convention": config.hydrogen["convention"],
                        "final_p_target": float(p_target(traj)[-1])}

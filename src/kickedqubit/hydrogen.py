@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .integrator import LinearDriveModel, Trajectory, integrate
+from .integrator import LinearDriveModel, Trajectory, _system, integrate
 from .pulses import GAUSSIAN_RUN_TAIL, KickSequence, _need_finite
 from .su2 import SIGMA_X, SIGMA_Y
 
@@ -54,6 +54,8 @@ class HydrogenParams:
                 f"delta_e and e_fs must be positive, got {self.delta_e}, {self.e_fs}")
         if self.gamma < 0:
             raise ValueError(f"gamma must be non-negative, got {self.gamma}")
+        if self.gamma == 0.0:  # -0.0 is 0.0, as == says: both build one model
+            object.__setattr__(self, "gamma", 0.0)
 
     @classmethod
     def from_mhz(cls, delta_e_mhz: float, e_fs_mhz: float, gamma_mhz: float,
@@ -159,18 +161,21 @@ class HydrogenModel(LinearDriveModel):
             raise ValueError(f"basis must be 'j' or 'coupled', got {basis!r}")
         self.params = params
         self.basis = basis
-        matrix, scale = ((_j_matrix, 1.0 / SQRT3) if basis == "j"
-                         else (_coupled_matrix, 1.0))
-        h0 = matrix(params, 0.0)
-        super().__init__(h0, matrix(params, scale) - h0,
-                         matrix(params, 1j * scale) - h0, seq)
+        self._bind(_system(_hydrogen, params, basis), seq)
 
-    def _free_eigenbasis(self):
-        if self.basis == "j":
-            return super()._free_eigenbasis()
-        # R h0 R^T is the diagonal j-basis h0, so R^T holds the eigenvectors
-        r = coupling_rotation()
-        return -1j * np.diag(_j_matrix(self.params, 0.0)), r.T, r
+
+def _hydrogen(params: HydrogenParams, basis: str):
+    """``h0, a_x, a_y`` of :class:`HydrogenModel` and, in the coupled basis,
+    the free eigenbasis: R h0 R^T is the diagonal j-basis h0, so R^T holds
+    the eigenvectors."""
+    matrix, scale = ((_j_matrix, 1.0 / SQRT3) if basis == "j"
+                     else (_coupled_matrix, 1.0))
+    h0 = matrix(params, 0.0)
+    drives = matrix(params, scale) - h0, matrix(params, 1j * scale) - h0
+    if basis == "j":
+        return (h0, *drives)
+    r = coupling_rotation()
+    return (h0, *drives, (-1j * np.diag(_j_matrix(params, 0.0)), r.T, r))
 
 
 def p_target(traj: Trajectory) -> np.ndarray:

@@ -35,6 +35,7 @@ link at ``sample_every = 1``, is applied once.
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from bisect import bisect_left, bisect_right
@@ -52,6 +53,9 @@ BACKEND = "numpy"
 # most RK4 matrices a window builds, in one vectorised pass: enough to
 # spread numpy's per-call cost thin, in a work array the call reuses
 _BLOCK = 4096
+# most systems whose constant part a process keeps (see _system): the
+# catalog uses two and the benchmark sweeps five
+_SYSTEMS = 64
 
 
 class IntegrationDivergedError(RuntimeError):
@@ -64,58 +68,41 @@ class LinearDriveModel:
     ``(v_x, v_y)`` is the summed field of a
     :class:`~kickedqubit.pulses.KickSequence` of finite-width pulses, and
     ``h0`` may be non-Hermitian (decay).  Ideal kicks carry no field to
-    integrate and are rejected; use the closed forms for those.
+    integrate and are rejected; use the closed forms for those.  The
+    matrices are copied into the read-only constant part of
+    :func:`_system`, keyed by their bytes.
     """
 
     def __init__(self, h0, a_x, a_y, seq: KickSequence):
+        arrays = [np.asarray(m, dtype=complex) for m in (h0, a_x, a_y)]
+        self._bind(_system(_given, *((m.shape, m.tobytes()) for m in arrays)), seq)
+
+    def _bind(self, system, seq: KickSequence) -> None:
+        """Take the constant part ``system`` of :func:`_system` and lay out
+        the pulses of ``seq``."""
+        # each pulse's support, a rectangle's height and the padded support
+        # that picks a window's pulses: a gaussian is nonzero wherever
+        # |(t - t_k) / tau| <= 6 (GAUSSIAN_SUPPORT) rounds true, which can
+        # hold an ulp outside its support, so each support is padded by a
+        # relative margin.  Python floats round as numpy's float64 does.
+        rows = []
         for i, p in enumerate(seq.pulses):
             if p.shape == "ideal":
                 raise ValueError(
                     f"pulse {i} is an ideal kick; integration needs finite-width pulses")
-        self.h0, self.a_x, self.a_y = (np.asarray(m, dtype=complex)
-                                       for m in (h0, a_x, a_y))
-        for name, m in (("h0", self.h0), ("a_x", self.a_x), ("a_y", self.a_y)):
-            if m.ndim != 2 or m.shape[0] != m.shape[1]:
-                raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
-        if not self.h0.shape == self.a_x.shape == self.a_y.shape:
-            raise ValueError(f"h0, a_x and a_y must have one shape, got {self.h0.shape}, "
-                             f"{self.a_x.shape} and {self.a_y.shape}")
-        self.dimension = self.h0.shape[0]
-        if self.dimension not in (2, 3):
-            raise ValueError(f"dimension must be 2 or 3, got {self.dimension}")
+            lo, hi = p.support()
+            pad = 1e-9 * (abs(lo) + abs(hi))
+            rows.append((lo, hi, p.alpha / p.tau, lo - pad, hi + pad))
+        table = np.array(rows)
+        self._ends, self._rect, self._lo, self._hi = (table[:, :2], table[:, :3],
+                                                      table[:, 3], table[:, 4])
+        self._row = np.array(["xy".index(p.axis) for p in seq.pulses])  # axis as a row
+        self.h0, self.a_x, self.a_y, (self._g0, self._gx, self._gy), self._free = system
+        self.dimension = len(self.h0)
         self.seq = seq
         self.min_tau = min(p.tau for p in seq.pulses)
         # every pulse is rectangular, so the field is piecewise constant
         self._rectangular = all(p.shape == "rectangular" for p in seq.pulses)
-        self._free = self._free_eigenbasis()
-        # -1j times each matrix, a (d, d, 1) stack: -1j only swaps and
-        # negates the parts, so g0 + v_x g_x + v_y g_y equals
-        # -1j (h0 + v_x a_x + v_y a_y) exactly
-        self._g0, self._gx, self._gy = -1j * np.array((self.h0, self.a_x, self.a_y))[..., None]
-        # the supports, and the padded supports that pick a window's
-        # pulses: a gaussian is nonzero wherever |(t - t_k) / tau| <= 6
-        # (GAUSSIAN_SUPPORT) rounds true, which can hold an ulp outside its
-        # support, so each support is padded by a relative margin
-        self._ends = np.array([p.support() for p in seq.pulses])
-        # a rectangle's support and height, and each pulse's axis as a row
-        self._rect = np.column_stack((self._ends, [p.alpha / p.tau for p in seq.pulses]))
-        self._row = np.array(["xy".index(p.axis) for p in seq.pulses])
-        lo, hi = self._ends.T
-        pad = 1e-9 * (np.abs(lo) + np.abs(hi))
-        self._lo, self._hi = lo - pad, hi + pad
-
-    def _free_eigenbasis(self):
-        """``(w, V, V^-1)`` with ``-1j h0 = V diag(w) V^-1``, the free propagator
-        ``V exp(w s) V^-1``; ``V`` is None for a diagonal ``h0`` (no LAPACK
-        call).  None when ``h0`` is (nearly) defective, as at an exceptional
-        point: the span is then one more support (see :func:`_chain`)."""
-        lam = np.diag(self.h0)
-        if np.count_nonzero(self.h0) == np.count_nonzero(lam):  # nothing off the diagonal
-            return -1j * lam, None, None
-        lam, v = np.linalg.eig(self.h0)
-        if np.linalg.cond(v) > 1e6:
-            return None
-        return -1j * lam, v, np.linalg.inv(v)
 
     def default_dt(self, span: float) -> float:
         """The largest step that divides ``span`` into whole steps and stays
@@ -181,7 +168,58 @@ class TwoStatePulseModel(LinearDriveModel):
     """Two-state model ``H = -(delta_e/2) sz + Vx sx + Vy sy`` of a pulse train."""
 
     def __init__(self, seq: KickSequence):
-        super().__init__(-0.5 * seq.delta_e * SIGMA_Z, SIGMA_X, SIGMA_Y, seq)
+        self._bind(_system(_qubit, seq.delta_e), seq)
+
+
+def _given(*arrays):  # raw arrays, each as (shape, bytes)
+    return [np.frombuffer(data, dtype=complex).reshape(shape) for shape, data in arrays]
+
+
+def _qubit(delta_e: float):  # -0.0 is the key of 0.0, so it builds 0.0's matrices
+    return -0.5 * (delta_e + 0.0) * SIGMA_Z, SIGMA_X, SIGMA_Y
+
+
+@functools.lru_cache(maxsize=_SYSTEMS)
+def _system(matrices, *key):
+    """The constant part of the models of one system, built once per
+    process: ``(h0, a_x, a_y, (g0, g_x, g_y), free)``, every array
+    read-only, for the matrices ``matrices(*key)`` gives (:func:`_qubit`,
+    :func:`_given`, ``hydrogen._hydrogen``), followed by the free eigenbasis
+    where they know it (else :func:`_free_eigenbasis`).  The ``g`` are -1j
+    times each matrix as a ``(d, d, 1)`` stack: -1j only swaps and negates
+    the parts, so ``g0 + v_x g_x + v_y g_y`` equals
+    ``-1j (h0 + v_x a_x + v_y a_y)`` exactly.
+    """
+    h0, a_x, a_y, *free = matrices(*key)
+    h0, a_x, a_y = (np.array(m, dtype=complex) for m in (h0, a_x, a_y))
+    for name, m in (("h0", h0), ("a_x", a_x), ("a_y", a_y)):
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise ValueError(f"{name} must be a square matrix, got shape {m.shape}")
+    if not h0.shape == a_x.shape == a_y.shape:
+        raise ValueError(f"h0, a_x and a_y must have one shape, got {h0.shape}, "
+                         f"{a_x.shape} and {a_y.shape}")
+    if len(h0) not in (2, 3):
+        raise ValueError(f"dimension must be 2 or 3, got {len(h0)}")
+    free = free[0] if free else _free_eigenbasis(h0)
+    g = -1j * np.array((h0, a_x, a_y))[..., None]
+    for m in (h0, a_x, a_y, g, *(free or ())):
+        if m is not None:
+            m.flags.writeable = False
+    return h0, a_x, a_y, tuple(g), free
+
+
+def _free_eigenbasis(h0: np.ndarray):
+    """``(w, V, V^-1)`` with ``-1j h0 = V diag(w) V^-1``, the free propagator
+    ``V exp(w s) V^-1``; ``V`` is None for a diagonal ``h0`` (no LAPACK
+    call).  None when ``h0`` is (nearly) defective, as at an exceptional
+    point: the span is then one more support (see :func:`_chain`)."""
+    lam = np.diag(h0)
+    if np.count_nonzero(h0) == np.count_nonzero(lam):  # nothing off the diagonal
+        return -1j * lam, None, None
+    lam, v = np.linalg.eig(h0)
+    if np.linalg.cond(v) > 1e6:
+        return None
+    return -1j * lam, v, np.linalg.inv(v)
 
 
 @dataclass(frozen=True)
@@ -431,7 +469,7 @@ def _free_links(model, flights, times):
     """The free flights ``(k, a, b)`` as ``(k, i0, i1, phases)``: the flight
     after the first ``k`` RK4 links fills the samples ``times[i0:i1]`` in
     ``(a, b]``, and ``phases`` holds ``exp(w (t - a))`` (see
-    :meth:`LinearDriveModel._free_eigenbasis`) at those times and at ``b``.
+    :func:`_free_eigenbasis`) at those times and at ``b``.
     One ``np.exp`` serves every flight."""
     if not flights:
         return []

@@ -9,7 +9,9 @@ import sys
 import pytest
 
 from kickedqubit import read_dataset
-from kickedqubit.cli import EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_WRITE, build_parser, main
+from kickedqubit.cli import (CATALOG_IDS, EXIT_CONFIG, EXIT_DIVERGED, EXIT_OK, EXIT_WRITE,
+                             build_parser, main)
+from kickedqubit.integrator import IntegrationDivergedError, _system
 
 
 def _tiny_config(**overrides) -> dict:
@@ -235,6 +237,54 @@ def test_an_os_error_before_the_write_is_not_a_write_failure(tmp_path, monkeypat
     with pytest.raises(FileNotFoundError):
         main(["figure1", "--out", str(tmp_path)])
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("convention", [None, "two_pi"])
+def test_all_writes_the_files_of_the_single_id_runs(tmp_path, capsys, convention):
+    # each single run starts from an empty cache of system constants, as a
+    # process of its own does; the catalog run shares them across its ids
+    hydrogen = ["--convention", convention] if convention else []
+    _system.cache_clear()
+    assert main(["all", "--out", str(tmp_path / "all"), *hydrogen]) == EXIT_OK
+    for experiment in CATALOG_IDS:
+        _system.cache_clear()
+        extra = hydrogen if experiment in ("figure5", "figure6") else []
+        assert main([experiment, "--out", str(tmp_path / "one"), *extra]) == EXIT_OK
+    capsys.readouterr()
+    names = sorted(p.name for p in (tmp_path / "all").iterdir())
+    assert sum(name.endswith(".csv") for name in names) == 14
+    assert sum(name.endswith(".json") for name in names) == 14
+    assert names == sorted(p.name for p in (tmp_path / "one").iterdir())
+    for name in names:
+        assert (tmp_path / "all" / name).read_bytes() == (tmp_path / "one" / name).read_bytes()
+
+
+@pytest.mark.parametrize("option", [["--config", "run.json"], ["--dt", "0.01"]])
+def test_all_rejects_config_and_dt(tmp_path, capsys, option):
+    assert main(["all", "--out", str(tmp_path / "out"), *option]) == EXIT_CONFIG
+    assert f"config error: {option[0]}: simulate all runs the catalog defaults" in (
+        capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_all_stops_at_the_first_failing_id(tmp_path, capsys, monkeypatch):
+    from kickedqubit import cli
+    run = cli.run_experiment
+
+    def diverge_on_figure3(config):
+        if config.experiment == "figure3":
+            raise IntegrationDivergedError("norm went non-finite near t = 1")
+        return run(config)
+    monkeypatch.setattr(cli, "run_experiment", diverge_on_figure3)
+    assert main(["all", "--out", str(tmp_path)]) == EXIT_DIVERGED
+    assert "numeric divergence" in capsys.readouterr().err
+    assert sorted(p.stem for p in tmp_path.glob("*.csv")) == [
+        f"{e}_{o}" for e in ("figure1", "figure2") for o in ("forward", "reversed")]
+
+    afile = tmp_path / "afile"
+    afile.write_text("a regular file\n")
+    assert main(["all", "--out", str(afile / "sub")]) == EXIT_WRITE
+    assert capsys.readouterr().err.count("cannot write") == 1
 
 
 def test_module_entry_point(tmp_path):

@@ -173,6 +173,11 @@ def test_hydrogen_block_validation():
             _raw(system="hydrogen",
                  hydrogen={**block, "convention": "natural"}))
     assert _path_of(err) == "hydrogen.convention"
+    # a quoted value that underflows to 0 rad/ps is caught on construction
+    with pytest.raises(ConfigError, match="must be positive") as err:
+        ExperimentConfig.from_dict(
+            _raw(system="hydrogen", hydrogen={**block, "delta_e_mhz": 1e-320}))
+    assert _path_of(err) == "hydrogen"
     # a hydrogen block on the model qubit is an error, and vice versa
     with pytest.raises(ConfigError) as err:
         ExperimentConfig.from_dict(_raw(hydrogen=block))
@@ -361,7 +366,7 @@ def test_replace_validates_like_from_dict():
 def _hash_or_error(config) -> str:
     try:
         return str(hash(config))
-    except TypeError as exc:  # dict fields leave a config unhashable
+    except TypeError as exc:  # a config is unhashable
         return f"TypeError: {exc}"
 
 
@@ -384,6 +389,11 @@ def test_the_runs_a_config_derives_stay_out_of_its_echo(source):
     assert back == config
     assert repr(back) == repr(config) and "_runs" not in repr(config)
     assert _hash_or_error(back) == _hash_or_error(config)
+
+
+def test_a_config_is_unhashable_by_its_own_name():
+    with pytest.raises(TypeError, match=r"^unhashable type: 'ExperimentConfig'$"):
+        hash(default_config("figure1"))
 
 
 def test_each_dataset_echoes_a_config_of_its_own(capsys):

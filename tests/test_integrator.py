@@ -1053,3 +1053,20 @@ def test_linear_drive_model_rejects_mismatched_shapes():
 def test_linear_drive_model_validates_dimension():
     with pytest.raises(ValueError, match="dimension must be 2 or 3, got 4"):
         LinearDriveModel(np.eye(4), np.eye(4), np.eye(4), _gaussian_sequence())
+
+
+def test_a_systems_constants_are_shared_and_read_only():
+    model = TwoStatePulseModel(_gaussian_sequence())
+    assert TwoStatePulseModel(_gaussian_sequence(alpha=0.7, t_k=3.0)).h0 is model.h0
+    with pytest.raises(ValueError, match="read-only"):
+        model.h0[0, 0] = 5.0
+    coupled = HydrogenModel(default_params(), _gaussian_sequence(tau=1.0), basis="coupled")
+    for m in (model.a_x, model.a_y, model._g0, model._gx, model._gy, model._free[0],
+              *coupled._free):
+        with pytest.raises(ValueError, match="read-only"):
+            m[...] = 0.0
+    # a model of raw arrays copies them: the caller's arrays stay its own
+    h0 = np.array(SIGMA_Z, dtype=complex)
+    raw = LinearDriveModel(h0, SIGMA_X, SIGMA_Y, _gaussian_sequence())
+    h0[0, 0] = 9.0
+    assert np.array_equal(raw.h0, SIGMA_Z) and h0.flags.writeable

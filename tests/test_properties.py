@@ -8,14 +8,15 @@ which has no exact free propagator.  The
 chain layout of ``integrate`` is also checked on its own against a plain
 reference, over supports that touch, overlap, sit on or near the grid, or
 reach past the span, and each link it does not flag as the start of a run
-against the link before it.
+against the link before it.  The constant part of each model, which a
+process builds once per system, is checked against a build of its own.
 """
 from __future__ import annotations
 
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -28,9 +29,10 @@ from kickedqubit import (
     SIGMA_X,
     SIGMA_Y,
     TwoStatePulseModel,
+    effective_two_state_model,
     integrate,
 )
-from kickedqubit.integrator import _chain
+from kickedqubit.integrator import _chain, _system
 
 from field_reference import field_at
 
@@ -262,3 +264,77 @@ def test_a_link_the_chain_does_not_flag_repeats_the_link_before_it(layout):
         mid = starts + 0.5 * dts
         for v in field_at(KickSequence(pulses=rectangles, delta_e=1.0), mid):
             assert v[same].tobytes() == v[same - 1].tobytes()
+
+
+# 0.0 and -0.0 are one key and must build one system
+_ZEROS = (0.0, -0.0)
+_HYDROGEN = {"delta_e_mhz": st.sampled_from((1057.0, 1000.0)),
+             "e_fs_mhz": st.sampled_from((10956.0, 9000.0)),
+             "gamma_mhz": st.sampled_from((*_ZEROS, 626.0)),
+             "convention": st.sampled_from(("plain", "two_pi"))}
+
+
+def _matrices(d: int):
+    entry = st.sampled_from((*_ZEROS, 0.25, -0.5j, complex(0.0, -0.0)))
+    return st.lists(entry, min_size=d * d, max_size=d * d).map(
+        lambda m: np.array(m, dtype=complex).reshape(d, d))
+
+
+def _model(kind: str, spec: dict, seq: KickSequence):
+    if kind == "qubit":
+        return TwoStatePulseModel(KickSequence(seq.pulses, spec["delta_e"]))
+    if kind == "arrays":
+        return LinearDriveModel(spec["h0"], spec["a_x"], spec["a_y"], seq)
+    params = HydrogenParams.from_mhz(*(spec[k] for k in _HYDROGEN))
+    if kind == "effective":
+        return effective_two_state_model(params, seq)
+    return HydrogenModel(params, seq, basis=spec["basis"])
+
+
+@st.composite
+def systems(draw):
+    """``(kind, specs)``: random systems of one kind (the qubit, hydrogen,
+    the effective two-state surrogate, raw 2x2 or 3x3 arrays), each but one
+    a copy of the first with one field redrawn, in random order."""
+    kind = draw(st.sampled_from(("qubit", "hydrogen", "effective", "arrays")))
+    fields = {"qubit": {"delta_e": st.sampled_from((*_ZEROS, 0.5, 1, 1.0, -1.0))},
+              "hydrogen": {**_HYDROGEN, "basis": st.sampled_from(("j", "coupled"))},
+              "effective": _HYDROGEN}.get(kind)
+    if fields is None:
+        fields = dict.fromkeys(("h0", "a_x", "a_y"), _matrices(draw(st.sampled_from((2, 3)))))
+    first = {name: draw(field) for name, field in fields.items()}
+    specs = [first]
+    for _ in range(draw(st.integers(1, 6))):
+        name = draw(st.sampled_from(sorted(fields)))
+        specs.append({**first, name: draw(fields[name])})
+    return kind, draw(st.permutations(specs))
+
+
+def _constants(model) -> list:
+    """The bytes of every constant array of ``model``, None where it has none."""
+    free = model._free or (None,)
+    arrays = (model.h0, model.a_x, model.a_y, model._g0, model._gx, model._gy, *free)
+    return [None if m is None else (m.shape, m.tobytes()) for m in arrays]
+
+
+def _zero_pair(kind: str, **first) -> tuple:
+    """Two systems of ``kind`` that differ only in the sign of a zero."""
+    name = "delta_e" if kind == "qubit" else "gamma_mhz"
+    return kind, [{**first, name: 0.0}, {**first, name: -0.0}]
+
+
+@settings(max_examples=100, deadline=None)
+@given(systems())
+@example(_zero_pair("qubit"))
+@example(_zero_pair("hydrogen", delta_e_mhz=1057.0, e_fs_mhz=10956.0, convention="plain",
+                    basis="j"))
+def test_cached_constants_equal_a_fresh_build(drawn):
+    # the models are built in turn, sharing every system they meet; each
+    # must hold what a build of its system alone holds
+    kind, specs = drawn
+    seq = KickSequence((PulseSpec("gaussian", "x", 0.3, 1.0, 0.1),), delta_e=1.0)
+    _system.cache_clear()
+    models = [_model(kind, spec, seq) for spec in specs]
+    for spec, model in zip(specs, models):
+        _system.cache_clear()
+        assert _constants(model) == _constants(_model(kind, spec, seq))
