@@ -114,7 +114,7 @@ def _simulate(args: argparse.Namespace, experiment: str) -> int:
         print(f"numeric divergence: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
     try:
-        paths = [d.write(args.out) for d in datasets] if args.out is not None else []
+        paths = [d.write(args.out) for d in datasets]
     except OSError as exc:  # its message names the path
         print(f"cannot write the datasets: {exc}", file=sys.stderr)
         return EXIT_WRITE

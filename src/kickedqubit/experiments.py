@@ -666,27 +666,27 @@ def run_ordering_surface(n_epsilon: int = 200, n_phi: int = 200,
         data=table, config=config.to_dict(), meta=meta)
 
 
-def _width_scan_distance(config: ExperimentConfig, tau: float) -> tuple[float, float]:
-    """(beta of the widest pulse, final-state distance to the ideal-kick form).
+def _width_scan_distance(base: KickSequence, ideal: np.ndarray, tau: float,
+                         dt: float | None) -> tuple[float, float]:
+    """(beta of the widest pulse, final-state distance to the ideal-kick form)
+    of the pulses of ``base`` at width ``tau``; ``ideal`` is their kick product.
 
     The run integrates only a window that covers every pulse's support; the
     distance is unchanged by extending the window because both evolutions are
     free (and identical) outside it.
     """
-    base = config_sequence(config, "forward")
     if tau == 0.0:
         return 0.0, 0.0
     seq = replace(base, pulses=tuple(replace(p, tau=tau) for p in base.pulses))
     supports = [p.support() for p in seq.pulses]
     t_a = min(lo for lo, _ in supports) - tau
     t_b = max(hi for _, hi in supports) + tau
-    dt = config.dt if config.dt is not None else tau / 20.0
+    dt = dt if dt is not None else tau / 20.0
     model = TwoStatePulseModel(seq)
     y0 = np.array([1.0, 0.0], dtype=complex)
     n_steps = max(1, round((t_b - t_a) / dt))
     traj = integrate(model, y0, t_a, t_b, dt, sample_every=n_steps)
-    reference = (free_phase(seq.delta_e, -t_b) @ multi_kick(_ideal_twin(seq))
-                 @ free_phase(seq.delta_e, t_a) @ y0)
+    reference = free_phase(seq.delta_e, -t_b) @ ideal @ free_phase(seq.delta_e, t_a) @ y0
     beta = 0.5 * tau * abs(seq.delta_e)
     return beta, float(np.linalg.norm(traj.states[-1] - reference))
 
@@ -698,9 +698,11 @@ def run_convergence(config: ExperimentConfig) -> ResultDataset:
     log-log slope, the fitted distance/beta coefficient, and — for a single
     x pulse — the first-order prediction |sin(alpha)/alpha - cos(alpha)|.
     """
+    base = config_sequence(config, "forward")
+    ideal = multi_kick(_ideal_twin(base))  # every width has the same ideal kicks
     rows = []
     for tau in config.taus:
-        beta, distance = _width_scan_distance(config, tau)
+        beta, distance = _width_scan_distance(base, ideal, tau, config.dt)
         rows.append((tau, beta, distance))
     table = np.array(rows, dtype=float)
     meta: dict = {"unit_convention": "dimensionless"}

@@ -23,15 +23,13 @@ built in one vectorised pass, each matrix product a sum of outer products
 over contiguous time rows and the stages combined in place.  Every link's
 matrix equals, value for value, that of the plain RK4 formula over the
 field summed from every pulse, so the cost per step does not grow with
-the pulse count.  A gaussian window that keeps only every
-``sample_every``-th state (``sample_every > 1``) first multiplies the
-links between two kept states, or up to a free flight, into one matrix per
-segment, all segments at once; a window ends between segments.  Every
-window then hands one stream of units to one scalar loop on Python complex
-scalars, unrolled for ``d = 2`` and ``d = 3``.  A unit is a matrix's
-entries and the sampled flags of its applications: a run carries one flag
-per link and is applied once per link; a segment product, or a gaussian
-link at ``sample_every = 1``, is applied once.
+the pulse count.  A gaussian window first multiplies the links between
+two kept states, or up to a free flight, into one matrix per segment, all
+segments at once; a window ends between segments.  Every window then hands
+one stream of units to one scalar loop on Python complex scalars, unrolled
+for ``d = 2`` and ``d = 3``.  A unit is a matrix's entries and the sampled
+flags of its applications: a run carries one flag per link and is applied
+once per link; a segment product is applied once.
 """
 from __future__ import annotations
 
@@ -69,17 +67,16 @@ class LinearDriveModel:
     :class:`~kickedqubit.pulses.KickSequence` of finite-width pulses, and
     ``h0`` may be non-Hermitian (decay).  Ideal kicks carry no field to
     integrate and are rejected; use the closed forms for those.  The
-    matrices are copied into the read-only constant part of
-    :func:`_system`, keyed by their bytes.
+    matrices are copied into a read-only constant part of the model's own
+    (:func:`_constant`).
     """
 
     def __init__(self, h0, a_x, a_y, seq: KickSequence):
-        arrays = [np.asarray(m, dtype=complex) for m in (h0, a_x, a_y)]
-        self._bind(_system(_given, *((m.shape, m.tobytes()) for m in arrays)), seq)
+        self._bind(_constant(h0, a_x, a_y), seq)
 
     def _bind(self, system, seq: KickSequence) -> None:
-        """Take the constant part ``system`` of :func:`_system` and lay out
-        the pulses of ``seq``."""
+        """Take the constant part ``system`` of :func:`_constant` and lay
+        out the pulses of ``seq``."""
         # each pulse's support, a rectangle's height and the padded support
         # that picks a window's pulses: a gaussian is nonzero wherever
         # |(t - t_k) / tau| <= 6 (GAUSSIAN_SUPPORT) rounds true, which can
@@ -171,26 +168,26 @@ class TwoStatePulseModel(LinearDriveModel):
         self._bind(_system(_qubit, seq.delta_e), seq)
 
 
-def _given(*arrays):  # raw arrays, each as (shape, bytes)
-    return [np.frombuffer(data, dtype=complex).reshape(shape) for shape, data in arrays]
-
-
 def _qubit(delta_e: float):  # -0.0 is the key of 0.0, so it builds 0.0's matrices
     return -0.5 * (delta_e + 0.0) * SIGMA_Z, SIGMA_X, SIGMA_Y
 
 
 @functools.lru_cache(maxsize=_SYSTEMS)
 def _system(matrices, *key):
-    """The constant part of the models of one system, built once per
-    process: ``(h0, a_x, a_y, (g0, g_x, g_y), free)``, every array
-    read-only, for the matrices ``matrices(*key)`` gives (:func:`_qubit`,
-    :func:`_given`, ``hydrogen._hydrogen``), followed by the free eigenbasis
-    where they know it (else :func:`_free_eigenbasis`).  The ``g`` are -1j
-    times each matrix as a ``(d, d, 1)`` stack: -1j only swaps and negates
-    the parts, so ``g0 + v_x g_x + v_y g_y`` equals
-    ``-1j (h0 + v_x a_x + v_y a_y)`` exactly.
+    """:func:`_constant` of the matrices ``matrices(*key)`` gives
+    (:func:`_qubit`, ``hydrogen._hydrogen``), built once per process."""
+    return _constant(*matrices(*key))
+
+
+def _constant(h0, a_x, a_y, *free):
+    """The constant part of a model, ``(h0, a_x, a_y, (g0, g_x, g_y),
+    free)``: copies of the matrices, every array read-only, and the free
+    eigenbasis ``free`` where the caller knows it (else
+    :func:`_free_eigenbasis`).  The ``g`` are -1j times each matrix as a
+    ``(d, d, 1)`` stack: -1j only swaps and negates the parts, so
+    ``g0 + v_x g_x + v_y g_y`` equals ``-1j (h0 + v_x a_x + v_y a_y)``
+    exactly.
     """
-    h0, a_x, a_y, *free = matrices(*key)
     h0, a_x, a_y = (np.array(m, dtype=complex) for m in (h0, a_x, a_y))
     for name, m in (("h0", h0), ("a_x", a_x), ("a_y", a_y)):
         if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -327,6 +324,8 @@ def _segment_products(mats: np.ndarray, ends: np.ndarray, work: np.ndarray) -> n
     with identities.  The gather and the rounds alternate between two
     halves of the flat array ``work``, or of a new one if they do not fit.
     """
+    if len(ends) == mats.shape[2]:  # every segment one link: nothing to multiply
+        return mats
     d = len(mats)
     heads = np.concatenate(([0], ends[:-1]))
     size = int((ends - heads).max())
@@ -337,7 +336,7 @@ def _segment_products(mats: np.ndarray, ends: np.ndarray, work: np.ndarray) -> n
     work = work if 2 * g <= len(work) else np.empty(2 * g, dtype=complex)
     regions = work[:2 * g].reshape(2, g)
     stack = mats.take(index, axis=2, mode="clip", out=regions[0].reshape(d, d, size, -1))
-    stack[:, :, index < heads] = np.eye(d)[:, :, None]
+    np.copyto(stack, np.eye(d)[:, :, None, None], where=index < heads)
     while (count := stack.shape[2]) > 1:
         odd, pairs = count % 2, count // 2  # the first position passes through
         out = regions[1][:d * d * (pairs + odd) * len(ends)].reshape(d, d, pairs + odd, -1)
@@ -443,7 +442,7 @@ def _chain(model, t0: float, h: float, n_steps: int):
         links += count + len(inside) + 1
     if at < t_end:
         flights.append((links, at, t_end))
-    points = t0 + (np.arange(n_grid) + np.repeat(shift, counts)) * h
+    points = t0 + (np.arange(n_grid) + np.array(shift).repeat(counts)) * h
     # each end goes after the grid points below it
     place = points.searchsorted(edges) + np.arange(len(edges))
     on_grid = np.ones(len(points) + len(edges), dtype=bool)
@@ -480,7 +479,7 @@ def _free_links(model, flights, times):
     t = np.concatenate([x for lo, hi, e in zip(i0, i1, b) for x in (times[lo:hi], (e,))])
     m = [hi - lo + 1 for lo, hi in zip(i0, i1)]
     # formed (d, N), so each inner loop runs over the N times, not the d levels
-    phases = np.exp(model._free[0][:, None] * (t - np.repeat(a, m))).T
+    phases = np.exp(model._free[0][:, None] * (t - np.array(a).repeat(m))).T
     first = list(accumulate(m, initial=0))
     return [(k, lo, hi, phases[f:f + n]) for k, lo, hi, f, n in zip(ks, i0, i1, first, m)]
 
@@ -513,9 +512,9 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
     then one support.  The state passes through the chain in time order, one
     unit at a time: a run of equal links, from a support end or a change of
     step to the next, shares one matrix, applied once per link, and the
-    links between two samples of a gaussian window are multiplied into one
-    matrix, applied once (see the module docstring).  An
-    ``h`` above ``min_tau / 20`` triggers an accuracy warning (not an
+    links between two samples of a gaussian window, at any ``sample_every``,
+    are multiplied into one matrix, applied once (see the module docstring).
+    An ``h`` above ``min_tau / 20`` triggers an accuracy warning (not an
     error).
 
     Raises
@@ -572,7 +571,7 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
     n_windows = max(1, math.ceil(len(firsts) / _BLOCK))
     step = math.ceil(len(firsts) / n_windows) or 1
     bounds = [*firsts[::step], len(starts)]
-    if sample_every > 1 and not model._rectangular:
+    if not model._rectangular:
         # a gaussian window multiplies each segment, which ends at a sampled
         # link and before a free flight, into one matrix: each inner bound
         # moves on to the next segment start, by at most _BLOCK links
@@ -606,14 +605,11 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
                 flags = flags.tolist()
                 groups = (flags[i:j] for i, j in zip(heads, heads[1:] + [len(flags)]))
             else:
-                if sample_every > 1:
-                    ends_here = last[b0:stop]
-                    seg_ends = ends_here.nonzero()[0] + 1
-                    mats = _segment_products(mats, seg_ends, work[mats.size:])
-                    flags = flags[ends_here]
-                    heads = [0, *seg_ends[:-1].tolist()]
-                else:
-                    heads = range(len(flags))
+                ends_here = last[b0:stop]
+                seg_ends = ends_here.nonzero()[0] + 1
+                mats = _segment_products(mats, seg_ends, work[mats.size:])
+                flags = flags[ends_here]
+                heads = [0, *seg_ends[:-1].tolist()]
                 groups = zip(flags.tolist())
             units = zip(mats.reshape(model.dimension ** 2, -1).T.tolist(), groups)
             cuts = [bisect_left(heads, c) for c in cuts]

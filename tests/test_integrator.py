@@ -38,11 +38,13 @@ from kickedqubit import integrator as integrator_module
 from kickedqubit.integrator import (
     _BLOCK,
     _chain,
+    _constant,
     _free_flight,
     _free_links,
     _matmul,
     _segment_products,
     _step_matrices,
+    _system,
 )
 
 from field_reference import hamiltonians, rk4_step, stage_hamiltonians
@@ -520,6 +522,31 @@ def test_sample_every_1_advances_link_by_link(kind):
     y[0] = 1.0
     traj = integrate(model, y, 0.0, t1, t1 / n_steps)
     assert np.array_equal(traj.states, _per_link_states(model, y, t1, n_steps))
+
+
+def test_sample_every_1_multiplies_the_links_to_an_off_grid_end(monkeypatch):
+    # the overlapping gaussians of CI's gauss7 config: a link that ends at an
+    # off-grid support end is not sampled, so it and the next link form one
+    # segment product, which keeps the per-link advance's states up to its
+    # rounding
+    config = ExperimentConfig.from_dict({"experiment": "custom", "sample_every": 1, "pulses": [
+        {"shape": "gaussian", "axis": "x", "alpha": 0.4, "t_k": 1.0037, "tau": 0.05},
+        {"shape": "gaussian", "axis": "y", "alpha": 0.3, "t_k": 1.4511, "tau": 0.05}]})
+    seq, t1 = config._runs["forward"]
+    model = TwoStatePulseModel(seq)
+    n_steps = round(t1 / model.default_dt(t1))
+    longest = []
+
+    def spy(mats, ends, work):
+        longest.append(int(np.diff(ends, prepend=0).max()))
+        return _segment_products(mats, ends, work)
+
+    monkeypatch.setattr(integrator_module, "_segment_products", spy)
+    y = np.array([1.0, 0.0], dtype=complex)
+    traj = integrate(model, y, 0.0, t1, t1 / n_steps)
+    assert max(longest) == 2
+    assert np.max(np.abs(traj.states - _per_link_states(model, y, t1, n_steps))) < 1e-15
+    assert abs(traj.probabilities[-1, 0] - 1.0) > 1e-2  # the drive acted
 
 
 def _reference_step_matrices(model, starts, dts):
@@ -1065,8 +1092,19 @@ def test_a_systems_constants_are_shared_and_read_only():
               *coupled._free):
         with pytest.raises(ValueError, match="read-only"):
             m[...] = 0.0
-    # a model of raw arrays copies them: the caller's arrays stay its own
-    h0 = np.array(SIGMA_Z, dtype=complex)
+    # a model of raw arrays builds its own constant part, outside the cache
+    # of systems, and copies the arrays: the caller's arrays stay its own
+    h0 = np.array([[1.0, 0.3], [0.3, -1.0]], dtype=complex)
+    cached = _system.cache_info().currsize
     raw = LinearDriveModel(h0, SIGMA_X, SIGMA_Y, _gaussian_sequence())
+    assert _system.cache_info().currsize == cached
+    got = (raw.h0, raw.a_x, raw.a_y, raw._g0, raw._gx, raw._gy, *raw._free)
+    m0, mx, my, g, free = _constant(h0, SIGMA_X, SIGMA_Y)
+    assert len(got) == len(want := (m0, mx, my, *g, *free)) == 9
+    for a, b in zip(got, want):
+        assert np.array_equal(a, b)
     h0[0, 0] = 9.0
-    assert np.array_equal(raw.h0, SIGMA_Z) and h0.flags.writeable
+    assert raw.h0[0, 0] == 1.0 and h0.flags.writeable
+    for m in got:
+        with pytest.raises(ValueError, match="read-only"):
+            m[...] = 0.0
