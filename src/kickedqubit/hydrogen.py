@@ -191,6 +191,31 @@ def default_run_end(seq: KickSequence) -> float:
                else p.support()[1] for p in seq.pulses)
 
 
+def _warn_off_picture(params: HydrogenParams, seq: KickSequence, t_end: float) -> None:
+    """Warn where a run of ``seq`` to ``t_end`` leaves the effective
+    two-state picture: a pulse spacing away from whole revival periods, a
+    pulse wide enough to feel the 2s-2p free phase, a run into the decay
+    tail.  Each warning points at the caller's caller."""
+    t_r = revival_time(params)
+    t_free = rabi_time(params)
+    centers = [p.t_k for p in seq.pulses]
+    for a, b in zip(centers, centers[1:]):
+        m = (b - a) / t_r
+        if abs(m - round(m)) > 0.01:
+            warnings.warn(
+                f"pulse spacing {b - a:g} ps is {m:.4f} revival periods; "
+                f"the dark-state reduction needs whole multiples", stacklevel=3)
+    for i, p in enumerate(seq.pulses):
+        if p.tau > 0.05 * t_free:
+            warnings.warn(
+                f"pulse {i} width {p.tau:g} ps is not sudden against the "
+                f"free period {t_free:g} ps", stacklevel=3)
+    if params.gamma > 0 and t_end > 0.5 / params.gamma:
+        warnings.warn(
+            f"t_end = {t_end:g} ps reaches into the decay tail "
+            f"(1/gamma = {1.0 / params.gamma:g} ps)", stacklevel=3)
+
+
 def run_pulse_sequence(params: HydrogenParams, seq: KickSequence,
                        dt: float | None = None, sample_every: int = 1,
                        basis: str = "j", t_end: float | None = None) -> Trajectory:
@@ -202,28 +227,9 @@ def run_pulse_sequence(params: HydrogenParams, seq: KickSequence,
     breaks), when pulses are wide enough to feel the 2s-2p free phase, and
     when the run extends into the decay tail.
     """
-    t_r = revival_time(params)
-    t_free = rabi_time(params)
-    centers = [p.t_k for p in seq.pulses]
-    for a, b in zip(centers, centers[1:]):
-        m = (b - a) / t_r
-        if abs(m - round(m)) > 0.01:
-            warnings.warn(
-                f"pulse spacing {b - a:g} ps is {m:.4f} revival periods; "
-                f"the dark-state reduction needs whole multiples", stacklevel=2)
-    for i, p in enumerate(seq.pulses):
-        if p.tau > 0.05 * t_free:
-            warnings.warn(
-                f"pulse {i} width {p.tau:g} ps is not sudden against the "
-                f"free period {t_free:g} ps", stacklevel=2)
-
     if t_end is None:
         t_end = default_run_end(seq)
-    if params.gamma > 0 and t_end > 0.5 / params.gamma:
-        warnings.warn(
-            f"t_end = {t_end:g} ps reaches into the decay tail "
-            f"(1/gamma = {1.0 / params.gamma:g} ps)", stacklevel=2)
-
+    _warn_off_picture(params, seq, t_end)
     model = HydrogenModel(params, seq, basis=basis)
     if dt is None:
         dt = model.default_dt(t_end)

@@ -30,6 +30,17 @@ one stream of units to one scalar loop on Python complex scalars, unrolled
 for ``d = 2`` and ``d = 3``.  A unit is a matrix's entries and the sampled
 flags of its applications: a run carries one flag per link and is applied
 once per link; a segment product is applied once.
+
+Several runs of one system, the orderings of a config or the widths of a
+convergence scan, are integrated in one pass, of which :func:`integrate`
+is the one-run case.  Each run is checked and laid out on its own: its
+step, samples, chain and windows (:class:`_Run`).  The pass lays their
+links end to end and lets consecutive windows of one kind share a window
+of at most ``_BLOCK`` matrices (:class:`_Links`), so one field pass, one
+step-matrix pass and one segment-product pass per window, and one
+``np.exp`` for every free flight, serve every run.  Each link, segment and
+state is formed from the operands of a lone run, so every run's output is
+the same bit for bit; only numpy's per-call cost is shared.
 """
 from __future__ import annotations
 
@@ -107,47 +118,12 @@ class LinearDriveModel:
         return span / math.ceil(span / (self.min_tau / 20.0))
 
     def _fields(self, starts: np.ndarray, dts: np.ndarray, runs: np.ndarray):
-        """The field ``(v_x, v_y)`` at the three RK4 stages of the links
-        ``starts, dts``, each ``(3, n)`` (start, middle, end), ``(1, n)``
-        where no gaussian is met (one row for all three stages) or None for
-        an axis that nothing drives there, and the indices of the links
-        read: None where a gaussian is met, else the links that ``runs``
-        flags as the first of a run (see :func:`_chain`).
-
-        Every support end is a node of the chain, so a rectangle is read
-        once per run, at a link's midpoint, for all three stages; a gaussian
-        at each stage time of every link.  A pulse is read only on the links
-        that meet its padded support, and added into rows of zeros in
-        sequence order: anywhere else it would add exactly 0.0.
-        """
-        # the links [i0, i1) end at or after a padded support's start and
-        # start at or before its end
-        ends = starts + dts
-        i0 = ends.searchsorted(self._lo)
-        i1 = starts.searchsorted(self._hi, side="right")
-        meets = (i0 < i1).nonzero()[0]
-        pulses = [self.seq.pulses[k] for k in meets.tolist()]
-        axes = {p.axis for p in pulses}
-        if all(p.shape == "rectangular" for p in pulses):
-            # every rectangle at the midpoints of its own runs in one pass;
-            # np.add.at adds element by element, in sequence order
-            heads = runs.nonzero()[0]
-            mid = starts[heads] + 0.5 * dts[heads]
-            i0 = mid.searchsorted(self._lo[meets])
-            count = mid.searchsorted(self._hi[meets], side="right") - i0
-            owner = meets.repeat(count)
-            at = np.arange(len(owner)) + (i0 + count - count.cumsum()).repeat(count)
-            rows = np.zeros((2, 1, len(mid)))
-            np.add.at(rows, (self._row[owner], 0, at), rectangle(*self._rect[owner].T, mid[at]))
-            v = {axis: rows["xy".index(axis)] for axis in axes}
-        else:
-            heads = None
-            times = np.stack((starts, starts + 0.5 * dts, ends))
-            v = {axis: np.zeros((3, len(starts))) for axis in axes}
-            for p, lo, hi in zip(pulses, i0[meets].tolist(), i1[meets].tolist()):
-                at = v[p.axis][:, lo:hi]
-                at += p.value(times[:, lo:hi] if p.shape == "gaussian" else times[1, lo:hi])
-        return v.get("x"), v.get("y"), heads
+        """:func:`_fields` of this model's pulses on the links ``starts,
+        dts``, each pulse on the links that end at or after its padded
+        support's start and start at or before its end."""
+        return _fields(self.seq.pulses, self._rect, self._row,
+                       (starts + dts).searchsorted(self._lo),
+                       starts.searchsorted(self._hi, side="right"), starts, dts, runs)
 
     def _generators(self, vx, vy, out: np.ndarray, term: np.ndarray) -> np.ndarray:
         """``-1j H`` for the field ``(vx, vy)`` at ``n`` times (one stage row
@@ -263,17 +239,62 @@ def _plus_eye(m: np.ndarray) -> np.ndarray:
     return m
 
 
+def _fields(pulses, rect: np.ndarray, row: np.ndarray, i0: np.ndarray, i1: np.ndarray,
+            starts: np.ndarray, dts: np.ndarray, runs: np.ndarray):
+    """The field ``(v_x, v_y)`` of ``pulses`` at the three RK4 stages of the
+    links ``starts, dts``, each ``(3, n)`` (start, middle, end), ``(1, n)``
+    where no gaussian is met (one row for all three stages) or None for an
+    axis that nothing drives there, and the indices of the links read: None
+    where a gaussian is met, else the links that ``runs`` flags as the first
+    of a run (see :func:`_chain`).
+
+    Pulse ``k`` is read on the links ``[i0[k], i1[k])`` only, those that
+    meet its padded support, and added into rows of zeros in the order of
+    ``pulses``: anywhere else it would add exactly 0.0.  ``rect`` holds each
+    pulse's support and rectangle height, ``row`` its axis as a row.  Every
+    support end is a node of the chain, so a rectangle is read once per run,
+    at a link's midpoint, for all three stages, and every run it covers
+    starts among its links; a gaussian at each stage time of every link.
+    """
+    meets = (i0 < i1).nonzero()[0]
+    met = [pulses[k] for k in meets.tolist()]
+    axes = {p.axis for p in met}
+    if all(p.shape == "rectangular" for p in met):
+        # every rectangle at the midpoints of the runs that start among its
+        # links, in one pass (a run it only touches reads 0.0 there);
+        # np.add.at adds element by element, in pulse order
+        heads = runs.nonzero()[0]
+        mid = starts[heads] + 0.5 * dts[heads]
+        first = heads.searchsorted(i0[meets])
+        count = heads.searchsorted(i1[meets]) - first
+        owner = meets.repeat(count)
+        at = np.arange(len(owner)) + (first + count - count.cumsum()).repeat(count)
+        rows = np.zeros((2, 1, len(mid)))
+        np.add.at(rows, (row[owner], 0, at), rectangle(*rect[owner].T, mid[at]))
+        v = {axis: rows["xy".index(axis)] for axis in axes}
+    else:
+        heads = None
+        times = np.stack((starts, starts + 0.5 * dts, starts + dts))
+        v = {axis: np.zeros((3, len(starts))) for axis in axes}
+        for p, lo, hi in zip(met, i0[meets].tolist(), i1[meets].tolist()):
+            at = v[p.axis][:, lo:hi]
+            at += p.value(times[:, lo:hi] if p.shape == "gaussian" else times[1, lo:hi])
+    return v.get("x"), v.get("y"), heads
+
+
 def _step_matrices(model, starts: np.ndarray, dts: np.ndarray, runs: np.ndarray,
                    work: np.ndarray):
     """RK4 matrices M with ``y(t + dt) = M y(t)`` of the links ``starts, dts``:
     ``(mats, heads)``, one time-last ``(d, d, m)`` matrix per run and the
     index of each run's first link, None when every link is a run of its own.
+    ``model`` is a model or a pass's :class:`_Links`, whose ``_fields`` and
+    ``_generators`` give the field and ``-1j H``.
 
     ``runs`` flags the links that start a run, the first link among them.
     Where the links meet no gaussian, every link of a run repeats the M of
     its first link bit for bit, and only that one is built; a gaussian
     field differs at every link, so every link gets a matrix (see
-    :meth:`LinearDriveModel._fields`).  A field of one row serves all three
+    :func:`_fields`).  A field of one row serves all three
     stages, and where no field has more, as in a window of rectangles, the
     three stages share one stack of generators.  All are built in one pass,
     in the first five ``(d, d, m)`` stacks of the flat array ``work``, so a
@@ -464,24 +485,30 @@ def _chain(model, t0: float, h: float, n_steps: int):
             flights)
 
 
-def _free_links(model, flights, times):
-    """The free flights ``(k, a, b)`` as ``(k, i0, i1, phases)``: the flight
-    after the first ``k`` RK4 links fills the samples ``times[i0:i1]`` in
-    ``(a, b]``, and ``phases`` holds ``exp(w (t - a))`` (see
-    :func:`_free_eigenbasis`) at those times and at ``b``.
-    One ``np.exp`` serves every flight."""
-    if not flights:
-        return []
-    ks, a, b = zip(*flights)
-    i = times.searchsorted(a + b, side="right").tolist()
-    i0, i1 = i[:len(a)], i[len(a):]
-    # each flight's sample times, then its end
-    t = np.concatenate([x for lo, hi, e in zip(i0, i1, b) for x in (times[lo:hi], (e,))])
-    m = [hi - lo + 1 for lo, hi in zip(i0, i1)]
+def _free_links(model, runs):
+    """The free flights ``(k, a, b)`` of each run of ``runs``, pairs of its
+    flights and sample times, as a list per run of ``(k, i0, i1, phases)``:
+    the flight after the first ``k`` RK4 links fills the samples
+    ``times[i0:i1]`` in ``(a, b]``, and ``phases`` holds ``exp(w (t - a))``
+    (see :func:`_free_eigenbasis`) at those times and at ``b``.
+    One ``np.exp`` serves every flight of every run."""
+    slots, t, a, m = [], [], [], []
+    for flights, times in runs:
+        ks, starts, stops = zip(*flights) if flights else ((), (), ())
+        i = times.searchsorted(starts + stops, side="right").tolist() if flights else []
+        i0, i1 = i[:len(starts)], i[len(starts):]
+        slots.append(list(zip(ks, i0, i1)))
+        # each flight's sample times, then its end
+        t += [x for lo, hi, e in zip(i0, i1, stops) for x in (times[lo:hi], (e,))]
+        a += starts
+        m += [hi - lo + 1 for lo, hi in zip(i0, i1)]
+    if not m:
+        return slots
     # formed (d, N), so each inner loop runs over the N times, not the d levels
-    phases = np.exp(model._free[0][:, None] * (t - np.array(a).repeat(m))).T
-    first = list(accumulate(m, initial=0))
-    return [(k, lo, hi, phases[f:f + n]) for k, lo, hi, f, n in zip(ks, i0, i1, first, m)]
+    phases = np.exp(model._free[0][:, None] * (np.concatenate(t) - np.array(a).repeat(m))).T
+    first = iter(accumulate(m, initial=0))
+    return [[(k, lo, hi, phases[f:f + hi - lo + 1]) for (k, lo, hi), f in zip(run, first)]
+            for run in slots]
 
 
 def _free_flight(model, y, i0: int, i1: int, phases, states) -> list:
@@ -495,6 +522,237 @@ def _free_flight(model, y, i0: int, i1: int, phases, states) -> list:
     if i1 > i0:
         states[i0:i1] = out[:-1]
     return out[-1].tolist()
+
+
+class _Run:
+    """One run of :func:`integrate`, checked and laid out: its step ``h``,
+    sample times, chain of links (see :func:`_chain`) and its own windows.
+
+    Construction makes every check and warning of the run.  The windows
+    are ``pieces``, ``(b0, b1, gaussian, count)``: the links ``[b0, b1)``,
+    whether they meet a gaussian and the matrices they build, one per link
+    if so, else one per run.  A piece is what one window of a lone run
+    holds; :func:`_integrate` lays the pieces of several runs end to end.
+    """
+
+    def __init__(self, model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
+                 sample_every: int):
+        if dt <= 0:
+            raise ValueError(f"dt must be positive, got {dt}")
+        if sample_every < 1:
+            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+        span = t1 - t0
+        if span <= 0:
+            raise ValueError(f"need t1 > t0, got t0 = {t0}, t1 = {t1}")
+        n_steps = max(1, round(span / dt))
+        h = span / n_steps
+
+        # t0 and t1 may each be an ulp or two off the ends a caller meant, and
+        # h takes its share of that: a step of exactly tau/20 must not warn
+        limit = model.min_tau / 20.0
+        if h - limit > 1e-12 * limit + 2.0 * (math.ulp(t0) + math.ulp(t1)) / n_steps:
+            warnings.warn(
+                f"dt = {h:g} exceeds tau/20 = {limit:g}; "
+                f"pulse sampling may be too coarse", stacklevel=3)
+
+        y = np.asarray(state0, dtype=complex)
+        if y.shape != (model.dimension,):
+            raise ValueError(
+                f"initial state has shape {y.shape}, expected ({model.dimension},)")
+
+        ks = np.arange(0, n_steps + 1, sample_every)
+        if ks[-1] != n_steps:
+            ks = np.concatenate((ks, [n_steps]))
+        self.model, self.h, self.y0 = model, h, y
+        self.times = times = t0 + ks * h
+        starts, ends, dts, runs, self.flights = _chain(model, t0, h, n_steps)
+        # the RK4 links that end on a sample time, and their sample slots
+        slots = np.minimum(times.searchsorted(ends), len(times) - 1)
+        sampled = times[slots] == ends
+        # each window builds at most _BLOCK matrices: one per link where a
+        # gaussian can be met, one per run in a chain of rectangles.  Windows
+        # are of equal size, since a window's fixed numpy cost is paid whatever
+        # its length: no short last window.
+        firsts = runs.nonzero()[0].tolist() if model._rectangular else range(len(starts))
+        n_windows = max(1, math.ceil(len(firsts) / _BLOCK))
+        step = math.ceil(len(firsts) / n_windows) or 1
+        bounds = [*firsts[::step], len(starts)]
+        last = sampled  # read only where a window meets a gaussian
+        if not model._rectangular:
+            # a gaussian window multiplies each segment, which ends at a sampled
+            # link and before a free flight, into one matrix: each inner bound
+            # moves on to the next segment start, by at most _BLOCK links
+            last = sampled.copy()  # the last link of each segment
+            last[[k - 1 for k, _, _ in self.flights if k]] = True
+            last[-1:] = True
+            if len(bounds) > 2:
+                seg_ends = last.nonzero()[0] + 1
+                inner = np.array(bounds[1:-1], dtype=int)
+                moved = np.minimum(seg_ends[seg_ends.searchsorted(inner)], inner + _BLOCK)
+                bounds = list(dict.fromkeys([0, *moved.tolist(), len(starts)]))
+                last[[b - 1 for b in bounds[1:]]] = True
+        runs[bounds[:-1]] = True  # a window's first link starts a run
+        self.starts, self.dts, self.runs, self.last = starts, dts, runs, last
+        self.sampled, self.slots = sampled, slots[sampled]
+        # the links of each pulse: those that end at or after its padded
+        # support's start and start at or before its end
+        self.first = (starts + dts).searchsorted(model._lo)
+        self.stop = starts.searchsorted(model._hi, side="right")
+        pairs = list(zip(bounds, bounds[1:]))
+        gaussian = [not model._rectangular] * len(pairs)
+        if pairs and not model._rectangular and (
+                model._free is None or any(p.shape == "rectangular" for p in model.seq.pulses)):
+            # where only gaussians drive and the gaps fly free, every link
+            # lies in a support and meets its gaussian; a window of a mixed
+            # train, or of a span stepped whole, may meet none
+            is_gaussian = np.array([p.shape == "gaussian" for p in model.seq.pulses])
+            lo, hi = self.first[is_gaussian], self.stop[is_gaussian]
+            b0, b1 = np.array(pairs).T[:, :, None]
+            gaussian = ((lo < b1) & (hi > b0) & (lo < hi)).any(axis=1).tolist()
+        self.pieces = [(b0, b1, g, b1 - b0 if g else int(np.count_nonzero(runs[b0:b1])))
+                       for (b0, b1), g in zip(pairs, gaussian)]
+
+
+class _Links:
+    """The links and samples of several runs laid end to end, the links cut
+    into windows: the model face through which :func:`_step_matrices`
+    builds the matrices of the window that starts at link ``w0``.
+
+    Each run keeps its own pieces (see :class:`_Run`).  Consecutive pieces
+    that meet a gaussian, or that do not, share a window as long as it
+    builds at most ``_BLOCK`` matrices; a piece never shares one with a
+    piece of the other kind.  ``windows`` lists them as ``(w0, w1,
+    pieces)``, each piece ``(r, a, b, b0)``: run ``r``'s links from its
+    ``b0``-th at the window's links ``[a, b)``.  ``width`` is the most
+    matrices a window builds, and run ``r``'s samples are ``[kept[r],
+    kept[r + 1])`` of ``times``.
+    """
+
+    def __init__(self, runs: list):
+        model = runs[0].model
+        self.dimension, self._generators = model.dimension, model._generators
+
+        def laid(parts, offsets=None):
+            if offsets is not None:
+                parts = [x + o if o else x for x, o in zip(parts, offsets)]
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+
+        links = list(accumulate((len(run.starts) for run in runs), initial=0))
+        self.kept = list(accumulate((len(run.times) for run in runs), initial=0))
+        self.starts, self.dts, self.runs, self.sampled, self.last, self.times = (
+            laid([getattr(run, name) for run in runs])
+            for name in ("starts", "dts", "runs", "sampled", "last", "times"))
+        self.slots = laid([run.slots for run in runs], self.kept)
+        # every pulse of every run, each with the links it meets in the chain
+        self._pulses = [p for run in runs for p in run.model.seq.pulses]
+        self._rect, self._row = (laid([getattr(run.model, name) for run in runs])
+                                 for name in ("_rect", "_row"))
+        self._first = laid([run.first for run in runs], links)
+        self._stop = laid([run.stop for run in runs], links)
+        self.windows, self.width, self.w0 = [], 0, 0
+        kind, count = None, 0
+        for r, (run, o) in enumerate(zip(runs, links)):
+            for b0, b1, gaussian, n in run.pieces:
+                if self.windows and gaussian == kind and count + n <= _BLOCK:
+                    w = self.windows[-1]
+                    w[2].append((r, w[1] - w[0], o + b1 - w[0], b0))
+                    w[1] = o + b1
+                    count += n
+                else:
+                    self.windows.append([o + b0, o + b1, [(r, 0, b1 - b0, b0)]])
+                    kind, count = gaussian, n
+                self.width = max(self.width, count)
+
+    def _fields(self, starts: np.ndarray, dts: np.ndarray, runs: np.ndarray):
+        """:func:`_fields` of every run's pulses on the window's links."""
+        n = len(starts)
+        i0 = np.minimum(np.maximum(self._first - self.w0, 0), n)
+        i1 = np.minimum(np.maximum(self._stop - self.w0, 0), n)
+        return _fields(self._pulses, self._rect, self._row, i0, i1, starts, dts, runs)
+
+
+def _integrate(runs: list) -> list:
+    """The trajectories of the runs ``runs`` (see :class:`_Run`), whose
+    models share one constant part, advanced in one pass.
+
+    The runs' links are laid end to end and walked in windows (see
+    :class:`_Links`): one field pass, one step-matrix pass and, where the
+    window meets a gaussian, one segment-product pass serve every run in
+    it, and one ``np.exp`` forms the phases of every run's free flights.
+    Each run keeps its own links, samples, segments and runs of equal
+    links, so every matrix and state is the one a lone run forms, bit for
+    bit.  The scalar walk takes each run's state from its ``state0`` and
+    carries it from piece to piece.  The samples of every run fill one
+    array, whose norms are checked once, at the end.
+    """
+    if not runs:
+        return []
+    model = runs[0].model
+    if any(run.model._g0 is not model._g0 for run in runs):
+        raise ValueError("runs integrated in one pass must share one system")
+    d = model.dimension
+    walk = _walk2 if d == 2 else _walk3
+    flights = _free_links(model, [(run.flights, run.times) for run in runs])
+    links = _Links(runs)
+    states = np.empty((links.kept[-1], d), dtype=complex)
+    for run, o in zip(runs, links.kept):
+        states[o] = run.y0
+    ys = [run.y0.tolist() for run in runs]
+    f = [0] * len(runs)  # each run's next free flight
+    # one work array for every window's matrices: five stacks of the widest
+    work = np.empty(5 * d * d * links.width, dtype=complex)
+    done = 0  # sample slots filled by RK4 links
+    # a blow-up shows in the norms of the samples, checked once at the end,
+    # so the intermediate overflow warnings carry no extra information
+    with np.errstate(over="ignore", invalid="ignore"):
+        for w0, w1, pieces in links.windows:
+            links.w0 = w0
+            mats, heads = _step_matrices(links, links.starts[w0:w1], links.dts[w0:w1],
+                                         links.runs[w0:w1], work)
+            flags = links.sampled[w0:w1]
+            if heads is not None:
+                # a run's matrix applies once per link of the run
+                heads = heads.tolist()
+                flags = flags.tolist()
+                groups = (flags[i:j] for i, j in zip(heads, heads[1:] + [len(flags)]))
+            else:
+                ends_here = links.last[w0:w1]
+                seg_ends = ends_here.nonzero()[0] + 1
+                mats = _segment_products(mats, seg_ends, work[mats.size:])
+                flags = flags[ends_here]
+                heads = [0, *seg_ends[:-1].tolist()]
+                groups = zip(flags.tolist())
+            units = zip(mats.reshape(d * d, -1).T.tolist(), groups)
+            rows: list = []  # the window's sampled states, entry by entry
+            for r, a, b, b0 in pieces:
+                y, k, o = ys[r], f[r], links.kept[r]
+                at = bisect_left(heads, a)  # units walked so far
+                # each free flight of the piece follows the first u units of
+                # the window
+                while k < len(flights[r]) and flights[r][k][0] < b0 + b - a:
+                    link, i0, i1, phases = flights[r][k]
+                    u = bisect_left(heads, link - b0 + a)
+                    y = walk(islice(units, u - at), y, rows)
+                    y = _free_flight(model, y, o + i0, o + i1, phases, states)
+                    at, k = u, k + 1
+                ys[r], f[r] = walk(islice(units, bisect_left(heads, b) - at), y, rows), k
+            if rows:
+                kept = np.array(rows, dtype=complex).reshape(-1, d)
+                states[links.slots[done:done + len(kept)]] = kept
+                done += len(kept)
+        for y, k, run_flights, o in zip(ys, f, flights, links.kept):
+            for _, i0, i1, phases in run_flights[k:]:
+                y = _free_flight(model, y, o + i0, o + i1, phases, states)
+        every = Trajectory.from_states(links.times, states)
+    # a non-finite state and an overflowed |y|^2 both make a norm non-finite;
+    # the first such sample lies in the first run that has one
+    finite = np.isfinite(every.norms)
+    if not finite.all():
+        raise IntegrationDivergedError(
+            f"norm went non-finite near t = {every.times[finite.argmin()]:g}")
+    return [Trajectory(every.times[i:j], every.states[i:j], every.probabilities[i:j],
+                       every.norms[i:j], dt=run.h, rk4_steps=len(run.starts))
+            for run, i, j in zip(runs, links.kept, links.kept[1:])]
 
 
 def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
@@ -515,7 +773,9 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
     links between two samples of a gaussian window, at any ``sample_every``,
     are multiplied into one matrix, applied once (see the module docstring).
     An ``h`` above ``min_tau / 20`` triggers an accuracy warning (not an
-    error).
+    error).  This is the one-run case of the pass that integrates several
+    runs of one system at once (see the module docstring), which gives each
+    run these same bits.
 
     Raises
     ------
@@ -525,115 +785,7 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
         The norm of a sampled state is not finite: the state is not, or
         ``|y|^2`` overflows.  The message names the first such sample.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if sample_every < 1:
-        raise ValueError(f"sample_every must be >= 1, got {sample_every}")
-    span = t1 - t0
-    if span <= 0:
-        raise ValueError(f"need t1 > t0, got t0 = {t0}, t1 = {t1}")
-    n_steps = max(1, round(span / dt))
-    h = span / n_steps
-
-    # t0 and t1 may each be an ulp or two off the ends a caller meant, and
-    # h takes its share of that: a step of exactly tau/20 must not warn
-    limit = model.min_tau / 20.0
-    if h - limit > 1e-12 * limit + 2.0 * (math.ulp(t0) + math.ulp(t1)) / n_steps:
-        warnings.warn(
-            f"dt = {h:g} exceeds tau/20 = {limit:g}; "
-            f"pulse sampling may be too coarse", stacklevel=2)
-
-    y = np.asarray(state0, dtype=complex)
-    if y.shape != (model.dimension,):
-        raise ValueError(
-            f"initial state has shape {y.shape}, expected ({model.dimension},)")
-
-    ks = np.arange(0, n_steps + 1, sample_every)
-    if ks[-1] != n_steps:
-        ks = np.concatenate((ks, [n_steps]))
-    times = t0 + ks * h
-    states = np.empty((len(times), model.dimension), dtype=complex)
-    states[0] = y
-    starts, ends, dts, runs, flights = _chain(model, t0, h, n_steps)
-    flights = _free_links(model, flights, times)
-    # the RK4 links that end on a sample time, and their sample slots
-    slots = np.minimum(times.searchsorted(ends), len(times) - 1)
-    sampled = times[slots] == ends
-    slots = slots[sampled]
-    walk = _walk2 if model.dimension == 2 else _walk3
-    y = y.tolist()
-    done = 0  # sample slots filled by RK4 links
-    # each window builds at most _BLOCK matrices: one per link where a
-    # gaussian can be met, one per run in a chain of rectangles.  Windows
-    # are of equal size, since a window's fixed numpy cost is paid whatever
-    # its length: no short last window.
-    firsts = runs.nonzero()[0].tolist() if model._rectangular else range(len(starts))
-    n_windows = max(1, math.ceil(len(firsts) / _BLOCK))
-    step = math.ceil(len(firsts) / n_windows) or 1
-    bounds = [*firsts[::step], len(starts)]
-    if not model._rectangular:
-        # a gaussian window multiplies each segment, which ends at a sampled
-        # link and before a free flight, into one matrix: each inner bound
-        # moves on to the next segment start, by at most _BLOCK links
-        last = sampled.copy()  # the last link of each segment
-        last[[k - 1 for k, _, _, _ in flights if k]] = True
-        last[-1:] = True
-        seg_ends = last.nonzero()[0] + 1
-        inner = np.array(bounds[1:-1], dtype=int)
-        moved = np.minimum(seg_ends[seg_ends.searchsorted(inner)], inner + _BLOCK)
-        bounds = list(dict.fromkeys([0, *moved.tolist(), len(starts)]))
-        last[[b - 1 for b in bounds[1:]]] = True
-    runs[bounds[:-1]] = True  # a window's first link starts a run
-    # one work array for every window's matrices: five stacks of the widest
-    width = step if model._rectangular else max(np.diff(bounds), default=0)
-    work = np.empty(5 * model.dimension ** 2 * width, dtype=complex)
-    f = 0  # the next free flight
-    # a blow-up shows in the norms of the samples, checked once at the end,
-    # so the intermediate overflow warnings carry no extra information
-    with np.errstate(over="ignore", invalid="ignore"):
-        for b0, stop in zip(bounds, bounds[1:]):
-            f1 = f  # the free flights of the window, each after its k-th link
-            while f1 < len(flights) and flights[f1][0] < stop:
-                f1 += 1
-            cuts = [k - b0 for k, _, _, _ in flights[f:f1]]
-            mats, heads = _step_matrices(model, starts[b0:stop], dts[b0:stop],
-                                         runs[b0:stop], work)
-            flags = sampled[b0:stop]
-            if heads is not None:
-                # a run's matrix applies once per link of the run
-                heads = heads.tolist()
-                flags = flags.tolist()
-                groups = (flags[i:j] for i, j in zip(heads, heads[1:] + [len(flags)]))
-            else:
-                ends_here = last[b0:stop]
-                seg_ends = ends_here.nonzero()[0] + 1
-                mats = _segment_products(mats, seg_ends, work[mats.size:])
-                flags = flags[ends_here]
-                heads = [0, *seg_ends[:-1].tolist()]
-                groups = zip(flags.tolist())
-            units = zip(mats.reshape(model.dimension ** 2, -1).T.tolist(), groups)
-            cuts = [bisect_left(heads, c) for c in cuts]
-            at = 0  # units walked so far
-            rows: list = []  # the window's sampled states, entry by entry
-            # each free flight follows the first u units of the window
-            for u, (_, i0, i1, phases) in zip(cuts, flights[f:f1]):
-                y = walk(islice(units, u - at), y, rows)
-                y = _free_flight(model, y, i0, i1, phases, states)
-                at = u
-            f = f1
-            y = walk(units, y, rows)
-            if rows:
-                kept = np.array(rows, dtype=complex).reshape(-1, model.dimension)
-                states[slots[done:done + len(kept)]] = kept
-                done += len(kept)
-        for _, i0, i1, phases in flights[f:]:
-            y = _free_flight(model, y, i0, i1, phases, states)
-        traj = Trajectory.from_states(times, states, dt=h, rk4_steps=len(starts))
-    # a non-finite state and an overflowed |y|^2 both make a norm non-finite
-    finite = np.isfinite(traj.norms)
-    if not finite.all():
-        raise IntegrationDivergedError(f"norm went non-finite near t = {times[finite.argmin()]:g}")
-    return traj
+    return _integrate([_Run(model, state0, t0, t1, dt, sample_every)])[0]
 
 
 def norm_drift(traj: Trajectory) -> float:

@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
+import importlib
 import io
 import json
 import math
@@ -1078,3 +1079,49 @@ def test_hydrogen_run_warns_on_overlapping_pulses(capsys):
     with pytest.warns(UserWarning, match="overlap"):
         run_experiment(ExperimentConfig.from_dict(raw))
     capsys.readouterr()
+
+
+def test_a_hydrogen_config_warns_as_its_orderings_run_one_by_one(capsys):
+    # pulses 0.4 revival periods apart, a run into the decay tail and a step
+    # above tau/20: the config checks each ordering in turn before the one
+    # pass, and warns as validate_sequence and run_pulse_sequence do for
+    # each ordering in turn
+    t_r = revival_time(default_params())
+    config = ExperimentConfig.from_dict({
+        "experiment": "custom", "system": "hydrogen", "orderings": ["forward", "reversed"],
+        "hydrogen": dict(zip(("delta_e_mhz", "e_fs_mhz", "gamma_mhz"), DEFAULT_MHZ)),
+        "pulses": [
+            {"shape": "gaussian", "axis": "x", "alpha": 0.3, "t_k": 20.0, "tau": 1.0},
+            {"shape": "rectangular", "axis": "y", "alpha": 0.2, "t_k": 20.0 + 0.4 * t_r,
+             "tau": 2.0}],
+        "dt": 0.06, "t_end": 1000.0, "sample_every": 100})
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        run_experiment(config)
+    capsys.readouterr()
+    with warnings.catch_warnings(record=True) as expected:
+        warnings.simplefilter("always")
+        for ordering in config.orderings:
+            seq, t_end = config._runs[ordering]
+            experiments.validate_sequence(seq)
+            run_pulse_sequence(config._params, seq, dt=config.dt, sample_every=100,
+                               t_end=t_end)
+    messages = [str(w.message) for w in caught]
+    assert messages == [str(w.message) for w in expected]
+    assert sum("revival periods" in m for m in messages) == 2
+    assert sum("decay tail" in m for m in messages) == 2
+    assert sum("tau/20" in m for m in messages) == 2
+
+
+@pytest.mark.parametrize("module, name", [
+    ("experiments", "integrate"), ("experiments", "run_pulse_sequence"),
+    ("experiments", "validate_sequence"), ("experiments", "multi_kick"),
+    ("experiments", "ResultDataset.write"), ("hydrogen", "integrate"),
+    ("propagators", "validate_sequence")])
+def test_the_names_the_traced_benchmark_wraps_stay_in_place(module, name):
+    # perfbench/worker.py install_spans replaces these by attribute; a
+    # missing one makes perfbench/run.py --trace 1 fail
+    owner = importlib.import_module(f"kickedqubit.{module}")
+    for part in name.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)

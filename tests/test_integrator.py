@@ -41,7 +41,10 @@ from kickedqubit.integrator import (
     _constant,
     _free_flight,
     _free_links,
+    _integrate,
+    _Links,
     _matmul,
+    _Run,
     _segment_products,
     _step_matrices,
     _system,
@@ -497,7 +500,7 @@ def _per_link_states(model, y, t1, n_steps):
     times = np.arange(n_steps + 1) * h
     starts, ends, dts, _, flights = _chain(model, 0.0, h, n_steps)
     mats = _every_link(model, starts, dts).transpose(2, 0, 1).tolist()
-    flights = {k: flight for k, *flight in _free_links(model, flights, times)}
+    flights = {k: flight for k, *flight in _free_links(model, [(flights, times)])[0]}
     states = np.empty((len(times), model.dimension), dtype=complex)
     states[0] = y
     y = y.tolist()
@@ -941,6 +944,27 @@ def test_divergence_names_the_first_non_finite_sample(kind, late, t_bad):
     assert float(named) < float(t_bad)
     with pytest.raises(IntegrationDivergedError, match=rf"near t = {re.escape(named)}$"):
         integrate(model, y, 0.0, t1, 0.01, sample_every=7)
+
+
+@pytest.mark.parametrize("kind", ["qubit", "coupled"])
+def test_a_diverging_second_run_raises_as_it_does_alone(kind):
+    # the first run is the diverging train's weak first pulse alone; both
+    # runs share one window, and the error names the second run's first
+    # non-finite sample, as a lone call of that run does
+    bad = _diverging_train(kind, late=False)
+    seq = KickSequence(pulses=bad.seq.pulses[:1], delta_e=bad.seq.delta_e)
+    good = (TwoStatePulseModel(seq) if kind == "qubit"
+            else HydrogenModel(bad.params, seq, basis="coupled"))
+    y = np.zeros(bad.dimension, dtype=complex)
+    y[0] = 1.0
+    with pytest.raises(IntegrationDivergedError) as alone:
+        integrate(bad, y, 0.0, 6.0, 0.01, sample_every=7)
+    runs = [_Run(model, y, 0.0, 6.0, 0.01, 7) for model in (good, bad)]
+    (_, _, pieces), = _Links(runs).windows
+    assert [r for r, *_ in pieces] == [0, 1]
+    with pytest.raises(IntegrationDivergedError) as together:
+        _integrate(runs)
+    assert str(together.value) == str(alone.value)
 
 
 def _diverging_gaussians(kind):

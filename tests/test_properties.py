@@ -14,9 +14,10 @@ process builds once per system, is checked against a build of its own.
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -32,7 +33,8 @@ from kickedqubit import (
     effective_two_state_model,
     integrate,
 )
-from kickedqubit.integrator import _chain, _system
+from kickedqubit import integrator as integrator_module
+from kickedqubit.integrator import _BLOCK, _chain, _integrate, _Links, _Run, _system
 
 from field_reference import field_at
 
@@ -47,6 +49,26 @@ def _half_support(shape: str, tau: float) -> float:
     return 6.0 * tau if shape == "gaussian" else 0.5 * tau
 
 
+def _train(draw, seq_delta_e: float, hydrogen: bool, shapes) -> tuple:
+    """``(seq, t0, t_end)``: one to three pulses of ``shapes`` with free
+    flight before, between and after their supports, on the qubit's scale or
+    hydrogen's; ``t0`` lies before the first support or inside it."""
+    taus, gaps = ((st.floats(0.5, 5.0), st.floats(10.0, 200.0)) if hydrogen
+                  else (st.floats(0.02, 0.2), st.floats(0.05, 1.0)))
+    pulses, end = [], 0.0
+    for _ in range(draw(st.integers(1, 3))):
+        shape = draw(st.sampled_from(shapes))
+        tau = draw(taus)
+        half = _half_support(shape, tau)
+        t_k = end + draw(gaps) + half
+        pulses.append(PulseSpec(shape=shape, axis=draw(st.sampled_from("xy")),
+                                alpha=draw(st.floats(-0.8, 0.8)), t_k=t_k, tau=tau))
+        end = t_k + half
+    # from before the first support to inside it
+    t0 = draw(st.floats(0.0, pulses[0].t_k))
+    return KickSequence(pulses=tuple(pulses), delta_e=seq_delta_e), t0, end + draw(gaps)
+
+
 @st.composite
 def pulse_runs(draw, kinds=("qubit", "j", "coupled"),
                shapes=("gaussian", "rectangular"), decay=None):
@@ -59,26 +81,11 @@ def pulse_runs(draw, kinds=("qubit", "j", "coupled"),
     kind = draw(st.sampled_from(kinds))
     if kind in ("qubit", "exceptional"):
         delta_e = draw(st.floats(0.5, 2.0))
-        taus, gaps = st.floats(0.02, 0.2), st.floats(0.05, 1.0)
     else:
         gamma = draw(st.booleans()) if decay is None else decay
         params = HydrogenParams.from_mhz(1057.0, 10956.0, 626.0 if gamma else 0.0)
         delta_e = params.delta_e
-        taus, gaps = st.floats(0.5, 5.0), st.floats(10.0, 200.0)
-    pulses, end = [], 0.0
-    for _ in range(draw(st.integers(1, 3))):
-        shape = draw(st.sampled_from(shapes))
-        tau = draw(taus)
-        half = _half_support(shape, tau)
-        t_k = end + draw(gaps) + half
-        pulses.append(PulseSpec(shape=shape, axis=draw(st.sampled_from("xy")),
-                                alpha=draw(st.floats(-0.8, 0.8)), t_k=t_k, tau=tau))
-        end = t_k + half
-    seq = KickSequence(pulses=tuple(pulses), delta_e=delta_e)
-    first = pulses[0]
-    # from before the first support to inside it
-    t0 = draw(st.floats(0.0, first.t_k))
-    t_end = end + draw(gaps)
+    seq, t0, t_end = _train(draw, delta_e, kind in ("j", "coupled"), shapes)
     if kind == "qubit":
         model = TwoStatePulseModel(seq)
     elif kind == "exceptional":
@@ -150,6 +157,51 @@ def test_sample_times_are_the_grid_points(run):
         ks = np.append(ks, n_steps)
     assert np.array_equal(traj.times, t0 + ks * traj.dt)  # bit for bit
     assert traj.dt == (t_end - t0) / n_steps
+
+
+@st.composite
+def runs_of_one_system(draw):
+    """``[(model, state0, t0, t_end, dt, sample_every), ...]``: two to four
+    runs of one system (the qubit, or hydrogen in either basis with or
+    without decay), each a train of rectangles, gaussians or both, at the
+    catalog's default step and every ``sample_every`` from 1 to 10."""
+    kind = draw(st.sampled_from(("qubit", "j", "coupled")))
+    if kind == "qubit":
+        delta_e = draw(st.floats(0.5, 2.0))
+    else:
+        params = HydrogenParams.from_mhz(1057.0, 10956.0, draw(st.sampled_from((0.0, 626.0))))
+        delta_e = params.delta_e
+    runs = []
+    for _ in range(draw(st.integers(2, 4))):
+        shapes = draw(st.sampled_from((("gaussian",), ("rectangular",),
+                                       ("gaussian", "rectangular"))))
+        seq, t0, t_end = _train(draw, delta_e, kind != "qubit", shapes)
+        model = (TwoStatePulseModel(seq) if kind == "qubit"
+                 else HydrogenModel(params, seq, basis=kind))
+        target = min(p.tau for p in seq.pulses) / 20.0
+        dt = (t_end - t0) / math.ceil((t_end - t0) / target)
+        y0 = np.zeros(model.dimension, dtype=complex)
+        y0[0] = 1.0
+        runs.append((model, y0, t0, t_end, dt, draw(st.integers(1, 10))))
+    return runs
+
+
+@settings(max_examples=60, deadline=None)
+@given(runs_of_one_system(), st.sampled_from((64, 512, _BLOCK)))
+def test_one_pass_gives_each_run_the_bytes_of_a_lone_call(runs, block):
+    # windows of 64 links cut a gaussian train (240 links a pulse) into
+    # several, and a window then holds the end of one run and the start of
+    # the next; a mixed train keeps its own windows of each kind
+    with mock.patch.object(integrator_module, "_BLOCK", block):
+        prepared = [_Run(*run) for run in runs]
+        shared = any(len({r for r, *_ in pieces}) > 1 for *_, pieces in _Links(prepared).windows)
+        event(f"a window holds links of two runs: {shared}")
+        together = _integrate(prepared)
+        for run, traj in zip(runs, together, strict=True):
+            alone = integrate(*run)
+            for name in ("times", "states", "norms"):
+                assert getattr(traj, name).tobytes() == getattr(alone, name).tobytes()
+            assert (traj.dt, traj.rk4_steps) == (alone.dt, alone.rk4_steps)
 
 
 # support ends on this dyadic lattice make exact centres and widths, so two
