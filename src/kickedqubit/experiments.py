@@ -632,14 +632,10 @@ def _trajectory_datasets(config: ExperimentConfig) -> list[ResultDataset]:
         levels = traj.probabilities.shape[1]
         meta = {"ordering": ordering, **system_meta, "final_norm": float(traj.norms[-1]),
                 "dt": traj.dt, "rk4_steps": traj.rk4_steps, "norm_drift": norm_drift(traj)}
-        data = np.empty((len(traj.times), levels + 2))
-        data[:, 0] = traj.times
-        data[:, 1:-1] = traj.probabilities
-        data[:, -1] = traj.norms
         datasets.append(ResultDataset(
             name=f"{config.experiment}_{ordering}",
             columns=("t", *(f"p{i}" for i in range(1, levels + 1)), "norm"),
-            data=data, config=config.to_dict(), meta=meta))
+            data=traj._table.T, config=config.to_dict(), meta=meta))
     return datasets
 
 

@@ -102,8 +102,8 @@ class LinearDriveModel:
             pad = 1e-9 * (abs(lo) + abs(hi))
             rows.append((lo, hi, p.alpha / p.tau, lo - pad, hi + pad))
         table = np.array(rows)
-        self._ends, self._rect, self._lo, self._hi = (table[:, :2], table[:, :3],
-                                                      table[:, 3], table[:, 4])
+        self._ends = table[:, :2].ravel().tolist()  # lo, hi of each, as Python floats
+        self._rect, self._lo, self._hi = table[:, :3], table[:, 3], table[:, 4]
         self._row = np.array(["xy".index(p.axis) for p in seq.pulses])  # axis as a row
         self.h0, self.a_x, self.a_y, (self._g0, self._gx, self._gy), self._free = system
         self.dimension = len(self.h0)
@@ -117,17 +117,9 @@ class LinearDriveModel:
         within ``min_tau / 20``, where :func:`integrate` starts to warn."""
         return span / math.ceil(span / (self.min_tau / 20.0))
 
-    def _fields(self, starts: np.ndarray, dts: np.ndarray, runs: np.ndarray):
-        """:func:`_fields` of this model's pulses on the links ``starts,
-        dts``, each pulse on the links that end at or after its padded
-        support's start and start at or before its end."""
-        return _fields(self.seq.pulses, self._rect, self._row,
-                       (starts + dts).searchsorted(self._lo),
-                       starts.searchsorted(self._hi, side="right"), starts, dts, runs)
-
     def _generators(self, vx, vy, out: np.ndarray, term: np.ndarray) -> np.ndarray:
         """``-1j H`` for the field ``(vx, vy)`` at ``n`` times (one stage row
-        of :meth:`_fields`, or None), written into the time-last
+        of :func:`_fields`, or None), written into the time-last
         ``(d, d, n)`` stack ``out``, each term formed in ``term``."""
         out[...] = self._g0
         # an axis without a pulse here adds exact zeros: its term is left out
@@ -214,13 +206,25 @@ class Trajectory:
     def from_states(cls, times: np.ndarray, states: np.ndarray,
                     dt: float | None = None, rk4_steps: int = 0) -> "Trajectory":
         probs = np.abs(states) ** 2
+        table = np.empty((probs.shape[1] + 2, len(probs)))
+        table[0], table[1:-1] = times, probs.T
         # the columns added left to right, as probs.sum(axis=1) adds them,
         # bit for bit, without a reduction along a short row
-        norms = probs[:, 0].copy()
-        for column in probs.T[1:]:
-            norms += column
-        return cls(times=np.asarray(times, dtype=float), states=states,
-                   probabilities=probs, norms=norms, dt=dt, rk4_steps=rk4_steps)
+        table[-1] = table[1]
+        for row in table[2:-1]:
+            table[-1] += row
+        return cls._rows(table, states, dt, rk4_steps)
+
+    @classmethod
+    def _rows(cls, table: np.ndarray, states: np.ndarray, dt: float | None = None,
+              rk4_steps: int = 0) -> "Trajectory":
+        """The trajectory whose times, probabilities and norms are the rows of
+        ``table``, kept as ``_table`` (no field): its transpose is a dataset's
+        table."""
+        traj = cls(times=table[0], states=states, probabilities=table[1:-1].T,
+                   norms=table[-1], dt=dt, rk4_steps=rk4_steps)
+        object.__setattr__(traj, "_table", table)
+        return traj
 
 
 def _matmul(a: np.ndarray, b: np.ndarray, term: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -287,7 +291,7 @@ def _step_matrices(model, starts: np.ndarray, dts: np.ndarray, runs: np.ndarray,
     """RK4 matrices M with ``y(t + dt) = M y(t)`` of the links ``starts, dts``:
     ``(mats, heads)``, one time-last ``(d, d, m)`` matrix per run and the
     index of each run's first link, None when every link is a run of its own.
-    ``model`` is a model or a pass's :class:`_Links`, whose ``_fields`` and
+    ``model`` is a pass's :class:`_Links`, whose ``_fields`` and
     ``_generators`` give the field and ``-1j H``.
 
     ``runs`` flags the links that start a run, the first link among them.
@@ -413,76 +417,103 @@ def _chain(model, t0: float, h: float, n_steps: int):
     which flags each link that starts a run of equal links: a link from a
     support end, the only node where a rectangle's field can change, or
     whose ``dt`` differs from the link's before it.  The grid points of all
-    supports form one array, and one search places every end after the
-    grid points below it.  A step between two grid points is ``h``, so a
-    support with no end inside a step repeats the full-span grid
-    arithmetic.  The free links, up to each support and after the last
-    one, are returned last, as a list of ``(k, a, b)``: the flight from
-    ``a`` to ``b`` after the first ``k`` RK4 links.  An ``h0`` without an
-    exact free propagator (at an exceptional point) adds the span as one
+    supports form one array, and each end is placed among them by its grid
+    index: the grid points below it.  A step between two grid points is
+    ``h``, so a support with no end inside a step repeats the full-span
+    grid arithmetic.  The free links, up to each support and after the
+    last one, are returned last, as a list of ``(k, a, b)``: the flight
+    from ``a`` to ``b`` after the first ``k`` RK4 links.  An ``h0`` without
+    an exact free propagator (at an exceptional point) adds the span as one
     more support.
     """
     t_end = t0 + n_steps * h
-    ends = model._ends
-    if model._free is None:
-        ends = np.concatenate(([[t0, t_end]], ends))
-    grid = t0 + np.minimum(np.maximum(np.rint((ends - t0) / h), 0), n_steps) * h
-    ends = np.minimum(np.maximum(
-        np.where(np.abs(ends - grid) <= 1e-9 * h, grid, ends), t0), t_end)
-    off = set(ends[ends != grid].tolist())
-    # Python sorts: numpy's first sort or unique call maps in 0.4-1.7 MB of code
+    ends = model._ends if model._free is not None else [t0, t_end, *model._ends]
+    # each end onto its nearest grid point t0 + k h if within 1e-9 h of it,
+    # then into the span: the operations of a float64 array, end by end.  An
+    # off-grid end keeps its grid index, the grid points below it; an
+    # on-grid end keeps k.
+    snapped, off, on, near = [], {}, {}, 1e-9 * h
+    for e in ends:
+        k = round((e - t0) / h)
+        k = 0 if k < 0 else n_steps if k > n_steps else k
+        g = t0 + k * h
+        if abs(e - g) <= near:
+            e = g
+        e = t0 if e < t0 else t_end if e > t_end else e
+        if e == g:
+            on[e] = k
+        else:
+            off[e] = k + (e > g)
+        snapped.append(e)
     merged: list[list[float]] = []
-    for lo, hi in sorted(ends.tolist()):
+    for lo, hi in sorted(zip(snapped[::2], snapped[1::2])):
         if lo >= hi:
             continue
         if merged and lo <= merged[-1][1]:
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
-    inner = sorted(off)
-    edges, last, flights, shift, counts = [], [], [], [], []
-    links, n_grid, at = 0, 0, t0
+    inner, grid_ends = sorted(off), sorted(on)
+    # node by node: each end at place[j], then the grid points after it
+    # (their grid index is the node's position plus shift[j]); link by
+    # link: the links that start a run, and each dt that need not be h
+    edges, place, shift, counts, last, flights, flagged, odd = [], [], [], [], [], [], [], {}
+    links, at = 0, t0
     for lo, hi in merged:
         if lo > at:
             flights.append((links, at, lo))
         at = hi
-        # the grid points strictly inside are t0 + k h for first <= k <
-        # first + count: each end lies within h/2 of its nearest grid point
-        # t0 + r h, so the comparison with that point decides
-        r = round((lo - t0) / h)
-        first = r + (lo >= t0 + r * h)
-        r = round((hi - t0) / h)
-        count = r + (hi > t0 + r * h) - first
+        # the grid points strictly inside are t0 + k h for first <= k < stop
+        first = on[lo] + 1 if lo in on else off[lo]
+        stop = on[hi] if hi in on else off[hi]
         inside = inner[bisect_right(inner, lo):bisect_left(inner, hi)]
-        edges += [lo, *inside, hi]
-        last.append(len(edges) - 1)
-        # the grid points of all supports form one arange, shifted per support
-        shift.append(first - n_grid)
-        counts.append(count)
-        n_grid += count
-        links += count + len(inside) + 1
+        # a link from an on-grid end inside starts a run: the link from grid
+        # point k follows k - first grid points and the ends below it
+        for e in grid_ends[bisect_right(grid_ends, lo):bisect_left(grid_ends, hi)]:
+            flagged.append(links + 1 + on[e] - first + bisect_left(inside, e))
+        after = [first, *map(off.get, inside), stop]
+        own = [lo, *inside, hi]  # this support's ends
+        for a, b, k_a, k_b in zip(own, own[1:], after, after[1:]):
+            # a, then the grid points k_a to k_b - 1, then b
+            n = k_b - k_a
+            if n == 0:
+                if a in off or b in off:
+                    odd[links] = b - a
+            else:
+                if a in off:
+                    odd[links] = (t0 + k_a * h) - a
+                if b in off:
+                    odd[links + n] = b - (t0 + (k_b - 1) * h)
+            flagged.append(links)  # a link from a support end starts a run
+            place.append(links + len(last))
+            shift.append(k_a - place[-1] - 1)
+            counts.append(n + 1)
+            links += n + 1
+        last.append(links + len(last))  # hi, placed after the last grid points
+        place.append(last[-1])
+        counts[-1] += 1
+        edges += own
     if at < t_end:
         flights.append((links, at, t_end))
-    points = t0 + (np.arange(n_grid) + np.array(shift).repeat(counts)) * h
-    # each end goes after the grid points below it
-    place = points.searchsorted(edges) + np.arange(len(edges))
-    on_grid = np.ones(len(points) + len(edges), dtype=bool)
-    on_grid[place] = False
-    nodes = np.empty(len(on_grid))
-    nodes[on_grid] = points
+    # a link whose dt differs from the link's before it starts a run
+    for j, dt in odd.items():
+        if dt != odd.get(j - 1, h):
+            flagged.append(j)
+        if odd.get(j + 1, h) != dt:
+            flagged.append(j + 1)
+    nodes = t0 + (np.arange(links + len(last)) + np.array(shift).repeat(counts)) * h
     nodes[place] = edges
-    on_grid[place] = [e not in off for e in edges]
-    dts = np.where(on_grid[:-1] & on_grid[1:], h, nodes[1:] - nodes[:-1])
-    runs = np.ones(len(nodes), dtype=bool)
-    runs[1:-1] = dts[1:] != dts[:-1]
-    # the nodes are strictly increasing, so one search finds every support end
-    at = nodes.searchsorted(ends)
-    runs[at[np.concatenate((nodes, [np.inf]))[at] == ends]] = True
+    dts = np.empty(links)
+    dts[:] = h
+    dts[list(odd)] = list(odd.values())
+    runs = np.zeros(links + 1, dtype=bool)  # a flag past the last link is dropped
+    runs[flagged] = True
+    if len(last) < 2:
+        return nodes[:-1], nodes[1:], dts, runs[:-1], flights
     # no link from a support's end to the next one's start
-    is_link = np.ones(len(dts), dtype=bool)
-    is_link[place[last[:-1]]] = False
-    return (nodes[:-1][is_link], nodes[1:][is_link], dts[is_link], runs[:-1][is_link],
-            flights)
+    is_link = np.ones(len(nodes) - 1, dtype=bool)
+    is_link[last[:-1]] = False
+    return nodes[:-1][is_link], nodes[1:][is_link], dts, runs[:-1], flights
 
 
 def _free_links(model, runs):
@@ -560,11 +591,13 @@ class _Run:
             raise ValueError(
                 f"initial state has shape {y.shape}, expected ({model.dimension},)")
 
-        ks = np.arange(0, n_steps + 1, sample_every)
-        if ks[-1] != n_steps:
-            ks = np.concatenate((ks, [n_steps]))
+        # t0 + k h at every sample_every-th grid point k, then the last one,
+        # in place on the ks as floats
+        self.times = times = np.arange(0, n_steps + sample_every, sample_every, dtype=float)
+        times[-1] = n_steps
+        times *= h
+        times += t0
         self.model, self.h, self.y0 = model, h, y
-        self.times = times = t0 + ks * h
         starts, ends, dts, runs, self.flights = _chain(model, t0, h, n_steps)
         # the RK4 links that end on a sample time, and their sample slots
         slots = np.minimum(times.searchsorted(ends), len(times) - 1)
@@ -591,7 +624,8 @@ class _Run:
                 moved = np.minimum(seg_ends[seg_ends.searchsorted(inner)], inner + _BLOCK)
                 bounds = list(dict.fromkeys([0, *moved.tolist(), len(starts)]))
                 last[[b - 1 for b in bounds[1:]]] = True
-        runs[bounds[:-1]] = True  # a window's first link starts a run
+        if len(bounds) > 2:  # a window's first link starts a run
+            runs[bounds[1:-1]] = True
         self.starts, self.dts, self.runs, self.last = starts, dts, runs, last
         self.sampled, self.slots = sampled, slots[sampled]
         # the links of each pulse: those that end at or after its padded
@@ -750,8 +784,7 @@ def _integrate(runs: list) -> list:
     if not finite.all():
         raise IntegrationDivergedError(
             f"norm went non-finite near t = {every.times[finite.argmin()]:g}")
-    return [Trajectory(every.times[i:j], every.states[i:j], every.probabilities[i:j],
-                       every.norms[i:j], dt=run.h, rk4_steps=len(run.starts))
+    return [Trajectory._rows(every._table[:, i:j], every.states[i:j], run.h, len(run.starts))
             for run, i, j in zip(runs, links.kept, links.kept[1:])]
 
 

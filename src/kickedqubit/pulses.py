@@ -87,16 +87,23 @@ class PulseSpec:
         same shape comes back).
         """
         t = np.asarray(t, dtype=float)
+        if not t.ndim:
+            return float(self.value(t.reshape(1))[0])
         if self.shape == "gaussian":
-            u = (t - self.t_k) / self.tau
-            v = np.where(np.abs(u) <= GAUSSIAN_SUPPORT,
-                         self.alpha / (math.sqrt(math.pi) * self.tau) * np.exp(-u * u),
-                         0.0)
+            # the operations of (alpha / (sqrt(pi) tau)) exp(-u u), in place,
+            # then 0.0 wherever |u| <= GAUSSIAN_SUPPORT is false (NaN too)
+            u = t - self.t_k
+            u /= self.tau
+            v = np.negative(u)
+            v *= u
+            np.exp(v, out=v)
+            v *= self.alpha / (math.sqrt(math.pi) * self.tau)
+            v[~(np.abs(u, out=u) <= GAUSSIAN_SUPPORT)] = 0.0
         elif self.shape == "rectangular":
             v = rectangle(*self.support(), self.alpha / self.tau, t)
         else:
             v = np.zeros_like(t)
-        return v if v.ndim else float(v)
+        return v
 
     def support(self) -> tuple[float, float]:
         """Interval outside which the pulse field vanishes identically."""

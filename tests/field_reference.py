@@ -1,7 +1,7 @@
 """The tests' plain reference for the pulse field and one RK4 step.
 
 The integrator evaluates the field only over the pulses that meet a window
-of links (``LinearDriveModel._fields``).  These functions sum every pulse
+of links (``integrator._fields``).  These functions sum every pulse
 at every time instead, one vector step at a time, and are what the tests
 pin ``integrate`` and its step matrices against.
 """

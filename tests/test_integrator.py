@@ -39,6 +39,7 @@ from kickedqubit.integrator import (
     _BLOCK,
     _chain,
     _constant,
+    _fields,
     _free_flight,
     _free_links,
     _integrate,
@@ -139,6 +140,21 @@ def test_rk4_step_takes_rectangular_edges_from_inside_the_step():
     assert np.max(np.abs(y - traj.states[-1])) < 1e-12
 
 
+class _Face:
+    """One model as :func:`_step_matrices` takes a pass (a
+    :class:`_Links`), for links of that model alone: each pulse is read on
+    the links that end at or after its padded support's start and start at
+    or before its end."""
+
+    def __init__(self, model):
+        self.model, self.dimension, self._generators = model, model.dimension, model._generators
+
+    def _fields(self, starts, dts, runs):
+        m = self.model
+        return _fields(m.seq.pulses, m._rect, m._row, (starts + dts).searchsorted(m._lo),
+                       starts.searchsorted(m._hi, side="right"), starts, dts, runs)
+
+
 def test_a_rectangle_does_not_leak_into_the_link_before_its_start():
     # B starts 1e-12 after A ends, both inside C, so the link between them
     # is about 1e-12 long: a nudge of 1e-6 dt off its end, to read the
@@ -152,7 +168,7 @@ def test_a_rectangle_does_not_leak_into_the_link_before_its_start():
     starts, ends, dts, _, _ = _chain(model, 0.0, 2.0 / n_steps, n_steps)
     i = int(np.argmin(dts))
     assert (starts[i], ends[i]) == (a_end, b.support()[0])
-    vx, vy, _ = model._fields(starts[i:i + 1], dts[i:i + 1], np.ones(1, dtype=bool))
+    vx, vy, _ = _Face(model)._fields(starts[i:i + 1], dts[i:i + 1], np.ones(1, dtype=bool))
     assert vx is None or not vx.any()
     # one row: a rectangle's field serves all three stages of a link
     assert np.array_equal(vy, np.full((1, 1), 0.5))
@@ -619,7 +635,7 @@ def _every_link(model, starts, dts, runs=None):
     without ``runs``, every link is a run of its own."""
     if runs is None:
         runs = np.ones(len(starts), dtype=bool)
-    mats, heads = _step_matrices(model, starts, dts, runs, _work(model, len(starts)))
+    mats, heads = _step_matrices(_Face(model), starts, dts, runs, _work(model, len(starts)))
     if heads is None:
         return mats
     return np.repeat(mats, np.diff(np.append(heads, len(starts))), axis=2)
@@ -675,7 +691,7 @@ def test_a_block_inside_one_plateau_builds_few_matrices():
     assert np.flatnonzero(runs).tolist() == [0]
     starts, dts, runs = starts[100:100 + _BLOCK], dts[100:100 + _BLOCK], runs[100:100 + _BLOCK]
     runs[0] = True
-    mats, heads = _step_matrices(model, starts, dts, runs, _work(model, len(starts)))
+    mats, heads = _step_matrices(_Face(model), starts, dts, runs, _work(model, len(starts)))
     assert mats.shape[2] == 1 and heads.tolist() == [0]
     assert np.array_equal(_every_link(model, starts, dts, runs),
                           _reference_step_matrices(model, starts, dts))
@@ -695,7 +711,7 @@ def test_runs_break_at_a_free_flight():
     assert (a, b) == pytest.approx((0.6, 0.9))
     # the link after the flight starts at a support end, so it starts a run
     assert runs[k] and not runs[k - 1] and not runs[k + 1]
-    _, heads = _step_matrices(model, starts, dts, runs, _work(model, len(starts)))
+    _, heads = _step_matrices(_Face(model), starts, dts, runs, _work(model, len(starts)))
     assert k in heads
     y = np.array([1.0, 0.0], dtype=complex)
     traj = integrate(model, y, 0.0, t1, t1 / n_steps, sample_every=3)

@@ -6,14 +6,17 @@ after their supports; the span may start inside the first support.  The
 rectangular trains also drive a decaying ``h0`` at an exceptional point,
 which has no exact free propagator.  The
 chain layout of ``integrate`` is also checked on its own against a plain
-reference, over supports that touch, overlap, sit on or near the grid, or
-reach past the span, and each link it does not flag as the start of a run
-against the link before it.  The constant part of each model, which a
-process builds once per system, is checked against a build of its own.
+reference, its run flags included, over supports that touch, overlap, sit
+on or near the grid, or reach past the span, and each link it does not
+flag as the start of a run against the link before it; a run's sampled
+links, sample slots and pulse link ranges against a scan of every link.
+The constant part of each model, which a process builds once per system,
+is checked against a build of its own.
 """
 from __future__ import annotations
 
 import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -251,7 +254,9 @@ def _reference_chain(model, t0, h, n_steps):
     """The chain of :func:`_chain`, support by support: each merged support
     is the sorted union of the grid points strictly inside it, its ends and
     the off-grid ends inside it.  Without an exact free propagator the span
-    is one more support."""
+    is one more support.  A link starts a run if and only if it is the
+    first of its merged support, its dt differs from the link's before it,
+    or it starts at a (moved) support end."""
     grid = [t0 + k * h for k in range(n_steps + 1)]
     t_end = grid[-1]
     on_grid = set(grid)
@@ -264,7 +269,8 @@ def _reference_chain(model, t0, h, n_steps):
     spans = [(t0, t_end)] if model._free is None else []
     supports = sorted((moved(lo), moved(hi)) for lo, hi in
                       spans + [p.support() for p in model.seq.pulses])
-    off = {e for s in supports for e in s if e not in on_grid}
+    support_ends = {e for s in supports for e in s}
+    off = {e for e in support_ends if e not in on_grid}
     merged = []
     for lo, hi in supports:
         if lo >= hi:
@@ -273,7 +279,7 @@ def _reference_chain(model, t0, h, n_steps):
             merged[-1][1] = max(merged[-1][1], hi)
         else:
             merged.append([lo, hi])
-    starts, ends, dts, flights, at = [], [], [], [], t0
+    starts, ends, dts, runs, flights, at = [], [], [], [], [], t0
     for lo, hi in merged:
         if lo > at:
             flights.append((len(starts), at, lo))
@@ -281,21 +287,26 @@ def _reference_chain(model, t0, h, n_steps):
         nodes = sorted({g for g in grid if lo < g < hi} | {lo, hi}
                        | {e for e in off if lo < e < hi})
         for a, b in zip(nodes, nodes[1:]):
+            dt = h if a in on_grid and b in on_grid else b - a
+            runs.append(a == lo or dt != dts[-1] or a in support_ends)
             starts.append(a)
             ends.append(b)
-            dts.append(h if a in on_grid and b in on_grid else b - a)
+            dts.append(dt)
     if at < t_end:
         flights.append((len(starts), at, t_end))
-    return starts, ends, dts, flights
+    return starts, ends, dts, runs, flights
 
 
 @settings(max_examples=300, deadline=None)
 @given(chain_layouts())
 def test_chain_matches_the_reference_layout(layout):
-    starts, ends, dts, _, flights = _chain(*layout)
-    *expected, expected_flights = _reference_chain(*layout)
+    # the links and flights, and the run flags in both directions: a flag
+    # too many costs a shared matrix, one too few repeats a wrong one
+    starts, ends, dts, runs, flights = _chain(*layout)
+    *expected, expected_runs, expected_flights = _reference_chain(*layout)
     for a, b in zip((starts, ends, dts), expected, strict=True):
         assert np.asarray(a, dtype=float).tobytes() == np.asarray(b, dtype=float).tobytes()
+    assert runs.tolist() == expected_runs
     assert flights == expected_flights
 
 
@@ -316,6 +327,29 @@ def test_a_link_the_chain_does_not_flag_repeats_the_link_before_it(layout):
         mid = starts + 0.5 * dts
         for v in field_at(KickSequence(pulses=rectangles, delta_e=1.0), mid):
             assert v[same].tobytes() == v[same - 1].tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain_layouts(), st.integers(1, 40))
+def test_a_runs_samples_and_pulse_links_match_a_scan_of_every_link(layout, sample_every):
+    # a link is sampled if and only if its end is a sample time, into that
+    # time's slot; pulse k is read on exactly the links that end at or
+    # after its padded support's start and start at or before its end
+    model, t0, h, n_steps = layout
+    y0 = np.zeros(model.dimension, dtype=complex)
+    y0[0] = 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # a step above tau/20 warns
+        run = _Run(model, y0, t0, t0 + n_steps * h, h, sample_every)
+    starts, ends, dts, _, _ = _chain(model, t0, run.h, n_steps)
+    assert starts.tobytes() == run.starts.tobytes() and dts.tobytes() == run.dts.tobytes()
+    slot = {t: i for i, t in enumerate(run.times.tolist())}
+    assert run.sampled.tolist() == [e in slot for e in ends.tolist()]
+    assert run.slots.tolist() == [slot[e] for e in ends.tolist() if e in slot]
+    for k in range(len(model.seq.pulses)):
+        meets = [i for i, (a, dt) in enumerate(zip(starts.tolist(), dts.tolist()))
+                 if a + dt >= model._lo[k] and a <= model._hi[k]]
+        assert list(range(run.first[k], run.stop[k])) == meets
 
 
 # 0.0 and -0.0 are one key and must build one system

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from kickedqubit import ResultDataset
+from kickedqubit import EXPERIMENT_IDS, ResultDataset
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,6 +46,22 @@ def test_cpu_pairs_removes_its_checkout_when_terminated(tmp_path):
         proc.stdout.close()
         proc.stderr.close()
     assert not list(tmp_path.iterdir())
+
+
+def test_cpu_pairs_times_the_catalog(tmp_path):
+    # every catalog default config, the convergence scan among them, in both
+    # trees: here the committed tree against itself, the same bytes
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "cpu_pairs.py"), "--base", "HEAD",
+         "--workload", "catalog", "--rounds", "1"],
+        cwd=ROOT, env={**os.environ, "TMPDIR": str(tmp_path)}, capture_output=True,
+        text=True, timeout=600, check=False)
+    assert proc.returncode == 0, proc.stderr
+    ids = [i for i in EXPERIMENT_IDS if i != "custom"]
+    assert proc.stdout.splitlines()[0].startswith(f"catalog: {len(ids)} configs, ")
+    assert "the same bytes in both trees" in proc.stdout
+    assert "change/base CPU over 1 rounds" in proc.stdout
+    assert not list(tmp_path.iterdir())  # the base tree is removed
 
 
 def _dataset(name="custom_forward", p2=0.25, **meta):

@@ -7,9 +7,12 @@
 The package of ``--base`` is taken from a ``git archive`` of that revision
 and imported under another name (``kickedqubit_base``) beside the working
 tree's ``kickedqubit``, so both run in the same interpreter, on the same
-CPU and under the same drift of the machine's speed.  The first
-``--configs`` operations of the sweep workload (from the working tree's
-``perfbench/``) at ``--seed`` are run once in each tree, and the largest
+CPU and under the same drift of the machine's speed.  The configs are the
+first ``--configs`` operations of a sweep workload (from the working
+tree's ``perfbench/``) at ``--seed``, or with ``--workload catalog`` the
+default config of every catalog id but ``custom`` (the working tree's, as
+JSON; ``--seed`` and ``--configs`` are then unused), the convergence scan
+among them.  They are run once in each tree, and the largest
 move of a value between the trees, in the data or among the numbers of the
 meta, is reported.  With the default ``--tolerance 0`` every dataset's
 name, data bytes and meta must be the same in both; a tolerance above 0
@@ -128,7 +131,7 @@ def cpu_seconds(package, raws: list[dict]) -> float:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", choices=["sweep_sparse", "sweep_dense"],
+    parser.add_argument("--workload", choices=["sweep_sparse", "sweep_dense", "catalog"],
                         default="sweep_sparse")
     parser.add_argument("--seed", type=int, default=301)
     parser.add_argument("--configs", type=int, default=60)
@@ -139,8 +142,14 @@ def main(argv=None) -> int:
     # SIGTERM ends the run as SystemExit, so the temporary checkouts are removed
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
 
-    workload = SweepWorkload(args.workload, args.seed, args.workload == "sweep_dense")
-    raws = [workload.next_op()["raw"] for _ in range(args.configs)]
+    if args.workload == "catalog":
+        label = "catalog"
+        raws = [kickedqubit.default_config(experiment).to_dict()
+                for experiment in kickedqubit.EXPERIMENT_IDS if experiment != "custom"]
+    else:
+        label = f"{args.workload} seed {args.seed}"
+        workload = SweepWorkload(args.workload, args.seed, args.workload == "sweep_dense")
+        raws = [workload.next_op()["raw"] for _ in range(args.configs)]
     with tempfile.TemporaryDirectory(prefix="cpu-pairs-") as tmp:
         base = import_base(args.base, Path(tmp))
         trees = {"base": base, "change": kickedqubit}
@@ -155,7 +164,7 @@ def main(argv=None) -> int:
             print(f"the trees' datasets differ beyond --tolerance {args.tolerance:g}: "
                   f"{len(outs['base'])} datasets, {same}; no timing", file=sys.stderr)
             return 1
-        print(f"{args.workload} seed {args.seed}: {args.configs} configs, "
+        print(f"{label}: {len(raws)} configs, "
               f"{len(outs['base'])} datasets, {same}", flush=True)
         seconds = {"base": [], "change": []}
         ratios = []
