@@ -16,31 +16,33 @@ at most ``_BLOCK`` matrices in one work array that the call allocates.
 Each pulse is evaluated once per window, on the links that meet it only:
 a rectangle at the midpoint of a link (every edge is a node, so a link
 lies wholly inside or outside it), a gaussian at all three stage times of
-every link.  Where no pulse of the window is a gaussian, every link of a
-run has the same ``dt`` and field, so the field is read and a matrix
-built at the first link of each run only.  The matrices are
-built in one vectorised pass, each matrix product a sum of outer products
-over contiguous time rows and the stages combined in place.  Every link's
-matrix equals, value for value, that of the plain RK4 formula over the
-field summed from every pulse, so the cost per step does not grow with
-the pulse count.  A gaussian window first multiplies the links between
-two kept states, or up to a free flight, into one matrix per segment, all
-segments at once; a window ends between segments.  Every window then hands
-one stream of units to one scalar loop on Python complex scalars, unrolled
-for ``d = 2`` and ``d = 3``.  A unit is a matrix's entries and the sampled
-flags of its applications: a run carries one flag per link and is applied
-once per link; a segment product is applied once.
+every link.  The matrices are built in one vectorised pass, each matrix
+product a sum of outer products over contiguous time rows and the stages
+combined in place.  Every link's matrix equals, value for value, that of
+the plain RK4 formula over the field summed from every pulse, so the cost
+per step does not grow with the pulse count.
+
+A model sets the kind of all its windows.  Where every pulse is a
+rectangle, every link of a run has the same ``dt`` and field, so a
+window reads the field and builds a matrix at the first link of each run
+only, and a unit is that matrix with one sampled flag per link, applied
+once per link.  With a gaussian pulse, a window builds every link's
+matrix and multiplies the links between two kept states, or up to a
+free flight, into one matrix per segment, all segments at once; a unit
+is a segment product, applied once.  Every window hands its units, in
+time order, to one scalar loop on Python complex scalars, unrolled for
+``d = 2`` and ``d = 3``.
 
 Several runs of one system, the orderings of a config or the widths of a
 convergence scan, are integrated in one pass, of which :func:`integrate`
 is the one-run case.  Each run is checked and laid out on its own: its
-step, samples, chain and windows (:class:`_Run`).  The pass lays their
-links end to end and lets consecutive windows of one kind share a window
-of at most ``_BLOCK`` matrices (:class:`_Links`), so one field pass, one
-step-matrix pass and one segment-product pass per window, and one
-``np.exp`` for every free flight, serve every run.  Each link, segment and
-state is formed from the operands of a lone run, so every run's output is
-the same bit for bit; only numpy's per-call cost is shared.
+step, samples, chain and segments (:class:`_Run`).  The pass lays their
+links end to end and cuts each stretch of runs of one kind into windows
+(:class:`_Links`), so one field pass, one step-matrix pass and one
+segment-product pass per window, and one ``np.exp`` for every free
+flight, serve every run.  Each link, segment and state is formed from the
+operands of a lone run, so every run's output is the same bit for bit;
+only numpy's per-call cost is shared.
 """
 from __future__ import annotations
 
@@ -49,7 +51,7 @@ import math
 import warnings
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, groupby, islice
 
 import numpy as np
 
@@ -246,24 +248,26 @@ def _plus_eye(m: np.ndarray) -> np.ndarray:
 def _fields(pulses, rect: np.ndarray, row: np.ndarray, i0: np.ndarray, i1: np.ndarray,
             starts: np.ndarray, dts: np.ndarray, runs: np.ndarray):
     """The field ``(v_x, v_y)`` of ``pulses`` at the three RK4 stages of the
-    links ``starts, dts``, each ``(3, n)`` (start, middle, end), ``(1, n)``
-    where no gaussian is met (one row for all three stages) or None for an
-    axis that nothing drives there, and the indices of the links read: None
-    where a gaussian is met, else the links that ``runs`` flags as the first
-    of a run (see :func:`_chain`).
+    links ``starts, dts``, each ``(3, n)`` (start, middle, end) in a
+    gaussian window (``runs`` None), ``(1, n)`` in a window of rectangles
+    (one row for all three stages), or None for an axis that nothing drives
+    there, and the indices of the links read: None in a gaussian window,
+    else the links that ``runs`` flags as the first of a run (see
+    :func:`_chain`).
 
     Pulse ``k`` is read on the links ``[i0[k], i1[k])`` only, those that
     meet its padded support, and added into rows of zeros in the order of
     ``pulses``: anywhere else it would add exactly 0.0.  ``rect`` holds each
     pulse's support and rectangle height, ``row`` its axis as a row.  Every
-    support end is a node of the chain, so a rectangle is read once per run,
-    at a link's midpoint, for all three stages, and every run it covers
-    starts among its links; a gaussian at each stage time of every link.
+    support end is a node of the chain, so a rectangle is read at a link's
+    midpoint, for all three stages, and in a window of rectangles once per
+    run, as every run it covers starts among its links; a gaussian at each
+    stage time of every link.
     """
     meets = (i0 < i1).nonzero()[0]
     met = [pulses[k] for k in meets.tolist()]
     axes = {p.axis for p in met}
-    if all(p.shape == "rectangular" for p in met):
+    if runs is not None:
         # every rectangle at the midpoints of the runs that start among its
         # links, in one pass (a run it only touches reads 0.0 there);
         # np.add.at adds element by element, in pulse order
@@ -290,15 +294,15 @@ def _step_matrices(model, starts: np.ndarray, dts: np.ndarray, runs: np.ndarray,
                    work: np.ndarray):
     """RK4 matrices M with ``y(t + dt) = M y(t)`` of the links ``starts, dts``:
     ``(mats, heads)``, one time-last ``(d, d, m)`` matrix per run and the
-    index of each run's first link, None when every link is a run of its own.
-    ``model`` is a pass's :class:`_Links`, whose ``_fields`` and
+    index of each run's first link, or one per link and None in a gaussian
+    window.  ``model`` is a pass's :class:`_Links`, whose ``_fields`` and
     ``_generators`` give the field and ``-1j H``.
 
-    ``runs`` flags the links that start a run, the first link among them.
-    Where the links meet no gaussian, every link of a run repeats the M of
-    its first link bit for bit, and only that one is built; a gaussian
-    field differs at every link, so every link gets a matrix (see
-    :func:`_fields`).  A field of one row serves all three
+    In a window of rectangles ``runs`` flags the links that start a run,
+    the first link among them: every link of a run repeats the M of its
+    first link bit for bit, and only that one is built.  A gaussian window
+    (``runs`` None) builds every link's M, since a gaussian field differs
+    at every link (see :func:`_fields`).  A field of one row serves all three
     stages, and where no field has more, as in a window of rectangles, the
     three stages share one stack of generators.  All are built in one pass,
     in the first five ``(d, d, m)`` stacks of the flat array ``work``, so a
@@ -557,13 +561,15 @@ def _free_flight(model, y, i0: int, i1: int, phases, states) -> list:
 
 class _Run:
     """One run of :func:`integrate`, checked and laid out: its step ``h``,
-    sample times, chain of links (see :func:`_chain`) and its own windows.
+    sample times, chain of links (see :func:`_chain`), the links that end
+    on a sample time and their slots, and the links each pulse meets.
+    Construction makes every check and warning of the run.
 
-    Construction makes every check and warning of the run.  The windows
-    are ``pieces``, ``(b0, b1, gaussian, count)``: the links ``[b0, b1)``,
-    whether they meet a gaussian and the matrices they build, one per link
-    if so, else one per run.  A piece is what one window of a lone run
-    holds; :func:`_integrate` lays the pieces of several runs end to end.
+    A model with a gaussian pulse steps gaussian windows, which multiply
+    each segment of links into one matrix: ``last`` flags the last link of
+    each segment.  A segment ends at a sampled link, before a free flight,
+    at the run's last link and after every ``_BLOCK`` links from its start,
+    so no window (see :class:`_Links`) changes it.
     """
 
     def __init__(self, model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
@@ -598,53 +604,26 @@ class _Run:
         times *= h
         times += t0
         self.model, self.h, self.y0 = model, h, y
-        starts, ends, dts, runs, self.flights = _chain(model, t0, h, n_steps)
+        self.starts, ends, self.dts, self.runs, self.flights = _chain(model, t0, h, n_steps)
         # the RK4 links that end on a sample time, and their sample slots
         slots = np.minimum(times.searchsorted(ends), len(times) - 1)
-        sampled = times[slots] == ends
-        # each window builds at most _BLOCK matrices: one per link where a
-        # gaussian can be met, one per run in a chain of rectangles.  Windows
-        # are of equal size, since a window's fixed numpy cost is paid whatever
-        # its length: no short last window.
-        firsts = runs.nonzero()[0].tolist() if model._rectangular else range(len(starts))
-        n_windows = max(1, math.ceil(len(firsts) / _BLOCK))
-        step = math.ceil(len(firsts) / n_windows) or 1
-        bounds = [*firsts[::step], len(starts)]
-        last = sampled  # read only where a window meets a gaussian
-        if not model._rectangular:
-            # a gaussian window multiplies each segment, which ends at a sampled
-            # link and before a free flight, into one matrix: each inner bound
-            # moves on to the next segment start, by at most _BLOCK links
-            last = sampled.copy()  # the last link of each segment
-            last[[k - 1 for k, _, _ in self.flights if k]] = True
-            last[-1:] = True
-            if len(bounds) > 2:
-                seg_ends = last.nonzero()[0] + 1
-                inner = np.array(bounds[1:-1], dtype=int)
-                moved = np.minimum(seg_ends[seg_ends.searchsorted(inner)], inner + _BLOCK)
-                bounds = list(dict.fromkeys([0, *moved.tolist(), len(starts)]))
-                last[[b - 1 for b in bounds[1:]]] = True
-        if len(bounds) > 2:  # a window's first link starts a run
-            runs[bounds[1:-1]] = True
-        self.starts, self.dts, self.runs, self.last = starts, dts, runs, last
-        self.sampled, self.slots = sampled, slots[sampled]
+        self.sampled = last = times[slots] == ends
+        self.slots = slots[last]
         # the links of each pulse: those that end at or after its padded
         # support's start and start at or before its end
-        self.first = (starts + dts).searchsorted(model._lo)
-        self.stop = starts.searchsorted(model._hi, side="right")
-        pairs = list(zip(bounds, bounds[1:]))
-        gaussian = [not model._rectangular] * len(pairs)
-        if pairs and not model._rectangular and (
-                model._free is None or any(p.shape == "rectangular" for p in model.seq.pulses)):
-            # where only gaussians drive and the gaps fly free, every link
-            # lies in a support and meets its gaussian; a window of a mixed
-            # train, or of a span stepped whole, may meet none
-            is_gaussian = np.array([p.shape == "gaussian" for p in model.seq.pulses])
-            lo, hi = self.first[is_gaussian], self.stop[is_gaussian]
-            b0, b1 = np.array(pairs).T[:, :, None]
-            gaussian = ((lo < b1) & (hi > b0) & (lo < hi)).any(axis=1).tolist()
-        self.pieces = [(b0, b1, g, b1 - b0 if g else int(np.count_nonzero(runs[b0:b1])))
-                       for (b0, b1), g in zip(pairs, gaussian)]
+        self.first = (self.starts + self.dts).searchsorted(model._lo)
+        self.stop = self.starts.searchsorted(model._hi, side="right")
+        if not model._rectangular:  # else last is never read
+            last = last.copy()
+            last[[k - 1 for k, _, _ in self.flights if k]] = True
+            last[-1:] = True
+            if len(last) > _BLOCK:  # a segment also ends after every _BLOCK links
+                ends = last.nonzero()[0]
+                lengths = np.diff(ends, prepend=-1)
+                long = lengths > _BLOCK
+                for e, n in zip(ends[long].tolist(), lengths[long].tolist()):
+                    last[e - n + _BLOCK:e:_BLOCK] = True
+        self.last = last
 
 
 class _Links:
@@ -652,13 +631,13 @@ class _Links:
     into windows: the model face through which :func:`_step_matrices`
     builds the matrices of the window that starts at link ``w0``.
 
-    Each run keeps its own pieces (see :class:`_Run`).  Consecutive pieces
-    that meet a gaussian, or that do not, share a window as long as it
-    builds at most ``_BLOCK`` matrices; a piece never shares one with a
-    piece of the other kind.  ``windows`` lists them as ``(w0, w1,
-    pieces)``, each piece ``(r, a, b, b0)``: run ``r``'s links from its
-    ``b0``-th at the window's links ``[a, b)``.  ``width`` is the most
-    matrices a window builds, and run ``r``'s samples are ``[kept[r],
+    Each stretch of consecutive runs of one kind is cut into windows of at
+    most ``_BLOCK`` matrices: gaussian windows (one matrix per link) at
+    segment ends (see :class:`_Run`), windows of rectangles (one per run of
+    equal links) at the first link of a run.  ``windows`` lists them as
+    ``(w0, w1, pieces)``, each piece ``(r, a, b, b0)``: run ``r``'s links
+    from its ``b0``-th at the window's links ``[a, b)``.  ``width`` is the
+    most matrices a window builds, and run ``r``'s samples are ``[kept[r],
     kept[r + 1])`` of ``times``.
     """
 
@@ -684,20 +663,26 @@ class _Links:
         self._first = laid([run.first for run in runs], links)
         self._stop = laid([run.stop for run in runs], links)
         self.windows, self.width, self.w0 = [], 0, 0
-        kind, count = None, 0
-        for r, (run, o) in enumerate(zip(runs, links)):
-            for b0, b1, gaussian, n in run.pieces:
-                if self.windows and gaussian == kind and count + n <= _BLOCK:
-                    w = self.windows[-1]
-                    w[2].append((r, w[1] - w[0], o + b1 - w[0], b0))
-                    w[1] = o + b1
-                    count += n
-                else:
-                    self.windows.append([o + b0, o + b1, [(r, 0, b1 - b0, b0)]])
-                    kind, count = gaussian, n
-                self.width = max(self.width, count)
+        for rectangular, group in groupby(range(len(runs)), lambda r: runs[r].model._rectangular):
+            group = list(group)
+            g0, g1 = links[group[0]], links[group[-1] + 1]
+            if rectangular:
+                heads = self.runs[g0:g1].nonzero()[0] + g0
+                cuts = [*heads[::_BLOCK].tolist(), g1]
+                self.width = max(self.width, min(len(heads), _BLOCK))
+            else:
+                # each window takes the segments that end within _BLOCK links
+                ends = self.last[g0:g1].nonzero()[0] + (g0 + 1)
+                cuts = [g0]
+                while cuts[-1] < g1:
+                    cuts.append(int(ends[ends.searchsorted(cuts[-1] + _BLOCK, "right") - 1]))
+                    self.width = max(self.width, cuts[-1] - cuts[-2])
+            for w0, w1 in zip(cuts, cuts[1:]):
+                spans = ((r, max(links[r], w0), min(links[r + 1], w1)) for r in group)
+                self.windows.append((w0, w1, [(r, a - w0, b - w0, a - links[r])
+                                              for r, a, b in spans if a < b]))
 
-    def _fields(self, starts: np.ndarray, dts: np.ndarray, runs: np.ndarray):
+    def _fields(self, starts: np.ndarray, dts: np.ndarray, runs):
         """:func:`_fields` of every run's pulses on the window's links."""
         n = len(starts)
         i0 = np.minimum(np.maximum(self._first - self.w0, 0), n)
@@ -710,9 +695,9 @@ def _integrate(runs: list) -> list:
     models share one constant part, advanced in one pass.
 
     The runs' links are laid end to end and walked in windows (see
-    :class:`_Links`): one field pass, one step-matrix pass and, where the
-    window meets a gaussian, one segment-product pass serve every run in
-    it, and one ``np.exp`` forms the phases of every run's free flights.
+    :class:`_Links`): one field pass, one step-matrix pass and, in a
+    gaussian window, one segment-product pass serve every run in it, and
+    one ``np.exp`` forms the phases of every run's free flights.
     Each run keeps its own links, samples, segments and runs of equal
     links, so every matrix and state is the one a lone run forms, bit for
     bit.  The scalar walk takes each run's state from its ``state0`` and
@@ -741,13 +726,13 @@ def _integrate(runs: list) -> list:
     with np.errstate(over="ignore", invalid="ignore"):
         for w0, w1, pieces in links.windows:
             links.w0 = w0
+            rectangular = runs[pieces[0][0]].model._rectangular
             mats, heads = _step_matrices(links, links.starts[w0:w1], links.dts[w0:w1],
-                                         links.runs[w0:w1], work)
+                                         links.runs[w0:w1] if rectangular else None, work)
             flags = links.sampled[w0:w1]
             if heads is not None:
                 # a run's matrix applies once per link of the run
-                heads = heads.tolist()
-                flags = flags.tolist()
+                heads, flags = heads.tolist(), flags.tolist()
                 groups = (flags[i:j] for i, j in zip(heads, heads[1:] + [len(flags)]))
             else:
                 ends_here = links.last[w0:w1]
@@ -800,15 +785,10 @@ def integrate(model: LinearDriveModel, state0, t0: float, t1: float, dt: float,
     end, so a rectangular edge never falls inside a step; between supports
     the free propagator ``exp(-i h0 s)`` is applied exactly.  An ``h0`` at
     an exceptional point has no eigenbasis for it, and the whole span is
-    then one support.  The state passes through the chain in time order, one
-    unit at a time: a run of equal links, from a support end or a change of
-    step to the next, shares one matrix, applied once per link, and the
-    links between two samples of a gaussian window, at any ``sample_every``,
-    are multiplied into one matrix, applied once (see the module docstring).
-    An ``h`` above ``min_tau / 20`` triggers an accuracy warning (not an
-    error).  This is the one-run case of the pass that integrates several
-    runs of one system at once (see the module docstring), which gives each
-    run these same bits.
+    then one support.  An ``h`` above ``min_tau / 20`` triggers an accuracy
+    warning (not an error).  This is the one-run case of the pass that
+    integrates several runs of one system at once, which gives each run
+    these same bits (see the module docstring).
 
     Raises
     ------

@@ -3,7 +3,9 @@
 The integrator evaluates the field only over the pulses that meet a window
 of links (``integrator._fields``).  These functions sum every pulse
 at every time instead, one vector step at a time, and are what the tests
-pin ``integrate`` and its step matrices against.
+pin ``integrate`` and its step matrices against.  For a field that is
+constant between pulse ends, :func:`piecewise_exact` gives the exact state
+that the RK4 runs converge to.
 """
 from __future__ import annotations
 
@@ -77,3 +79,18 @@ def rk4_step(model, state: np.ndarray, t: float, dt: float) -> np.ndarray:
     k3 = -1j * (h_mid @ (y + 0.5 * dt * k2))
     k4 = -1j * (h_b @ (y + dt * k3))
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def piecewise_exact(model, y, t0: float, t1: float) -> np.ndarray:
+    """The exact state at ``t1`` from ``y`` at ``t0`` of a model whose field
+    is constant between its pulses' support ends, as for rectangles:
+    ``exp(-i H s)`` of each constant segment, with H of the model's own
+    ``h0``, ``a_x`` and ``a_y`` at the segment's midpoint, by
+    ``np.linalg.eig`` (H may be non-Hermitian, but not defective)."""
+    y = np.asarray(y, dtype=complex)
+    ends = {e for p in model.seq.pulses for e in p.support() if t0 < e < t1}
+    nodes = sorted({t0, t1, *ends})
+    for a, b in zip(nodes, nodes[1:]):
+        lam, v = np.linalg.eig(hamiltonians(model, np.array([0.5 * (a + b)]))[:, :, 0])
+        y = v @ (np.exp(-1j * lam * (b - a)) * np.linalg.solve(v, y))
+    return y

@@ -17,6 +17,7 @@ from scipy.linalg import expm
 from kickedqubit import (
     ExperimentConfig,
     HydrogenModel,
+    HydrogenParams,
     IntegrationDivergedError,
     KickSequence,
     LinearDriveModel,
@@ -51,7 +52,7 @@ from kickedqubit.integrator import (
     _system,
 )
 
-from field_reference import hamiltonians, rk4_step, stage_hamiltonians
+from field_reference import hamiltonians, piecewise_exact, rk4_step, stage_hamiltonians
 
 
 def _constant_model(h, t1):
@@ -631,9 +632,10 @@ def _work(model, n):
 
 
 def _every_link(model, starts, dts, runs=None):
-    """The step matrix of every link, each run's matrix repeated over it;
-    without ``runs``, every link is a run of its own."""
-    if runs is None:
+    """The step matrix of every link, built as a window of the model's kind
+    builds it, each run's matrix repeated over it; without ``runs``, every
+    link of a model of rectangles is a run of its own."""
+    if runs is None and model._rectangular:
         runs = np.ones(len(starts), dtype=bool)
     mats, heads = _step_matrices(_Face(model), starts, dts, runs, _work(model, len(starts)))
     if heads is None:
@@ -816,27 +818,90 @@ def test_rectangular_chain_across_windows_matches_the_per_link_advance(monkeypat
     assert abs(traj.probabilities[-1, 0] - 1.0) > 1e-2  # the drive acted
 
 
-def test_a_window_inside_a_plateau_of_a_mixed_chain(monkeypatch):
-    # a gaussian puts the chain on windows of at most _BLOCK links, here
-    # 512, so a window can start inside a rectangular plateau, where the
-    # chain flags no link; meeting no gaussian, it reads the field once per
-    # run, so its first link must start one
+def test_every_window_of_a_mixed_chain_is_a_gaussian_window(monkeypatch):
+    # a model with a gaussian pulse steps every window as a gaussian window,
+    # those inside the rectangular plateau too, where no gaussian is met:
+    # one matrix per link, at most _BLOCK (here 512) of them, then segment
+    # products
     monkeypatch.setattr(integrator_module, "_BLOCK", 512)
     model = TwoStatePulseModel(KickSequence(pulses=(
         PulseSpec(shape="gaussian", axis="y", alpha=0.3, t_k=0.3, tau=0.02),
         PulseSpec(shape="rectangular", axis="x", alpha=0.8, t_k=1.5, tau=2.0)),
         delta_e=1.3))
     n_steps, sample_every, t1 = 3000, 7, 3.0
-    starts, _, _, runs, _ = _chain(model, 0.0, t1 / n_steps, n_steps)
     y = np.array([1.0, 0.0], dtype=complex)
     windows = _recorded_windows(monkeypatch)
     traj = integrate(model, y, 0.0, t1, t1 / n_steps, sample_every=sample_every)
-    inside = [heads for s, heads in windows
-              if heads is not None and not runs[np.searchsorted(starts, s[0])]]
-    assert inside and all(heads[0] == 0 for heads in inside)
+    assert len(windows) > 2
+    assert all(heads is None and len(starts) <= 512 for starts, heads in windows)
+    assert any(starts[0] > model.seq.pulses[0].support()[1] for starts, _ in windows)
     expected = _segmented_reference(model, y, t1, n_steps, sample_every)
     assert np.max(np.abs(traj.states - expected)) < 1e-12
     assert abs(traj.probabilities[-1, 0] - 1.0) > 1e-2  # the drive acted
+
+
+def _long_segment_run(t_k, tau, t1):
+    """A gaussian qubit run sampled at its ends only, at a step of 1/15,000:
+    its support is one segment of ``12 tau * 15,000`` links."""
+    model = TwoStatePulseModel(_gaussian_sequence(t_k=t_k, tau=tau, delta_e=1.3))
+    return model, np.array([1.0, 0.0], dtype=complex), 0.0, t1, 1.0 / 15_000, 10**6
+
+
+def test_a_segment_longer_than_a_window_ends_after_block_links(monkeypatch):
+    # a segment of about 9,000 links ends after every _BLOCK links counted
+    # from its own start, wherever its run lies in a pass: alone and as
+    # the second run, after a run of about 5,400 links in one segment, it
+    # gives the same bytes, and every window builds at most _BLOCK matrices
+    first, second = _long_segment_run(0.8, 0.03, 1.5), _long_segment_run(1.0, 0.05, 2.0)
+    assert (len(_Run(*first).starts), len(_Run(*second).starts)) == (5_400, 9_000)
+    lengths = []
+
+    def spy(mats, ends, work):
+        lengths.extend(np.diff(ends, prepend=0).tolist())
+        return _segment_products(mats, ends, work)
+
+    monkeypatch.setattr(integrator_module, "_segment_products", spy)
+    windows = _recorded_windows(monkeypatch)
+    alone = integrate(*second)
+    assert sorted(lengths) == [9_000 - 2 * _BLOCK, _BLOCK, _BLOCK]
+    assert max(len(starts) for starts, _ in windows) == _BLOCK
+    lengths.clear()
+    windows.clear()
+    together = _integrate([_Run(*first), _Run(*second)])
+    assert sorted(lengths) == sorted([5_400 - _BLOCK, _BLOCK, 9_000 - 2 * _BLOCK,
+                                      _BLOCK, _BLOCK])
+    assert max(len(starts) for starts, _ in windows) == _BLOCK
+    for name in ("times", "states", "norms"):
+        assert getattr(together[1], name).tobytes() == getattr(alone, name).tobytes()
+    assert together[0].states.tobytes() == integrate(*first).states.tobytes()
+    assert abs(alone.probabilities[-1, 0] - 1.0) > 1e-2  # the drive acted
+
+
+def test_a_pass_keeps_each_window_to_one_kind(monkeypatch):
+    # a run of rectangles, a gaussian run and a mixed run, in windows of at
+    # most 64 matrices: a window of rectangles holds the first run alone,
+    # one matrix per run of equal links; the gaussian and mixed runs share
+    # gaussian windows, one matrix per link
+    monkeypatch.setattr(integrator_module, "_BLOCK", 64)
+    rect = PulseSpec(shape="rectangular", axis="x", alpha=0.4, t_k=1.0037, tau=0.1)
+    gauss = PulseSpec(shape="gaussian", axis="y", alpha=0.3, t_k=1.6511, tau=0.05)
+    y = np.array([1.0, 0.0], dtype=complex)
+    runs = [(TwoStatePulseModel(KickSequence(pulses=pulses, delta_e=1.3)), y, 0.0, 2.5,
+             2.5e-3, 7) for pulses in ((rect,), (gauss,), (rect, gauss))]
+    prepared = [_Run(*run) for run in runs]
+    kinds = [[prepared[r].model._rectangular for r, *_ in pieces]
+             for *_, pieces in _Links(prepared).windows]
+    assert all(len(set(k)) == 1 for k in kinds)
+    assert any(k[0] for k in kinds)  # a window of rectangles
+    assert any(len(k) > 1 for k in kinds)  # the gaussian and mixed runs share one
+    windows = _recorded_windows(monkeypatch)
+    together = _integrate(prepared)
+    assert len(windows) == len(kinds)
+    for (starts, heads), k in zip(windows, kinds):
+        assert (heads is None) != k[0]
+        assert (len(starts) if heads is None else len(heads)) <= 64
+    for run, traj in zip(runs, together):
+        assert traj.states.tobytes() == integrate(*run).states.tobytes()
 
 
 def _window_train(shape):
@@ -1081,6 +1146,29 @@ def test_off_grid_rectangular_edges_converge_at_fourth_order():
     assert errors[0] < 1e-8
     for coarse, fine in zip(errors, errors[1:]):
         assert math.log2(coarse / fine) == pytest.approx(4.0, abs=0.3)
+
+
+@pytest.mark.parametrize("gamma_mhz", [0.0, 626.0])
+@pytest.mark.parametrize("basis", ["j", "coupled"])
+def test_a_hydrogen_rectangular_train_converges_at_fourth_order(basis, gamma_mhz):
+    # an x pulse, then a y pulse whose edges sit 0.37 of a step past a grid
+    # point at dt = tau/20, against the exact product of one eig per
+    # constant piece: halving dt divides the error by 2^4, with and
+    # without decay
+    params = HydrogenParams.from_mhz(1057.0, 10956.0, gamma_mhz)
+    tau, t_end = 1.0, 12.0
+    dt = tau / 20
+    seq = KickSequence(pulses=(
+        PulseSpec(shape="rectangular", axis="x", alpha=0.6, t_k=4.0, tau=tau),
+        PulseSpec(shape="rectangular", axis="y", alpha=0.4, t_k=7.0 + 0.37 * dt, tau=tau)),
+        delta_e=params.delta_e)
+    model = HydrogenModel(params, seq, basis=basis)
+    y0 = np.array([1.0, 0.0, 0.0], dtype=complex)
+    exact = piecewise_exact(model, y0, 0.0, t_end)
+    errors = [np.max(np.abs(integrate(model, y0, 0.0, t_end, h, sample_every=10**6).states[-1]
+                            - exact)) for h in (dt, dt / 2)]
+    assert 1e-11 < errors[1] < errors[0] < 1e-7
+    assert math.log2(errors[0] / errors[1]) == pytest.approx(4.0, abs=0.2)
 
 
 @pytest.mark.parametrize("span", [2.0, 7.3, 40.0 / 3.0])

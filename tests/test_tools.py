@@ -64,6 +64,39 @@ def test_cpu_pairs_times_the_catalog(tmp_path):
     assert not list(tmp_path.iterdir())  # the base tree is removed
 
 
+def test_cpu_pairs_times_blocks_of_configs(tmp_path):
+    # --blocks: 30 configs are a block of 25 and one of 5, each timed three
+    # times in both trees; here the committed tree against itself
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "cpu_pairs.py"), "--base", "HEAD",
+         "--configs", "30", "--rounds", "1", "--blocks"],
+        cwd=ROOT, env={**os.environ, "TMPDIR": str(tmp_path)}, capture_output=True,
+        text=True, timeout=600, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0].startswith("sweep_sparse seed 301: 30 configs, ")
+    assert "the same bytes in both trees" in proc.stdout
+    assert "change/base CPU over 1 rounds of blocks" in proc.stdout
+    assert not list(tmp_path.iterdir())  # the base tree is removed
+
+
+def test_block_seconds_sums_the_least_time_of_each_block(monkeypatch):
+    # each block is timed three times per tree, in the order given, and
+    # each tree's least time per block is summed
+    cpu_pairs = _tool("cpu_pairs")
+    calls = []
+    times = iter([5.0, 1.0, 4.0, 2.0, 3.0, 3.0, 1.0, 7.0, 2.0, 6.0, 3.0, 5.0])
+
+    def timed(package, raws):
+        calls.append((package, len(raws)))
+        return next(times)
+
+    monkeypatch.setattr(cpu_pairs, "cpu_seconds", timed)
+    total = cpu_pairs.block_seconds({"base": "B", "change": "C"}, ["change", "base"],
+                                    [{}] * 30)
+    assert calls == [("C", 25), ("B", 25)] * 3 + [("C", 5), ("B", 5)] * 3
+    assert total == {"change": 3.0 + 1.0, "base": 1.0 + 5.0}
+
+
 def _dataset(name="custom_forward", p2=0.25, **meta):
     data = np.array([[0.0, 1.0, 0.0], [1.0, 1.0 - p2, p2]])
     return ResultDataset(name=name, columns=("t", "p1", "p2"), data=data, config={},

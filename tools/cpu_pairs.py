@@ -2,7 +2,7 @@
 """Compare the CPU time of a base commit and the working tree in one process.
 
     python3 tools/cpu_pairs.py --base <rev> [--workload sweep_sparse] [--seed 301]
-                               [--configs 60] [--rounds 21] [--tolerance 0]
+                               [--configs 60] [--rounds 21] [--tolerance 0] [--blocks]
 
 The package of ``--base`` is taken from a ``git archive`` of that revision
 and imported under another name (``kickedqubit_base``) beside the working
@@ -21,9 +21,13 @@ name, shape or non-number in the meta, or a larger move) stops the script
 with exit code 1: a timing of two trees that compute different things
 compares nothing.  Then, for ``--rounds`` rounds, each tree runs all the
 configs once, the base first in even rounds and second in odd ones, timed
-with ``time.process_time``.  It prints each round and, at the end, the
-median and quartiles of the change/base CPU ratio over the rounds.  Run it
-from the root of a checkout.
+with ``time.process_time``.  With ``--blocks`` a round instead times each
+block of 25 consecutive configs three times in each tree, alternating,
+and sums each tree's least time per block over the blocks: the slow
+outliers of a drifting machine drop out, so a change of about 1% can be
+told from noise.  It prints each round and, at the end, the median and
+quartiles of the change/base CPU ratio over the rounds.  Run it from the
+root of a checkout.
 """
 from __future__ import annotations
 
@@ -128,6 +132,22 @@ def cpu_seconds(package, raws: list[dict]) -> float:
     return time.process_time() - start
 
 
+def block_seconds(trees: dict, order: list, raws: list[dict], size: int = 25,
+                  repeats: int = 3) -> dict:
+    """Each tree's CPU seconds for ``raws``: the least of ``repeats``
+    timings of each block of ``size`` consecutive configs, the trees taken
+    in ``order`` each time, summed over the blocks."""
+    total = dict.fromkeys(order, 0.0)
+    for b in range(0, len(raws), size):
+        best = dict.fromkeys(order, math.inf)
+        for _ in range(repeats):
+            for side in order:
+                best[side] = min(best[side], cpu_seconds(trees[side], raws[b:b + size]))
+        for side in order:
+            total[side] += best[side]
+    return total
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
@@ -138,6 +158,8 @@ def main(argv=None) -> int:
     parser.add_argument("--rounds", type=int, default=21)
     parser.add_argument("--tolerance", type=float, default=0.0,
                         help="largest move of a value accepted between the trees")
+    parser.add_argument("--blocks", action="store_true",
+                        help="per round, the least of 3 timings of each 25-config block")
     args = parser.parse_args(argv)
     # SIGTERM ends the run as SystemExit, so the temporary checkouts are removed
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
@@ -170,14 +192,17 @@ def main(argv=None) -> int:
         ratios = []
         for r in range(args.rounds):
             order = ["base", "change"] if r % 2 == 0 else ["change", "base"]
+            timed = (block_seconds(trees, order, raws) if args.blocks else
+                     {side: cpu_seconds(trees[side], raws) for side in order})
             for side in order:
-                seconds[side].append(cpu_seconds(trees[side], raws))
+                seconds[side].append(timed[side])
             ratios.append(seconds["change"][-1] / seconds["base"][-1])
             print(f"round {r + 1}: base {seconds['base'][-1]:.4f} s, "
                   f"change {seconds['change'][-1]:.4f} s, change/base {ratios[-1]:.4f}",
                   flush=True)
     q = statistics.quantiles(ratios, n=4) if len(ratios) > 1 else ratios * 3
-    print(f"change/base CPU over {len(ratios)} rounds: median {statistics.median(ratios):.4f} "
+    rounds = f"{len(ratios)} rounds" + (" of blocks" if args.blocks else "")
+    print(f"change/base CPU over {rounds}: median {statistics.median(ratios):.4f} "
           f"[q1 {q[0]:.4f}, q3 {q[2]:.4f}]; median CPU per pass base "
           f"{statistics.median(seconds['base']):.4f} s, change "
           f"{statistics.median(seconds['change']):.4f} s")
