@@ -16,6 +16,7 @@ carrying the same provenance.  Writes are atomic (temp file + rename).
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -442,6 +443,112 @@ class ResultDataset:
 
 
 _BLOCK_ROWS = 1024
+#: the text of a value is 48 byte slots, 0 where no character, held as six
+#: little-endian words: sign, "0." and up to three zeros, then the first
+#: digit and a dot slot; four words of four (digit, dot) pairs; the exponent,
+#: with the separator in the last byte
+_WORD = np.dtype("<u8")
+
+
+@functools.cache
+def _g17_tables():
+    """Built on the first write: 10**p for p in [-290, 290] as exact
+    double-doubles (hi, hi split in two, lo), the (digit, dot) pairs of
+    each 4-digit chunk and the index of its last nonzero digit, the keep
+    masks of 0..4 pairs, and the first and last word of each exponent."""
+    hi, lo = [], []
+    for p in range(-290, 291):
+        num, den = (10 ** p, 1) if p >= 0 else (1, 10 ** -p)
+        n, d = (num / den).as_integer_ratio()
+        hi.append(n / d)
+        lo.append((num * d - n * den) / (den * d))
+    hi = np.array(hi)
+    hi_hi = hi * 134217729.0 - (hi * 134217729.0 - hi)  # Veltkamp split
+    chunk = np.arange(10_000)
+    digits = np.stack([chunk // 1000, chunk // 100 % 10, chunk // 10 % 10, chunk % 10], 1)
+    pairs = ((48 + digits).astype(np.uint64) << np.arange(0, 64, 16, dtype=np.uint64)).sum(1)
+    last = np.where(digits.any(1), 4 - np.argmax(digits[:, ::-1] != 0, 1), 0)
+    endof = np.concatenate([np.where(last > 0, last + j, 0) for j in range(0, 16, 4)])
+    keep = [(1 << 16 * m) - 1 & 0x00FF00FF00FF00FF for m in range(5)]
+    head = [int.from_bytes(b"\0" + (b"0." + b"0" * (-1 - k) if -4 <= k < 0 else b""), "little")
+            for k in range(-300, 301)]
+    tail = [0 if -4 <= k < 17 else int.from_bytes(b"e%+03d" % k, "little")
+            for k in range(-300, 301)]
+    words = [np.array(w, np.uint64).astype(_WORD) for w in (pairs, keep, head, tail)]
+    return (np.stack([hi, hi_hi, hi - hi_hi, np.array(lo)]), endof, *words)
+
+
+def _scaled(a, k):
+    """|x| * 10**(16 - k) from an exact product with a double-double: its
+    floor as an int64 and its fraction, within about 1e-14."""
+    b, b_hi, b_lo, lo = _g17_tables()[0].take(306 - k, axis=1)
+    p = a * b
+    a_hi = a * 134217729.0 - (a * 134217729.0 - a)
+    a_lo = a - a_hi
+    e = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo + a * lo
+    f = np.floor(e)
+    return p.astype(np.int64) + f.astype(np.int64), e - f
+
+
+def _g17_words(x: np.ndarray) -> np.ndarray:
+    """The ``%.17g`` text of each value of ``x`` as a (6, n) array of words.
+
+    The 17 digits are round(|x| * 10**(16 - k)) with k = floor(log10 |x|),
+    laid out as ``%g`` does: fixed for -4 <= k < 17, else with an exponent,
+    trailing fraction zeros dropped.  A value the arithmetic cannot decide,
+    |x| outside [1e-270, 1e270] or a fraction within 1e-9 of a tie, takes
+    ``%`` itself.
+    """
+    _, endof, pairs, keep, head, tail = _g17_tables()
+    n = len(x)
+    a = np.abs(x)
+    fast = (a >= 1e-270) & (a <= 1e270)
+    a = np.where(fast, a, 1.0)  # zero is written as the text of 1.0 with its digit 0
+    k = np.floor(np.log10(a)).astype(np.int64)
+    d, frac = _scaled(a, k)
+    move = (d >= 10 ** 17).astype(np.int64) - (d < 10 ** 16)  # log10 was a digit off
+    moved = np.flatnonzero(move)
+    if len(moved):
+        k[moved] += move[moved]
+        d[moved], frac[moved] = _scaled(a[moved], k[moved])
+    slow = np.flatnonzero(~fast & (x != 0) | (np.abs(frac - 0.5) < 1e-9))
+    d += frac > 0.5
+    up = d == 10 ** 17  # rounded up to the next power of ten
+    d[up] = 10 ** 16
+    k += up
+    lead = d // 10 ** 16
+    rest = d - lead * 10 ** 16
+    halves = np.empty((2, n), np.int64)  # the other 16 digits as 8 and 8
+    np.floor_divide(rest, 10 ** 8, out=halves[0])
+    np.subtract(rest, halves[0] * 10 ** 8, out=halves[1])
+    chunks = np.empty((2, 2, n), np.int64)  # and as four chunks of 4
+    np.floor_divide(halves, 10 ** 4, out=chunks[:, 0])
+    np.subtract(halves, chunks[:, 0] * 10 ** 4, out=chunks[:, 1])
+    chunks = chunks.reshape(4, n)
+    last = endof.take(chunks + np.arange(0, 40_000, 10_000)[:, None]).max(0)
+    whole = (k >= 0) & (k < 17)
+    last = np.where(whole, np.maximum(last, k), last)  # the integer digits stay
+    pos = np.where(whole, k, 0)  # the digit the dot follows
+    dotted = (last > pos) & ((k < -4) | (k >= 0))
+    out = np.empty((6, n), _WORD)
+    np.take(head, k + 300, out=out[0])
+    out[0] |= np.signbit(x).astype(_WORD) * 45
+    out[0] |= (lead - (x == 0) + 48).astype(_WORD) << 48
+    out[0] |= (dotted & (pos == 0)).astype(_WORD) * np.uint64(46 << 56)
+    np.take(pairs, chunks, out=out[1:5])
+    out[1:5] &= keep.take(np.clip(last - np.arange(0, 16, 4)[:, None], 0, 4))
+    inner = np.flatnonzero(dotted & (pos > 0))
+    at = pos[inner] - 1
+    out[1 + at // 4, inner] |= (46 << 16 * (at % 4) + 8).astype(_WORD)
+    np.take(tail, k + 300, out=out[5])
+    for i in slow.tolist():
+        out[:, i] = np.frombuffer(_g17_text(x[i]).ljust(48, b"\0"), _WORD)
+    return out
+
+
+def _g17_text(value) -> bytes:
+    """The one per-value ``%``, for the values the arithmetic leaves open."""
+    return ("%.17g" % value).encode()
 
 
 def _csv_blocks(data: np.ndarray):
@@ -450,27 +557,28 @@ def _csv_blocks(data: np.ndarray):
 
     A column with at most a quarter as many distinct values as rows (the
     grid axes of a surface) is shared: each distinct value is formatted
-    once and its text enters the row template as ``%s``.  Values are told
-    apart by their bits, so -0.0 keeps its own text.
+    once and each row takes its words.  Values are told apart by their
+    bits, so -0.0 keeps its own text.
     """
     n_rows, n_cols = data.shape
-    shared = {}  # column -> (text of each distinct value, index of each row's)
+    shared = {}  # column -> (words of each distinct value, index of each row's)
     for j in range(n_cols):
         bits, index = np.unique(data[:, j].view(np.int64), return_inverse=True)
         if 4 * len(bits) <= n_rows:
-            texts = ["%.17g" % v for v in bits.view(np.float64).tolist()]
-            shared[j] = (np.array(texts, dtype=object), index)
-    row = ",".join(["%s" if j in shared else "%.17g" for j in range(n_cols)]) + "\n"
+            shared[j] = (_g17_words(bits.view(np.float64)), index)
+    plain = [j for j in range(n_cols) if j not in shared]
+    separators = np.array([44] * (n_cols - 1) + [10], np.uint64).astype(_WORD) << 56
     for start in range(0, n_rows, _BLOCK_ROWS):
         block = data[start:start + _BLOCK_ROWS]
-        cells = np.empty(block.shape, dtype=object)
-        for j in range(n_cols):
-            if j in shared:
-                texts, index = shared[j]
-                cells[:, j] = texts[index[start:start + len(block)]]
-            else:
-                cells[:, j] = block[:, j]
-        yield (row * len(block)) % tuple(cells.ravel().tolist())
+        rows = len(block)
+        words = np.empty((6, rows, n_cols), _WORD)
+        if plain:
+            text = _g17_words(block[:, plain].ravel())
+            words[:, :, plain] = text.reshape(6, rows, len(plain))
+        for j, (texts, index) in shared.items():
+            words[:, :, j] = texts[:, index[start:start + rows]]
+        words[5] |= separators
+        yield words.transpose(1, 2, 0).tobytes().translate(None, b"\0").decode("ascii")
     if not n_rows:
         yield "\n"  # the file format: a zero-row table ends in one blank line
 

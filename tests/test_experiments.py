@@ -11,6 +11,7 @@ import os
 import stat
 import tempfile
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -791,6 +792,62 @@ def test_columns_of_few_values_write_bit_exact(tmp_path_factory, rows, ncol, see
     back = read_dataset(path)
     assert back.data.shape == (rows, ncol)
     assert back.data.tobytes() == data.tobytes()
+
+
+def _hard_cases() -> list[float]:
+    """Values the writer's arithmetic must decide as ``%.17g`` does: every
+    power of ten a float can hold with both its neighbours, both sides of
+    each switch of ``%g`` between fixed and exponent notation, exact
+    17-digit ties, and the extremes."""
+    values = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+              1.7976931348623157e308, -1.7976931348623157e308]
+    for p in range(-323, 309):
+        power = float(f"1e{p}")
+        values += [power, math.nextafter(power, 0.0), math.nextafter(power, math.inf)]
+    values += [1e-5, 9.9999999999999991e-5, 1e-4, 1.0000000000000001e-4,
+               9999999999999998.0, 1e16, 1.0000000000000002e16, 99999999999999984.0, 1e17]
+    # 1 + m * 2**-17 has 18 significant digits, the last a 5: a tie at 17
+    values += [1.0 + m * 2.0 ** -17 for m in range(1, 2 ** 10, 2)]
+    return values
+
+
+def test_a_table_of_hard_cases_writes_as_percent_17g(tmp_path):
+    values = _hard_cases()
+    # the float nearest 1e-14 (and a dozen other powers) lies below the
+    # power and rounds up to it at 17 digits; the ties sit exactly halfway
+    assert Fraction(1e-14) < Fraction(1, 10 ** 14) and "%.17g" % 1e-14 == "1e-14"
+    assert Fraction(1.0 + 2.0 ** -17) * 10 ** 16 % 1 == Fraction(1, 2)
+    pad = np.zeros(-len(values) % 5)
+    tables = {
+        "one": np.array(values)[:, None],
+        "five": np.concatenate([values, pad]).reshape(-1, 5),
+        # the values as a shared column: four rows each, shuffled
+        "shared": np.column_stack([np.random.default_rng(5).permutation(np.repeat(values, 4)),
+                                   np.arange(4.0 * len(values))]),
+    }
+    for name, data in tables.items():
+        columns = tuple(f"c{j}" for j in range(data.shape[1]))
+        path = ResultDataset(name=name, columns=columns, data=data, config={}).write(tmp_path)
+        body = path.read_text().split(",".join(columns) + "\n", 1)[1]
+        assert body == "".join(",".join("%.17g" % v for v in row) + "\n"
+                               for row in data.tolist()), name
+        assert read_dataset(path).data.tobytes() == data.tobytes()
+
+
+def test_ties_and_values_outside_the_fast_range_take_the_percent_fallback(monkeypatch):
+    taken = []
+    percent = experiments._g17_text
+
+    def spy(value):
+        taken.append(float(value))
+        return percent(value)
+
+    monkeypatch.setattr(experiments, "_g17_text", spy)
+    tie = 1.0 + 2.0 ** -17  # 1.00000762939453125
+    values = [0.5, tie, -1e300, 1e-300, 5e-324, 0.0, -0.0, 0.1, 1e270, 1e-270]
+    body = "".join(experiments._csv_blocks(np.array(values)[:, None]))
+    assert taken == [tie, -1e300, 1e-300, 5e-324]
+    assert body == "".join("%.17g\n" % v for v in values)
 
 
 def test_reruns_are_byte_identical(tmp_path, capsys):

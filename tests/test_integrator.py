@@ -1171,6 +1171,34 @@ def test_a_hydrogen_rectangular_train_converges_at_fourth_order(basis, gamma_mhz
     assert math.log2(errors[0] / errors[1]) == pytest.approx(4.0, abs=0.2)
 
 
+def test_an_exceptional_point_run_converges_at_fourth_order():
+    # h0 = lam I + N with N^2 = 0, a 2x2 Jordan block: eig cannot give its
+    # free propagator, the closed form exp(-i lam s) (I - i N s) can.  The
+    # model has no free eigenbasis, so RK4 steps the free stretches before
+    # and after the rectangle as well as the rectangle itself
+    h0 = np.array([[0.0, 0.25], [0.25, -0.5j]])
+    lam = -0.25j
+    nil = h0 - lam * np.eye(2)
+    assert np.array_equal(nil @ nil, np.zeros((2, 2)))
+    pulse = PulseSpec(shape="rectangular", axis="x", alpha=0.6, t_k=2.0, tau=0.5)
+    model = LinearDriveModel(h0, SIGMA_X, SIGMA_Y, KickSequence(pulses=(pulse,), delta_e=1.0))
+    assert model._free is None
+
+    def free(s):
+        return np.exp(-1j * lam * s) * (np.eye(2) - 1j * s * nil)
+
+    (a, b), t_end = pulse.support(), 4.0
+    w, v = np.linalg.eig(h0 + pulse.alpha / pulse.tau * SIGMA_X)
+    inside = v @ np.diag(np.exp(-1j * w * (b - a))) @ np.linalg.inv(v)
+    y0 = np.array([1.0, 0.0], dtype=complex)
+    exact = free(t_end - b) @ inside @ free(a) @ y0
+    errors = [np.max(np.abs(integrate(model, y0, 0.0, t_end, t_end / n,
+                                      sample_every=n).states[-1] - exact))
+              for n in (160, 320)]
+    assert 1e-11 < errors[1] < errors[0] < 1e-7
+    assert math.log2(errors[0] / errors[1]) == pytest.approx(4.0, abs=0.2)
+
+
 @pytest.mark.parametrize("span", [2.0, 7.3, 40.0 / 3.0])
 def test_default_dt_divides_the_span_within_tau_over_20(span):
     model = TwoStatePulseModel(_gaussian_sequence(tau=0.05))

@@ -2,15 +2,19 @@
 from __future__ import annotations
 
 import importlib.util
+import itertools
 import os
 import signal
 import subprocess
 import sys
+import types
+import warnings
 from pathlib import Path
 
 import numpy as np
 
-from kickedqubit import EXPERIMENT_IDS, ResultDataset
+import kickedqubit
+from kickedqubit import EXPERIMENT_IDS, ResultDataset, experiments
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -77,6 +81,69 @@ def test_cpu_pairs_times_blocks_of_configs(tmp_path):
     assert "the same bytes in both trees" in proc.stdout
     assert "change/base CPU over 1 rounds of blocks" in proc.stdout
     assert not list(tmp_path.iterdir())  # the base tree is removed
+
+
+def test_cpu_pairs_times_the_dataset_io_operations(tmp_path):
+    # build, write and read back in both trees, every file compared first;
+    # here the committed tree against itself, the same bytes
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "cpu_pairs.py"), "--base", "HEAD",
+         "--workload", "io", "--configs", "5", "--rounds", "1"],
+        cwd=ROOT, env={**os.environ, "TMPDIR": str(tmp_path)}, capture_output=True,
+        text=True, timeout=600, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == ("dataset_io seed 301: 5 operations, 5 datasets, "
+                                           "the same bytes in both trees")
+    assert "change/base CPU over 1 rounds" in proc.stdout
+    assert not list(tmp_path.iterdir())  # the base tree is removed
+
+
+def test_cpu_pairs_io_stops_on_files_of_other_bytes(monkeypatch, capsys):
+    # a base whose files carry one more comment line reads back the same
+    # values, but its CSV bytes differ: no timing, exit code 1.  Of the
+    # first three operations (surface, convergence, multi_kick) only the
+    # last builds its ResultDataset through the base's name
+    cpu_pairs = _tool("cpu_pairs")
+
+    class Noted(ResultDataset):
+        def write(self, out_dir):
+            path = super().write(out_dir)
+            with open(path, "a") as handle:
+                handle.write("# a note\n")
+            return path
+
+    base = types.ModuleType("kickedqubit_noted")
+    base.__dict__.update(vars(kickedqubit), ResultDataset=Noted)
+    monkeypatch.setattr(cpu_pairs, "import_base", lambda rev, dest: base)
+    monkeypatch.setattr(signal, "signal", lambda *args: None)
+    assert cpu_pairs.main(["--base", "HEAD", "--workload", "io", "--configs", "3",
+                           "--rounds", "1"]) == 1
+    err = capsys.readouterr().err
+    assert ("differ beyond --tolerance 0: 3 datasets, 1 differ, largest move 4.94e-324 "
+            "(first ['multi_kick_2'])") in err
+
+
+def test_dataset_hashes_csv_line_hashes_the_written_files(monkeypatch, capsys):
+    # one more line in every written body moves the csv line (and the
+    # catalog's), not the values read back
+    hashes = _tool("dataset_hashes")
+    lines = []
+    for note in ([], ["# a note\n"]):
+        blocks = experiments._csv_blocks
+        monkeypatch.setattr(experiments, "_csv_blocks",
+                            lambda data, blocks=blocks, note=note: itertools.chain(
+                                blocks(data), note))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            hashes.print_dataset_hashes(101, 2)
+        lines.append(dict(line.split(" ", 1) for line in capsys.readouterr().out.splitlines()))
+    plain, noted = lines
+    # 14 catalog files, 2 + 8 operations of each sweep in two orderings,
+    # 2 + 8 convergence tables and 2 tables of dataset_io: CSV and JSON each
+    assert plain["csv"].split()[:2] == [str(28 + 2 * 2 * 10 * 2 + 10 * 2 + 2 * 2), "files"]
+    assert noted["csv"] != plain["csv"] and noted["catalog"] != plain["catalog"]
+    for name in ("sweep_sparse", "sweep_dense", "dataset_io", "configs", "data"):
+        assert noted[name] == plain[name]
 
 
 def test_block_seconds_sums_the_least_time_of_each_block(monkeypatch):

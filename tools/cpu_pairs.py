@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Compare the CPU time of a base commit and the working tree in one process.
 
-    python3 tools/cpu_pairs.py --base <rev> [--workload sweep_sparse] [--seed 301]
-                               [--configs 60] [--rounds 21] [--tolerance 0] [--blocks]
+    python3 tools/cpu_pairs.py --base <rev> [--workload sweep_sparse|sweep_dense|catalog|io]
+                               [--seed 301] [--configs 60] [--rounds 21] [--tolerance 0]
+                               [--blocks]
 
 The package of ``--base`` is taken from a ``git archive`` of that revision
 and imported under another name (``kickedqubit_base``) beside the working
@@ -12,11 +13,17 @@ first ``--configs`` operations of a sweep workload (from the working
 tree's ``perfbench/``) at ``--seed``, or with ``--workload catalog`` the
 default config of every catalog id but ``custom`` (the working tree's, as
 JSON; ``--seed`` and ``--configs`` are then unused), the convergence scan
-among them.  They are run once in each tree, and the largest
-move of a value between the trees, in the data or among the numbers of the
-meta, is reported.  With the default ``--tolerance 0`` every dataset's
-name, data bytes and meta must be the same in both; a tolerance above 0
-accepts values that moved by at most that much.  Anything else (another
+among them.  With ``--workload io`` they are the first ``--configs``
+operations of the dataset_io workload at ``--seed``: each builds its table,
+writes it with ``ResultDataset.write`` and reads it back with
+``read_dataset``, the base tree's package standing in for ``kickedqubit``
+while the base runs; every CSV and JSON file written must be the same
+bytes in both trees, or the run reads as moved.  They are run once in each
+tree, and the largest move of a value between the trees, in the data (read
+back, for io) or among the numbers of the meta, is reported.  With the
+default ``--tolerance 0`` every dataset's name, data bytes and meta must be
+the same in both; a tolerance above 0 accepts values that moved by at
+most that much.  Anything else (another
 name, shape or non-number in the meta, or a larger move) stops the script
 with exit code 1: a timing of two trees that compute different things
 compares nothing.  Then, for ``--rounds`` rounds, each tree runs all the
@@ -33,6 +40,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import importlib.util
 import io
 import json
@@ -52,7 +60,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 import numpy as np  # noqa: E402
 
 import kickedqubit  # noqa: E402
-from workloads import SweepWorkload  # noqa: E402
+from spans import NullTracer  # noqa: E402
+from workloads import DatasetIOWorkload, SweepWorkload  # noqa: E402
 
 
 def import_base(rev: str, dest: Path):
@@ -78,6 +87,34 @@ def run_all(package, raws: list[dict]) -> list:
         for raw in raws:
             datasets, _ = package.run_experiment(package.ExperimentConfig.from_dict(raw))
             out.extend(datasets)
+    return out
+
+
+@contextlib.contextmanager
+def as_kickedqubit(package):
+    """``import kickedqubit`` gives ``package`` within the block, so that the
+    workload code, which imports the package by name, runs on that tree."""
+    saved = sys.modules["kickedqubit"]
+    sys.modules["kickedqubit"] = package
+    try:
+        yield
+    finally:
+        sys.modules["kickedqubit"] = saved
+
+
+def run_io(package, workload, ops: list[dict], files: list | None = None) -> list:
+    """The datasets read back from every dataset_io operation of ``ops``,
+    built, written and read by ``package``; with ``files``, the bytes of
+    each operation's CSV and JSON are appended to it."""
+    out = []
+    with as_kickedqubit(package), warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        for op in ops:
+            _, back, path = workload.run(op, NullTracer())
+            if files is not None:
+                files.append(path.read_bytes() + path.with_suffix(".json").read_bytes())
+            workload.discard(op)
+            out.append(back)
     return out
 
 
@@ -126,9 +163,11 @@ def largest_move(base: list, change: list) -> float:
     return move
 
 
-def cpu_seconds(package, raws: list[dict]) -> float:
+def cpu_seconds(run, items: list[dict]) -> float:
+    """The CPU seconds of ``run(items)``: one tree on a list of configs or
+    operations."""
     start = time.process_time()
-    run_all(package, raws)
+    run(items)
     return time.process_time() - start
 
 
@@ -151,7 +190,7 @@ def block_seconds(trees: dict, order: list, raws: list[dict], size: int = 25,
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--base", required=True, help="git revision to compare against")
-    parser.add_argument("--workload", choices=["sweep_sparse", "sweep_dense", "catalog"],
+    parser.add_argument("--workload", choices=["sweep_sparse", "sweep_dense", "catalog", "io"],
                         default="sweep_sparse")
     parser.add_argument("--seed", type=int, default=301)
     parser.add_argument("--configs", type=int, default=60)
@@ -159,7 +198,7 @@ def main(argv=None) -> int:
     parser.add_argument("--tolerance", type=float, default=0.0,
                         help="largest move of a value accepted between the trees")
     parser.add_argument("--blocks", action="store_true",
-                        help="per round, the least of 3 timings of each 25-config block")
+                        help="per round, the least of 3 timings of each 25-item block")
     args = parser.parse_args(argv)
     # SIGTERM ends the run as SystemExit, so the temporary checkouts are removed
     signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
@@ -168,25 +207,41 @@ def main(argv=None) -> int:
         label = "catalog"
         raws = [kickedqubit.default_config(experiment).to_dict()
                 for experiment in kickedqubit.EXPERIMENT_IDS if experiment != "custom"]
-    else:
+    elif args.workload != "io":
         label = f"{args.workload} seed {args.seed}"
         workload = SweepWorkload(args.workload, args.seed, args.workload == "sweep_dense")
         raws = [workload.next_op()["raw"] for _ in range(args.configs)]
     with tempfile.TemporaryDirectory(prefix="cpu-pairs-") as tmp:
-        base = import_base(args.base, Path(tmp))
-        trees = {"base": base, "change": kickedqubit}
-        # also the warm-up of both trees
-        outs = {side: run_all(package, raws) for side, package in trees.items()}
+        packages = {"base": import_base(args.base, Path(tmp)), "change": kickedqubit}
+        files = {side: [] for side in packages}  # the io operations' written bytes
+        if args.workload == "io":
+            label = f"dataset_io seed {args.seed}"
+            workload = DatasetIOWorkload(args.seed, Path(tmp) / "io")
+            workload.workdir.mkdir()
+            raws = [workload.next_op() for _ in range(args.configs)]
+            trees = {side: functools.partial(run_io, package, workload)
+                     for side, package in packages.items()}
+            # also the warm-up of both trees
+            outs = {side: run_io(package, workload, raws, files[side])
+                    for side, package in packages.items()}
+        else:
+            trees = {side: functools.partial(run_all, package)
+                     for side, package in packages.items()}
+            outs = {side: run(raws) for side, run in trees.items()}
         move = largest_move(outs["base"], outs["change"])
-        differ = [b.name for b, c in zip(outs["base"], outs["change"])
-                  if fingerprint(b) != fingerprint(c)]
+        differ = [b.name for i, (b, c) in enumerate(zip(outs["base"], outs["change"]))
+                  if fingerprint(b) != fingerprint(c)
+                  or files["base"][i:i + 1] != files["change"][i:i + 1]]
+        if differ and move == 0.0:  # the same values, written as other bytes
+            move = math.ulp(0.0)
         same = ("the same bytes in both trees" if move == 0.0 else
                 f"{len(differ)} differ, largest move {move:.3g} (first {differ[:3]})")
         if move > args.tolerance:
             print(f"the trees' datasets differ beyond --tolerance {args.tolerance:g}: "
                   f"{len(outs['base'])} datasets, {same}; no timing", file=sys.stderr)
             return 1
-        print(f"{label}: {len(raws)} configs, "
+        unit = "operations" if args.workload == "io" else "configs"
+        print(f"{label}: {len(raws)} {unit}, "
               f"{len(outs['base'])} datasets, {same}", flush=True)
         seconds = {"base": [], "change": []}
         ratios = []

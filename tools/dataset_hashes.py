@@ -22,7 +22,11 @@ above, the catalog's as ``read_dataset`` reads them back from its CSVs, so
 a change that moves only ``meta`` (an ideal-kick probability, say) leaves
 it as it was.  The ``warnings`` line is one SHA-256 over the category and
 message of every warning raised while the datasets above are built, each
-repeat included, in the order raised.  Run it in two checkouts and compare
+repeat included, in the order raised.  The ``csv`` line is one SHA-256 over
+the name and bytes of the CSV and JSON files that ``ResultDataset.write``
+writes for every dataset above, the catalog's as written, plus the first
+``--ops`` dataset_io tables of every kind, so it shows a change to the file
+writer.  Run it in two checkouts and compare
 the lines.  It imports the package from ``src/`` and the workloads from
 ``perfbench/`` of the checkout it sits in.
 """
@@ -63,9 +67,29 @@ def main(argv=None) -> int:
     return 0
 
 
+def hash_files(out: Path, *digests) -> int:
+    """Hash the name and bytes of every file in ``out``, in name order, into
+    each of ``digests``; return the number of files."""
+    paths = sorted(out.iterdir())
+    for path in paths:
+        for digest in digests:
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+    return len(paths)
+
+
+def hash_written(ds, texts) -> int:
+    """Write ``ds`` to a temporary directory and hash its files into ``texts``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        ds.write(tmp)
+        return hash_files(Path(tmp), texts)
+
+
 def print_dataset_hashes(seed: int, n_ops: int) -> None:
     echoes = []  # every dataset's config, in the order they are built
     tables = hashlib.sha256()  # every dataset's data, in the same order
+    texts = hashlib.sha256()  # every dataset's written files, in the same order
+    n_files = 0
     digest = hashlib.sha256()
     ids = [i for i in kq.EXPERIMENT_IDS if i != "custom"]
     for experiment in ids:
@@ -73,11 +97,9 @@ def print_dataset_hashes(seed: int, n_ops: int) -> None:
             with contextlib.redirect_stdout(io.StringIO()):
                 datasets, _ = kq.run_experiment(kq.default_config(experiment), out_dir=tmp)
             echoes.extend(ds.config for ds in datasets)
-            for path in sorted(Path(tmp).iterdir()):
-                digest.update(path.name.encode())
-                digest.update(path.read_bytes())
-                if path.suffix == ".csv":
-                    tables.update(np.ascontiguousarray(kq.read_dataset(path).data).tobytes())
+            n_files += hash_files(Path(tmp), digest, texts)
+            for path in sorted(Path(tmp).glob("*.csv")):
+                tables.update(np.ascontiguousarray(kq.read_dataset(path).data).tobytes())
     print(f"catalog {len(ids)} ids {digest.hexdigest()}")
     for name, dense in (("sweep_sparse", False), ("sweep_dense", True)):
         workload = SweepWorkload(name, seed, dense)
@@ -88,6 +110,7 @@ def print_dataset_hashes(seed: int, n_ops: int) -> None:
                 datasets, _ = kq.run_experiment(kq.ExperimentConfig.from_dict(op["raw"]))
             for ds in datasets:
                 echoes.append(ds.config)
+                n_files += hash_written(ds, texts)
                 data = np.ascontiguousarray(ds.data).tobytes()
                 tables.update(data)
                 digest.update(data)
@@ -104,16 +127,21 @@ def print_dataset_hashes(seed: int, n_ops: int) -> None:
         for op in ops + workload.accuracy_panel():
             ds = workload._build(op, NullTracer())
             echoes.append(ds.config)
+            n_files += hash_written(ds, texts)
             data = np.ascontiguousarray(ds.data).tobytes()
             tables.update(data)
             digest.update(data)
             digest.update(json.dumps(ds.meta, sort_keys=True).encode())
+        workload = DatasetIOWorkload(seed, Path(tmp))
+        for _ in range(n_ops):
+            n_files += hash_written(workload._build(workload.next_op(), NullTracer()), texts)
     print(f"dataset_io {len(ops)} convergence tables + panel {digest.hexdigest()}")
     digest = hashlib.sha256()
     for config in echoes:
         digest.update(json.dumps(config, sort_keys=True).encode())
     print(f"configs {len(echoes)} datasets {digest.hexdigest()}")
     print(f"data {len(echoes)} datasets {tables.hexdigest()}")
+    print(f"csv {n_files} files {texts.hexdigest()}")
 
 
 if __name__ == "__main__":
